@@ -49,7 +49,7 @@ def main():
     print("\n== levels suite (11 columns) ==")
     specs = [RegressionSpec.from_dict(d)
              for d in json.loads(bundled("table4_specs.json"))]
-    entries = run_model_suite(panel, specs, jobs=4)
+    entries = run_model_suite(panel, specs)
     grid = format_suite_grid(entries)
     for line in grid.splitlines()[:6]:
         print("  " + line)
@@ -58,7 +58,7 @@ def main():
     print("\n== orthogonalized interaction suite ==")
     ispecs = [RegressionSpec.from_dict(d)
               for d in json.loads(bundled("table6_specs.json"))]
-    ientries = run_model_suite(panel, ispecs, jobs=4)
+    ientries = run_model_suite(panel, ispecs)
     for e in ientries[:3]:
         inter = e.result.names[-1]
         print(f"  col {e.label}: {inter:<22} coef "

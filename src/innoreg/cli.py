@@ -2,8 +2,8 @@
 
 Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``game {solve,verify,region}``, ``synth``, ``describe``. Shared flags:
-``--format {csv,json,md}``, ``--out``, ``--seed``, ``--precision``,
-``--jobs``.
+``--format {csv,json,md}``, ``--out``, ``--seed``, ``--precision``;
+``--jobs`` is still accepted and ignored.
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
@@ -22,15 +22,15 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from importlib.resources import files as _pkg_files
 
 import numpy as np
 
 from . import game as game_mod
 from .indices import indices_table
-from .panel import (DescriptiveStats, PanelError, descriptive_stats,
-                    load_employment, load_panel)
+from .panel import (DescriptiveStats, PanelError, PanelParseError,
+                    descriptive_stats, load_employment, load_panel)
 from .regression import (RegressionSpec, format_decomposition_table,
                          format_suite_grid, run_model_suite,
                          variance_decomposition)
@@ -58,7 +58,10 @@ def load_correlation_csv(source) -> tuple:
     else:
         text = source.read()
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelParseError(1, "empty input") from None
     names = [h.strip() for h in header[1:]]
     rows = {}
     for row in reader:
@@ -77,10 +80,19 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = f"{out}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, out)  # atomic per file
+    # a unique sibling temp file, so concurrent writers never share one
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
+                               prefix=os.path.basename(out) + ".", suffix=".tmp")
+    try:
+        mask = os.umask(0)
+        os.umask(mask)
+        os.fchmod(fd, 0o666 & ~mask)  # the mode a plain open() would give
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out)  # atomic per file
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _fmt_cell(v) -> str:
@@ -178,7 +190,7 @@ def _cmd_regress(args) -> int:
     with open(args.specs, encoding="utf-8") as fh:
         raw = json.load(fh)
     specs = [RegressionSpec.from_dict(d) for d in raw]
-    entries = run_model_suite(panel, specs, hc=f"HC{args.hc}", jobs=args.jobs)
+    entries = run_model_suite(panel, specs, hc=f"HC{args.hc}")
     for e in entries:
         if not e.ok:
             print(f"spec {e.label!r} failed: {e.error}", file=sys.stderr)
@@ -320,13 +332,7 @@ def _cmd_game(args) -> int:
     # region
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
     c_vals = np.linspace(args.c_min, args.c_max, args.c_steps)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = pool.map(
-                lambda a: game_mod.feasibility_region([a], c_vals), a_vals)
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = game_mod.feasibility_region(a_vals, c_vals)
+    rows = game_mod.feasibility_region(a_vals, c_vals)
     _emit_rows(rows, ["a", "c", "r_real", "q1_nonneg", "q2_nonneg", "p_nonneg"],
                args)
     return 0
@@ -358,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--precision", type=int, default=4,
                         help="decimal places in markdown views (default 4)")
     shared.add_argument("--jobs", type=int, default=1,
-                        help="concurrent workers for suites and sweeps")
+                        help="accepted for compatibility and ignored")
 
     ap = argparse.ArgumentParser(prog="innoreg",
                                  description="regional innovation toolkit")

@@ -190,8 +190,10 @@ def optimal_royalty(params: MarketParams) -> RoyaltySolution:
     return RoyaltySolution(value=math.sqrt(radicand), radicand=radicand, real=True)
 
 
-def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams) -> Equilibrium:
-    q1 = _leader_optimal_quantity_rsq(rsq, params)
+def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams,
+              q1: float | None = None) -> Equilibrium:
+    if q1 is None:
+        q1 = _leader_optimal_quantity_rsq(rsq, params)
     q2 = _follower_equilibrium_quantity_rsq(rsq, params)
     p = inverse_demand(q1, q2, params)
     pi1 = _leader_profit_rsq(rsq, q1, params)
@@ -220,10 +222,12 @@ def spne(params: MarketParams) -> Equilibrium:
     does makes ``q1*`` vanish identically and ``q2* = 2 (a - c) / 3``. Both
     are reported as-is, with flags, even when the royalty is not real — the
     quantities depend on ``r`` only through ``r**2``, which equals the
-    radicand in every regime.
+    radicand in every regime. ``q1*`` is set to exactly 0: evaluating
+    ``(a + 3 r^2 - c) / 2`` at the radicand leaves a +-1e-16 residue whose
+    sign would decide the ``q1_nonneg`` flag.
     """
     roy = optimal_royalty(params)
-    return _assemble(roy.radicand, roy.value, roy.real, params)
+    return _assemble(roy.radicand, roy.value, roy.real, params, q1=0.0)
 
 
 def royalty_profit_profile(params: MarketParams, r_values) -> list:

@@ -430,7 +430,10 @@ class DescriptiveStats:
         return tuple(self.variables)
 
     def get(self, name: str) -> VariableStats:
-        return self.variables[name]
+        try:
+            return self.variables[name]
+        except KeyError:
+            raise PanelError(f"no descriptive statistics for {name!r}") from None
 
     def to_csv(self, stream=None, fmt: str = "%.17g") -> str | None:
         own = stream is None
@@ -449,7 +452,10 @@ class DescriptiveStats:
     def from_csv(cls, source) -> "DescriptiveStats":
         lines = _as_lines(source)
         reader = csv.reader(lines)
-        header = [h.strip() for h in next(reader)]
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise PanelParseError(1, "empty input") from None
         if header != ["name", "count", "mean", "sd", "min", "max"]:
             raise PanelParseError(1, "stats header must be name,count,mean,sd,min,max")
         out = {}

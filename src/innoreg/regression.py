@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import stats as _sps
@@ -96,7 +95,7 @@ class RegressionSpec:
     """Declarative model: dependent, regressors with lags, interactions."""
 
     dependent: str
-    regressors: list
+    regressors: list = field(default_factory=list)
     interactions: list = field(default_factory=list)
     intercept: bool = True
     label: str = ""
@@ -113,11 +112,27 @@ class RegressionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionSpec":
-        return cls(dependent=d["dependent"],
-                   regressors=d.get("regressors", []),
-                   interactions=d.get("interactions", []),
-                   intercept=d.get("intercept", True),
-                   label=str(d.get("label", "")))
+        """Spec from its JSON form; a bad key raises PanelError naming it."""
+        label = str(d.get("label", "")) if isinstance(d, dict) else ""
+        _check_keys(d, cls, "spec", label)
+        for key, kind in (("regressors", Regressor), ("interactions", Interaction)):
+            if not isinstance(d.get(key, []), list):
+                raise PanelError(f"spec {label!r}: {key} must be a JSON list")
+            for item in d.get(key, []):
+                _check_keys(item, kind, key[:-1], label)
+        return cls(**{**d, "label": label})
+
+
+def _check_keys(d, kind, what: str, label: str) -> None:
+    """Match a JSON object's keys against the fields of a dataclass."""
+    if not isinstance(d, dict):
+        raise PanelError(f"spec {label!r}: each {what} must be a JSON object")
+    for key in d:
+        if key not in {f.name for f in fields(kind)}:
+            raise PanelError(f"spec {label!r}: unknown {what} key {key!r}")
+    for f in fields(kind):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise PanelError(f"spec {label!r}: {what} without {f.name!r}")
 
 
 @dataclass
@@ -166,45 +181,33 @@ class RegressionResult:
 # core fitting
 
 
-def _fit_qr(X: np.ndarray, y: np.ndarray):
+def _pivoted_qr(X: np.ndarray, mode: str = "economic"):
+    """(Q or None, R, piv, rank); pivot i counts when |R_ii| > |R_00| max(n, k) eps."""
     n, k = X.shape
-    if n <= k:
-        raise PanelError(f"need N > k; got N={n}, k={k}")
-    rank = np.linalg.matrix_rank(X)
+    *q, r, piv = _qr_pivot(X, mode=mode, pivoting=True)
+    d = np.abs(np.diag(r))
+    rank = int(np.sum(d > d[0] * max(n, k) * np.finfo(float).eps))
+    return (q[0] if q else None), r[:k], piv, rank
+
+
+def _factor(X: np.ndarray):
+    """(Q, R, piv, (X'X)^-1, leverages) of a full-rank design, from one QR."""
+    k = X.shape[1]
+    q, r, piv, rank = _pivoted_qr(X)
     if rank < k:
-        # pivoted QR points at a minimal offending column set
-        _, _, piv = _qr_pivot(X, mode="economic", pivoting=True)
         bad = sorted(piv[rank:])
         raise CollinearityError(f"rank-deficient design; collinear columns {bad}")
-    q, r = np.linalg.qr(X)
-    beta = solve_triangular(r, q.T @ y)
-    resid = y - X @ beta
-    rinv = solve_triangular(r, np.eye(k))
-    xtx_inv = rinv @ rinv.T
-    leverage = np.einsum("ij,ij->i", q, q)
-    return beta, resid, xtx_inv, leverage
+    # X[:, piv] = Q R, so (X'X)^-1 = P R^-1 R^-T P' with P scattering rows back
+    rinv = solve_triangular(r, np.eye(k))[np.argsort(piv)]
+    return q, r, piv, rinv @ rinv.T, np.einsum("ij,ij->i", q, q)
 
 
-def robust_covariance(X: np.ndarray, residuals: np.ndarray,
-                      hc: str = "HC1") -> np.ndarray:
-    """Sandwich covariance of the OLS coefficients for a fitted design.
-
-    HC0 is the plain White estimator; HC1 rescales by N/(N-k); HC2 and HC3
-    deflate squared residuals by (1 - h) and (1 - h)^2.
-    """
-    X = np.asarray(X, dtype=float)
-    e = np.asarray(residuals, dtype=float)
+def _sandwich(X, e, xtx_inv, h, hc: str) -> np.ndarray:
     n, k = X.shape
-    _, r = np.linalg.qr(X)
-    rinv = solve_triangular(r, np.eye(k))
-    xtx_inv = rinv @ rinv.T
     hc = hc.upper()
     w = e * e
     if hc in ("HC2", "HC3"):
-        q, _ = np.linalg.qr(X)
-        h = np.einsum("ij,ij->i", q, q)
-        denom = 1.0 - h
-        denom[denom < 1e-12] = 1e-12
+        denom = np.maximum(1.0 - h, 1e-12)
         w = w / denom if hc == "HC2" else w / denom ** 2
     elif hc not in ("HC0", "HC1"):
         raise ValueError(f"unknown robust variant {hc!r}")
@@ -213,6 +216,19 @@ def robust_covariance(X: np.ndarray, residuals: np.ndarray,
     if hc == "HC1":
         cov = cov * (n / (n - k))
     return (cov + cov.T) / 2.0
+
+
+def robust_covariance(X: np.ndarray, residuals: np.ndarray,
+                      hc: str = "HC1") -> np.ndarray:
+    """Sandwich covariance of the OLS coefficients for a fitted design.
+
+    HC0 is the plain White estimator; HC1 rescales by N/(N-k); HC2 and HC3
+    deflate squared residuals by (1 - h) and (1 - h)^2. All four come from
+    one factorization of X (MacKinnon & White 1985).
+    """
+    X = np.asarray(X, dtype=float)
+    *_, xtx_inv, h = _factor(X)
+    return _sandwich(X, np.asarray(residuals, dtype=float), xtx_inv, h, hc)
 
 
 def robust_se(X, residuals, hc: str = "HC1"):
@@ -224,9 +240,10 @@ def robust_se(X, residuals, hc: str = "HC1"):
 def vif(X: np.ndarray, names=None):
     """Variance inflation factors for a block of non-intercept regressors.
 
-    Each auxiliary regression includes an intercept; VIF_j = 1/(1 - R_j^2).
-    Computed from the inverse of the sample correlation matrix; columns
-    caught in an exactly collinear set come back +inf with a warning.
+    Each auxiliary regression includes an intercept; VIF_j = 1/(1 - R_j^2),
+    the squared row norm of R^-1 for the centred, unit-norm block Z P = Q R.
+    Columns caught in an exactly collinear set (past the rank, or in the
+    support of R11^-1 R12) come back +inf with a warning.
 
     Returns (dict name -> VIF, average).
     """
@@ -236,36 +253,26 @@ def vif(X: np.ndarray, names=None):
         raise PanelError("VIF needs at least 2 non-intercept regressors")
     if names is None:
         names = [f"x{j}" for j in range(k)]
-    sd = X.std(axis=0, ddof=1)
-    if np.any(sd == 0):
-        j = int(np.argmax(sd == 0))
+    z = X - X.mean(axis=0)
+    norm = np.sqrt(np.sum(z * z, axis=0))
+    if np.any(norm == 0):
+        j = int(np.argmax(norm == 0))
         raise PanelError(f"constant column {names[j]!r} in VIF input")
-    corr = np.corrcoef(X, rowvar=False)
-    values = np.empty(k)
-    try:
-        inv = np.linalg.inv(corr)
-        values[:] = np.diag(inv)
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        # singular correlation: fall back to explicit auxiliaries
-        for j in range(k):
-            others = np.delete(X, j, axis=1)
-            a = np.column_stack([np.ones(n), others])
-            coef, *_ = np.linalg.lstsq(a, X[:, j], rcond=None)
-            resid = X[:, j] - a @ coef
-            tss = np.sum((X[:, j] - X[:, j].mean()) ** 2)
-            r2 = 1.0 - np.sum(resid ** 2) / tss
-            if r2 >= 1.0 - 1e-12:
-                warnings.warn(f"perfect collinearity at {names[j]!r}; VIF = inf")
-                values[j] = np.inf
-            else:
-                values[j] = 1.0 / (1.0 - r2)
+    _, r, piv, rank = _pivoted_qr(z / norm, mode="r")
+    r11inv = solve_triangular(r[:rank, :rank], np.eye(rank))
+    values = np.full(k, np.inf)
+    values[piv[:rank]] = np.einsum("ij,ij->i", r11inv, r11inv)
+    if rank < k:
+        # unit-norm columns: a real dependency has O(1) coefficients, while
+        # columns outside it keep only rounding-level ones
+        null = np.abs(r11inv @ r[:rank, rank:])
+        involved = np.any(null > np.sqrt(np.finfo(float).eps) * null.max(axis=0),
+                          axis=1)
+        values[piv[:rank][involved]] = np.inf
+        for j in np.flatnonzero(np.isinf(values)):
+            warnings.warn(f"perfect collinearity at {names[j]!r}; VIF = inf")
     out = {nm: float(v) for nm, v in zip(names, values)}
-    finite = [v for v in values if np.isfinite(v)]
-    avg = float(np.mean(values)) if finite and np.all(np.isfinite(values)) \
-        else float("inf")
-    return out, avg
+    return out, float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +361,17 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     """
     y, X, names = _build_design(panel, spec)
     n, k = X.shape
-    beta, resid, xtx_inv, _ = _fit_qr(X, y)
+    if n <= k:
+        raise PanelError(f"need N > k; got N={n}, k={k}")
+    q, r, piv, xtx_inv, leverage = _factor(X)
+    beta = np.empty(k)
+    beta[piv] = solve_triangular(r, q.T @ y)
+    resid = y - X @ beta
 
     ssr = float(resid @ resid)
     sigma2 = ssr / (n - k)
     cov_classical = sigma2 * xtx_inv
-    cov_robust = robust_covariance(X, resid, hc=hc)
+    cov_robust = _sandwich(X, resid, xtx_inv, leverage, hc)
 
     if spec.intercept:
         sst = float(np.sum((y - y.mean()) ** 2))
@@ -484,25 +496,20 @@ class SuiteEntry:
         return self.result is not None
 
 
-def run_model_suite(panel: RegionalPanel, specs, hc: str = "HC1",
-                    jobs: int = 1) -> list:
-    """Fit every spec, isolating per-spec failures.
+def run_model_suite(panel: RegionalPanel, specs, hc: str = "HC1") -> list:
+    """Fit every spec in the given order, isolating per-spec failures.
 
-    Results keep the given spec order regardless of ``jobs``; a failing spec
-    contributes an entry carrying its error text while the rest proceed.
+    A failing spec contributes an entry carrying its error text while the
+    rest proceed.
     """
-    specs = list(specs)
-
-    def one(spec):
+    entries = []
+    for spec in specs:
         try:
-            return SuiteEntry(label=spec.label, result=pooled_ols(panel, spec, hc=hc))
+            entries.append(SuiteEntry(label=spec.label,
+                                      result=pooled_ols(panel, spec, hc=hc)))
         except Exception as exc:  # error isolation is the contract here
-            return SuiteEntry(label=spec.label, error=str(exc))
-
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, specs))
-    return [one(s) for s in specs]
+            entries.append(SuiteEntry(label=spec.label, error=str(exc)))
+    return entries
 
 
 def format_suite_grid(entries, precision: int = 4) -> str:

@@ -218,3 +218,56 @@ def test_load_correlation_csv_validates():
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
+
+
+@pytest.mark.parametrize("files, argv, names", [
+    ({"specs.json": '[{"label": "m", "regressors": [{"name": "B"}]}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"], "'dependent'"),
+    ({"specs.json": '[{"label": "m", "dependent": "A", '
+                    '"regressors": [{"name": "B", "lagg": 1}]}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"], "'lagg'"),
+    ({"prov.csv": PROV, "empty.csv": ""},
+     ["elasticities", "prov.csv", "--stats", "empty.csv"], "line 1: empty input"),
+    ({"empty.csv": ""}, ["synth", "--corr", "empty.csv"], "line 1: empty input"),
+    ({"prov.csv": PROV, "stats.csv": STATS},
+     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "NOPE"],
+     "'NOPE'"),
+    ({"prov.csv": PROV.replace("B,", "Q,"), "stats.csv": STATS},
+     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
+     "'Q'"),
+], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
+        "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable"])
+def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
+                                                   names):
+    panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
+    files = {"panel.csv": panel, **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    # argv names the files; run with their paths
+    rc, out, err = run(capsys, *[str(tmp_path / a) if a in files else a
+                                 for a in argv])
+    assert rc == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and names in errors[0], err
+    assert "Traceback" not in err
+
+
+def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):
+    out = tmp_path / "idx.csv"
+    stale = tmp_path / "idx.csv.tmp"
+    stale.write_text("another writer's temp file\n")
+    rc, _, _ = run(capsys, "indices", emp_file, "--out", str(out))
+    assert rc == 0 and out.read_text().startswith("region,year,theil")
+    assert stale.read_text() == "another writer's temp file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["emp.csv", "idx.csv", "idx.csv.tmp"]
+    # a failed replace (the target is a directory) leaves no temp file behind
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    rc, _, err = run(capsys, "indices", emp_file, "--out", str(blocked))
+    assert rc == 2 and err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["blocked", "emp.csv", "idx.csv", "idx.csv.tmp"]

@@ -173,3 +173,31 @@ def test_feasibility_region_flags():
     for row in rows:
         for flag in ("r_real", "q1_nonneg", "q2_nonneg", "p_nonneg"):
             assert row[flag] in (0, 1)
+
+
+def test_feasibility_region_matches_closed_form_flags_on_a_grid():
+    # r^2 = (c - a) / 3 is real iff c >= a; the royalty FOC 3 r q1 = 0 pins
+    # q1* = 0; q2* = 2 (a - c) / 3; the price (a + 2c) / 3
+    vals = np.linspace(0.5, 12.0, 300)
+    rows = feasibility_region(vals, vals)
+    a = np.array([row["a"] for row in rows])
+    c = np.array([row["c"] for row in rows])
+    assert len(rows) == 300 * 300
+    want = {
+        "r_real": c >= a,
+        "q1_nonneg": np.ones(a.shape, dtype=bool),
+        "q2_nonneg": a >= c,
+        "p_nonneg": a + 2.0 * c >= 0,
+    }
+    for flag, expected in want.items():
+        got = np.array([row[flag] for row in rows], dtype=bool)
+        assert np.array_equal(got, expected), (flag, int((got != expected).sum()))
+
+
+def test_spne_leader_quantity_is_exactly_zero():
+    # (a + 3 r^2 - c) / 2 rounds to +4e-16, -2e-16 and -1e-17 at the first three
+    for a, c in ((2.9, 7.3), (7.3, 2.9), (0.7, 0.1), (5.0, 5.0)):
+        eq = spne(MarketParams(a=a, c=c))
+        assert eq.q1 == 0.0 and eq.flags.q1_nonneg
+        assert eq.leader_payoff == 0.0
+        assert eq.q2 == pytest.approx(2.0 * (a - c) / 3.0, rel=1e-12, abs=1e-15)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import innoreg.regression as reg
 from innoreg.regression import (CollinearityError, Interaction,
                                 RegressionSpec, Regressor, elasticity,
                                 format_decomposition_table, format_suite_grid,
@@ -352,10 +353,6 @@ def test_run_model_suite_isolates_failures():
     assert [e.label for e in entries] == ["ok", "broken"]
     assert entries[0].ok and not entries[1].ok
     assert "NOPE" in entries[1].error
-    # threaded run preserves order and results
-    threaded = run_model_suite(p, specs, jobs=4)
-    assert [e.ok for e in threaded] == [True, False]
-    np.testing.assert_allclose(threaded[0].result.beta, entries[0].result.beta)
 
 
 def test_format_suite_grid_layout():
@@ -388,3 +385,83 @@ def test_format_decomposition_table_layout():
         assert col in head
     # F cells carry the p-value in parentheses
     assert "(" in table.splitlines()[2]
+
+
+def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
+    shapes = []
+    qr = reg._qr_pivot
+
+    def counting_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("second factorization path used")
+
+    monkeypatch.setattr(reg, "_qr_pivot", counting_qr)
+    for name in ("qr", "matrix_rank", "inv", "lstsq", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(np, "corrcoef", forbidden)
+    rng = np.random.default_rng(103)
+    p = rand_panel(rng, ["Y", "X1", "X2", "X3"])
+    spec = RegressionSpec(dependent="Y", regressors=[
+        {"name": "X1"}, {"name": "X2"}, {"name": "X3"}])
+    for hc in ("HC0", "HC1", "HC2", "HC3"):
+        shapes.clear()
+        res = pooled_ols(p, spec, hc=hc)
+        assert shapes == [(48, 4), (48, 3)]  # the design, then its slope block
+        assert np.isfinite(res.se_robust).all() and res.avg_vif >= 1.0
+    shapes.clear()
+    robust_covariance(np.column_stack([np.ones(48), p.column("X1")]),
+                      rng.normal(size=48), "HC3")
+    assert shapes == [(48, 2)]
+
+
+def test_vif_sentinel_keeps_the_free_column_finite():
+    rng = np.random.default_rng(41)
+    base = rng.normal(size=50)
+    X = np.column_stack([base, 2 * base, rng.normal(size=50)])
+    with pytest.warns(UserWarning, match="inf"):
+        values, _ = vif(X)
+    assert math.isinf(values["x0"]) and math.isinf(values["x1"])
+    # auxiliary-regression oracle for x2 on an intercept and both others
+    a = np.column_stack([np.ones(50), X[:, :2]])
+    coef, *_ = np.linalg.lstsq(a, X[:, 2], rcond=None)
+    resid = X[:, 2] - a @ coef
+    r2 = 1 - resid @ resid / np.sum((X[:, 2] - X[:, 2].mean()) ** 2)
+    assert values["x2"] == pytest.approx(1 / (1 - r2), rel=1e-8)
+
+
+def test_vif_flags_only_the_dependent_set():
+    # x3 = x0 - x1 exactly; x2 and x4 stay outside the dependency
+    rng = np.random.default_rng(107)
+    X = rng.normal(size=(60, 5))
+    X[:, 3] = X[:, 0] - X[:, 1]
+    with pytest.warns(UserWarning):
+        values, avg = vif(X)
+    assert [math.isinf(values[f"x{j}"]) for j in range(5)] == \
+        [True, True, False, True, False]
+    assert math.isinf(avg)
+
+
+def test_robust_covariance_rejects_rank_deficient_design():
+    rng = np.random.default_rng(109)
+    x = rng.normal(size=30)
+    X = np.column_stack([np.ones(30), x, 3 * x])
+    with pytest.raises(CollinearityError, match="collinear columns"):
+        robust_covariance(X, rng.normal(size=30))
+
+
+@pytest.mark.parametrize("spec, match", [
+    ({"label": "m", "regressors": [{"name": "X"}]}, "without 'dependent'"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lagg": 1}]},
+     "unknown regressor key 'lagg'"),
+    ({"label": "m", "dependent": "Y", "interactions": [{"x1": "A"}]},
+     "interaction without 'x2'"),
+    ({"label": "m", "dependent": "Y", "regresors": []}, "unknown spec key"),
+    (["Y"], "JSON object"),
+    ({"label": "m", "dependent": "Y", "regressors": None}, "JSON list"),
+])
+def test_spec_from_dict_rejects_bad_keys(spec, match):
+    with pytest.raises(PanelError, match=match):
+        RegressionSpec.from_dict(spec)
