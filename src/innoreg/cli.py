@@ -29,7 +29,7 @@ import numpy as np
 
 from . import game as game_mod
 from .indices import indices_table
-from .panel import (DescriptiveStats, PanelError, PanelParseError,
+from .panel import (DescriptiveStats, PanelError, PanelParseError, _parse_float,
                     descriptive_stats, load_employment, load_panel)
 from .regression import (RegressionSpec, format_decomposition_table,
                          format_suite_grid, run_model_suite,
@@ -64,10 +64,14 @@ def load_correlation_csv(source) -> tuple:
         raise PanelParseError(1, "empty input") from None
     names = [h.strip() for h in header[1:]]
     rows = {}
-    for row in reader:
+    for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        rows[row[0].strip()] = [float(c) for c in row[1:]]
+        if len(row) != len(header):
+            raise PanelParseError(lineno, f"expected {len(header)} cells, got {len(row)}")
+        name = row[0].strip()
+        rows[name] = [_parse_float(c.strip(), lineno, f"{name!r} correlation")
+                      for c in row[1:]]
     if sorted(rows) != sorted(names):
         raise PanelError("correlation CSV row names do not match its header")
     mat = np.array([rows[n] for n in names], dtype=float)

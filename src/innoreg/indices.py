@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 __all__ = [
     "ShareVector",
     "VarietyResult",
@@ -165,34 +167,50 @@ def indices_table(employment, industries=None, scale: float = 100.0) -> list:
 
     Parameters
     ----------
-    employment : EmploymentTable-like
-        Needs region_years(), employment(region, year), national(year), and a
-        parents mapping.
+    employment : EmploymentTable
+        Its region-year x industry ``counts``, ``national_counts`` and
+        ``sector_index`` arrays are reduced here all at once; the records are
+        not rescanned.
     industries : optional collection restricting the industry codes used (the
         Hoover index in particular is sometimes computed on a subset, e.g.
-        manufacturing only).
+        manufacturing only); codes absent from the table are ignored.
     scale : display multiplier for the hoover column.
 
     Returns a list of dicts with keys region, year, theil, related,
-    unrelated, hoover.
+    unrelated, hoover, sorted by region and then year. Raises ValueError
+    naming the first region-year with no employment in the industries used.
     """
-    keep = None if industries is None else set(industries)
-    rows = []
-    for region, year in employment.region_years():
-        counts = employment.employment(region, year)
-        national = employment.national(year)
-        if keep is not None:
-            counts = {k: v for k, v in counts.items() if k in keep}
-            national = {k: v for k, v in national.items() if k in keep}
-        sv = ShareVector.from_employment(counts, employment.parents)
-        dec = variety_decomposition(sv)
-        hv = hoover_index(counts, national, scale=scale)
-        rows.append({
-            "region": region,
-            "year": year,
-            "theil": dec.theil,
-            "related": dec.related,
-            "unrelated": dec.unrelated,
-            "hoover": hv.display,
-        })
-    return rows
+    cols = slice(None)
+    if industries is not None:
+        keep = set(industries)
+        cols = np.array([code in keep for code in employment.industries], dtype=bool)
+    counts = employment.counts[:, cols]
+    national = employment.national_counts[:, cols]
+    sector = employment.sector_index[cols]
+
+    total = counts.sum(axis=1)
+    if not np.all(total > 0):
+        region, year = employment.keys[int(np.argmin(total > 0))]
+        where = "" if industries is None else " in the selected industries"
+        raise ValueError(f"region {region!r} year {year} has no employment{where}")
+    p = counts / total[:, None]
+    p_safe = np.where(p > 0, p, 1.0)  # zero shares then add 0 * ln(1) = 0
+    theil = np.sum(p * np.log(1.0 / p_safe), axis=1)
+
+    groups = np.zeros((len(employment.sectors), len(p)))
+    np.add.at(groups, sector, p.T)
+    groups = groups.T  # region-year x sector share P_g
+    g_safe = np.where(groups > 0, groups, 1.0)
+    unrelated = np.sum(groups * np.log(1.0 / g_safe), axis=1)
+    related = np.sum(p * np.log(g_safe[:, sector] / p_safe), axis=1)
+
+    national_shares = national / national.sum(axis=1)[:, None]
+    hoover = 0.5 * np.sum(np.abs(p - national_shares), axis=1) * scale
+
+    return [
+        {"region": region, "year": year, "theil": th, "related": rel,
+         "unrelated": unr, "hoover": hv}
+        for (region, year), th, rel, unr, hv in zip(
+            employment.keys, theil.tolist(), related.tolist(),
+            unrelated.tolist(), hoover.tolist())
+    ]

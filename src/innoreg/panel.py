@@ -50,6 +50,20 @@ class PanelParseError(PanelError):
         self.line = line
 
 
+def _parse_float(text: str, line: int, what: str) -> float:
+    """``float(text)``, or a PanelParseError naming the line unless finite.
+
+    ``what`` names the cell in the message, e.g. ``"employment"``.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise PanelParseError(line, f"{what} {text!r} is not numeric") from None
+    if not math.isfinite(value):
+        raise PanelParseError(line, f"{what} {text!r} is not finite")
+    return value
+
+
 def _as_lines(source) -> Iterable[str]:
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -172,6 +186,7 @@ def load_panel(source, schema=None) -> RegionalPanel:
     else:
         names = file_vars
     col_of = {v: file_vars.index(v) + 2 for v in names}
+    what = {v: f"{v!r} cell" for v in names}
 
     rows: dict = {}
     regions: list = []
@@ -191,14 +206,8 @@ def load_panel(source, schema=None) -> RegionalPanel:
         values = []
         for v in names:
             cell = row[col_of[v]].strip()
-            if cell == "":
-                values.append(math.nan)
-            else:
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise PanelParseError(
-                        lineno, f"cell {cell!r} for {v!r} is not numeric") from None
+            values.append(math.nan if cell == "" else
+                          _parse_float(cell, lineno, what[v]))
         key = (region, year)
         if key in rows:
             old = rows[key]
@@ -238,13 +247,70 @@ def load_panel(source, schema=None) -> RegionalPanel:
 
 @dataclass(frozen=True)
 class EmploymentTable:
-    """Long-format employment records with a consistent industry→sector map."""
+    """Long-format employment records with a consistent industry→sector map.
+
+    Construction also lays the records out as read-only arrays, so the
+    diversity indices reduce over them without rescanning ``rows``:
+
+    - ``keys``: the sorted (region, year) pairs, one per matrix row;
+    - ``industries``: the sorted industry codes, one per matrix column;
+    - ``counts``: employment per (region-year, industry), duplicate records
+      summed and absent pairs 0;
+    - ``national_counts``: the same shape, each row holding its year's
+      national totals per industry;
+    - ``sectors`` / ``sector_index``: the sorted parent sectors and, per
+      industry column, the index of its sector.
+    """
 
     rows: tuple  # of (region, year, industry, parent, employment)
     parents: dict
+    keys: tuple = field(init=False, repr=False, compare=False)
+    industries: tuple = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    national_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    sectors: tuple = field(init=False, repr=False, compare=False)
+    sector_index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        regions, row_years, inds, _, emps = list(zip(*self.rows)) or [()] * 5
+        row_keys = list(zip(regions, row_years))
+        keys = sorted(set(row_keys))
+        codes = sorted(set(inds))
+        try:
+            parent_of = [self.parents[c] for c in codes]
+        except KeyError as exc:
+            raise PanelError(
+                f"industry {exc.args[0]!r} has no parent sector mapping") from None
+        sectors, sector_index = np.unique(np.array(parent_of, dtype=object),
+                                          return_inverse=True)
+        years, key_year = np.unique([y for _, y in keys], return_inverse=True)
+
+        key_at = {k: i for i, k in enumerate(keys)}
+        code_at = {c: j for j, c in enumerate(codes)}
+        m = len(codes)
+        cell = (np.fromiter(map(key_at.__getitem__, row_keys), np.intp, len(row_keys)) * m
+                + np.fromiter(map(code_at.__getitem__, inds), np.intp, len(inds)))
+        emp = np.array(emps, dtype=float)
+        # both sums run in an order fixed by the data, never by the record
+        # order, so a shuffled file gives bit-identical matrices
+        order = np.lexsort((emp, cell))
+        counts = np.bincount(cell[order], weights=emp[order],
+                             minlength=len(keys) * m).reshape(len(keys), m)
+        national = np.zeros((len(years), m))
+        np.add.at(national, key_year, counts)
+        if not (np.all(emp >= 0) and np.all(np.isfinite(national.sum(axis=1)))):
+            raise PanelError("employment must be non-negative with finite totals")
+
+        derived = {"keys": tuple(keys), "industries": tuple(codes),
+                   "sectors": tuple(sectors), "counts": counts,
+                   "national_counts": national[key_year], "sector_index": sector_index}
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def region_years(self) -> list:
-        return sorted({(r, y) for r, y, *_ in self.rows})
+        return list(self.keys)
 
     def employment(self, region: str, year: int) -> dict:
         out: dict = {}
@@ -288,10 +354,7 @@ def load_employment(source) -> EmploymentTable:
             year = int(ys)
         except ValueError:
             raise PanelParseError(lineno, f"year {ys!r} is not an integer") from None
-        try:
-            emp = float(es)
-        except ValueError:
-            raise PanelParseError(lineno, f"employment {es!r} is not numeric") from None
+        emp = _parse_float(es, lineno, "employment")
         if emp < 0:
             raise PanelParseError(lineno, f"negative employment {emp}")
         if ind in parents and parents[ind] != parent:
@@ -462,13 +525,16 @@ class DescriptiveStats:
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) < 6:
+                raise PanelParseError(lineno, "malformed stats row")
+            name = row[0].strip()
             try:
-                name = row[0].strip()
-                st = VariableStats(count=int(row[1]), mean=float(row[2]),
-                                   sd=float(row[3]), min=float(row[4]),
-                                   max=float(row[5]))
-            except (IndexError, ValueError):
+                count = int(row[1])
+            except ValueError:
                 raise PanelParseError(lineno, "malformed stats row") from None
+            mean, sd, lo, hi = (_parse_float(c.strip(), lineno, f"{name!r} {k}")
+                                for k, c in zip(("mean", "sd", "min", "max"), row[2:6]))
+            st = VariableStats(count=count, mean=mean, sd=sd, min=lo, max=hi)
             if not (st.min <= st.mean <= st.max) or st.sd < 0:
                 raise PanelError(f"inconsistent stats for {name!r}")
             out[name] = st

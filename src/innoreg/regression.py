@@ -190,12 +190,33 @@ def _pivoted_qr(X: np.ndarray, mode: str = "economic"):
     return (q[0] if q else None), r[:k], piv, rank
 
 
-def _factor(X: np.ndarray):
-    """(Q, R, piv, (X'X)^-1, leverages) of a full-rank design, from one QR."""
+def _collinear_set(r: np.ndarray, piv: np.ndarray, rank: int) -> list:
+    """Sorted column indices in an exact dependency of a rank-deficient QR.
+
+    The columns past the rank, plus those in the support of R11^-1 R12 once
+    every coefficient is rescaled to unit-norm columns: a real dependency has
+    O(1) coefficients, while columns outside it keep only rounding-level ones.
+    """
+    norm = np.sqrt(np.sum(r * r, axis=0))  # column norms of X[:, piv]
+    coef = solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    null = np.abs(coef) * norm[:rank, None] / np.where(norm[rank:] > 0, norm[rank:], 1.0)
+    involved = np.any(null > np.sqrt(np.finfo(float).eps)
+                      * null.max(axis=0, initial=0.0), axis=1)
+    return sorted(piv[rank:].tolist() + piv[:rank][involved].tolist())
+
+
+def _factor(X: np.ndarray, names=None):
+    """(Q, R, piv, (X'X)^-1, leverages) of a full-rank design, from one QR.
+
+    A rank-deficient X raises CollinearityError listing the collinear set by
+    ``names``, or by column index when no names are given.
+    """
     k = X.shape[1]
     q, r, piv, rank = _pivoted_qr(X)
     if rank < k:
-        bad = sorted(piv[rank:])
+        bad = _collinear_set(r, piv, rank)
+        if names is not None:
+            bad = [names[j] for j in bad]
         raise CollinearityError(f"rank-deficient design; collinear columns {bad}")
     # X[:, piv] = Q R, so (X'X)^-1 = P R^-1 R^-T P' with P scattering rows back
     rinv = solve_triangular(r, np.eye(k))[np.argsort(piv)]
@@ -263,12 +284,7 @@ def vif(X: np.ndarray, names=None):
     values = np.full(k, np.inf)
     values[piv[:rank]] = np.einsum("ij,ij->i", r11inv, r11inv)
     if rank < k:
-        # unit-norm columns: a real dependency has O(1) coefficients, while
-        # columns outside it keep only rounding-level ones
-        null = np.abs(r11inv @ r[:rank, rank:])
-        involved = np.any(null > np.sqrt(np.finfo(float).eps) * null.max(axis=0),
-                          axis=1)
-        values[piv[:rank][involved]] = np.inf
+        values[_collinear_set(r, piv, rank)] = np.inf
         for j in np.flatnonzero(np.isinf(values)):
             warnings.warn(f"perfect collinearity at {names[j]!r}; VIF = inf")
     out = {nm: float(v) for nm, v in zip(names, values)}
@@ -363,7 +379,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     n, k = X.shape
     if n <= k:
         raise PanelError(f"need N > k; got N={n}, k={k}")
-    q, r, piv, xtx_inv, leverage = _factor(X)
+    q, r, piv, xtx_inv, leverage = _factor(X, names)
     beta = np.empty(k)
     beta[piv] = solve_triangular(r, q.T @ y)
     resid = y - X @ beta

@@ -207,7 +207,7 @@ def test_game_region_grid(capsys):
     rc2, out2, _ = run(capsys, "game", "region", "--a-min", "1", "--a-max", "4",
                        "--a-steps", "2", "--c-min", "1", "--c-max", "4",
                        "--c-steps", "2", "--jobs", "3")
-    assert rc2 == 0 and out2 == out  # parallel sweep keeps row order
+    assert rc2 == 0 and out2 == out  # --jobs is accepted and ignored
 
 
 def test_load_correlation_csv_validates():
@@ -238,8 +238,26 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
     ({"prov.csv": PROV.replace("B,", "Q,"), "stats.csv": STATS},
      ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
      "'Q'"),
+    ({"emp.csv": EMP.replace("textile,manuf,10", "textile,manuf,nan")},
+     ["indices", "emp.csv"], "line 3: employment 'nan' is not finite"),
+    ({"bad.csv": "region,year,A,B\nr1,2001,1,2\nr1,2002,inf,3\n"},
+     ["describe", "bad.csv"], "line 3: 'A' cell 'inf' is not finite"),
+    ({"bad.csv": "region,year,A,B\nr1,2001,1,nan\n"},
+     ["describe", "bad.csv"], "line 2: 'B' cell 'nan' is not finite"),
+    ({"stats.csv": STATS.replace("10.0,2.0", "-inf,2.0")},
+     ["synth", "--stats", "stats.csv"], "line 3: 'B' mean '-inf' is not finite"),
+    ({"corr.csv": CORR.replace("A,1,0.4", "A,1,nan")},
+     ["synth", "--corr", "corr.csv"], "line 2: 'A' correlation 'nan' is not finite"),
+    ({"corr.csv": CORR.replace("B,0.4,1", "B,0.4")},
+     ["synth", "--corr", "corr.csv"], "line 3: expected 3 cells, got 2"),
+    ({"emp.csv": EMP + "east,2001,retail,serv,5\n"},
+     ["indices", "emp.csv", "--industries", "food,textile"],
+     "region 'east' year 2001 has no employment in the selected industries"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
-        "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable"])
+        "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
+        "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
+        "nan-correlation-cell", "short-correlation-row",
+        "empty-region-year-after-industry-subset"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"

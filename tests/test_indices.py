@@ -1,12 +1,16 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from innoreg import indices
 from innoreg.indices import (ShareVector, hoover_index, indices_table,
                              related_variety, theil_index, unrelated_variety,
                              variety_decomposition)
-from innoreg.panel import load_employment
+from innoreg.panel import EmploymentTable, load_employment
 
 LN2 = math.log(2.0)
 
@@ -165,3 +169,111 @@ def test_indices_table_industry_subset(tmp_path):
     # national subset totals: food 65, textile 35
     assert north["hoover"] == pytest.approx(
         0.5 * (abs(0.8 - 0.65) + abs(0.2 - 0.35)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the array path against the scalar functions, on random long tables
+
+HEADER = "region,year,industry,parent,employment"
+
+
+@st.composite
+def employment_tables(draw):
+    """(csv lines, records, industry subset or None) of a random long table.
+
+    1-6 regions, 1-4 years, 1-12 industries in 1-4 sectors. Each drawn cell
+    gives 1-4 records, and cells may repeat, so duplicate records, absent
+    cells and zero cells all occur.
+    """
+    n_reg, n_year = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n_ind = draw(st.integers(1, 12))
+    sector = draw(st.lists(st.integers(0, 3), min_size=n_ind, max_size=n_ind))
+    value = st.one_of(st.just(0.0), st.floats(0.1, 1e5),
+                      st.integers(1, 10 ** 6).map(lambda k: k / 1000))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n_reg - 1), st.integers(0, n_year - 1),
+                  st.integers(0, n_ind - 1), st.lists(value, min_size=1, max_size=4)),
+        min_size=1, max_size=30))
+    records = [(f"R{r}", 2000 + t, f"I{i:02d}", f"S{sector[i]}", e)
+               for r, t, i, values in cells for e in values]
+    lines = [f"{r},{y},{ind},{g},{e!r}" for r, y, ind, g, e in records]
+    codes = sorted({ind for _, _, ind, _, _ in records})
+    subset = draw(st.none() | st.sets(st.sampled_from(codes), min_size=1))
+    return lines, records, subset
+
+
+def scalar_indices(records, industries, scale=100.0):
+    """indices_table rebuilt from per-region-year dicts and the scalar functions."""
+    keep = None if industries is None else set(industries)
+    regional, national, parents = {}, {}, {}
+    for region, year, ind, parent, e in records:
+        parents[ind] = parent
+        regional.setdefault((region, year), {})
+        if keep is None or ind in keep:
+            counts = regional[region, year]
+            counts[ind] = counts.get(ind, 0.0) + e
+            nat = national.setdefault(year, {})
+            nat[ind] = nat.get(ind, 0.0) + e
+    rows = []
+    for (region, year), counts in sorted(regional.items()):
+        dec = variety_decomposition(ShareVector.from_employment(counts, parents))
+        hv = hoover_index(counts, national[year], scale=scale)
+        rows.append({"region": region, "year": year, "theil": dec.theil,
+                     "related": dec.related, "unrelated": dec.unrelated,
+                     "hoover": hv.display})
+    return rows
+
+
+def load_lines(lines):
+    return load_employment(io.StringIO("\n".join([HEADER, *lines]) + "\n"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(employment_tables())
+def test_indices_table_matches_the_scalar_functions(table):
+    lines, records, subset = table
+    try:
+        want = scalar_indices(records, subset)
+    except ValueError:  # a region-year with no employment in the subset
+        with pytest.raises(ValueError, match="has no employment"):
+            indices_table(load_lines(lines), industries=subset)
+        return
+    got = indices_table(load_lines(lines), industries=subset)
+    assert [(r["region"], r["year"]) for r in got] == \
+        [(r["region"], r["year"]) for r in want]
+    for g, w in zip(got, want):
+        assert list(g) == list(w)
+        for k in ("theil", "related", "unrelated", "hoover"):
+            assert abs(g[k] - w[k]) <= 1e-12 * max(1.0, abs(w[k])), (k, g, w)
+
+
+def outcome(lines, subset):
+    try:
+        return indices_table(load_lines(lines), industries=subset)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(employment_tables(), st.randoms(use_true_random=False))
+def test_indices_table_ignores_record_order(table, rnd):
+    lines, _, subset = table
+    shuffled = list(lines)
+    rnd.shuffle(shuffled)
+    assert outcome(shuffled, subset) == outcome(lines, subset)
+
+
+def test_indices_table_uses_neither_row_scans_nor_scalar_functions(monkeypatch):
+    table = load_lines(["a,2001,x,m,3", "a,2001,y,n,1", "b,2001,x,m,2",
+                        "b,2001,y,n,2", "a,2002,x,m,5"])
+    want = indices_table(table)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the array path must not call this")
+    monkeypatch.setattr(EmploymentTable, "employment", forbidden)
+    monkeypatch.setattr(EmploymentTable, "national", forbidden)
+    monkeypatch.setattr(indices, "variety_decomposition", forbidden)
+    monkeypatch.setattr(indices, "hoover_index", forbidden)
+    assert indices_table(table) == want
+    assert [(r["region"], r["year"]) for r in want] == [
+        ("a", 2001), ("a", 2002), ("b", 2001)]

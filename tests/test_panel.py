@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from innoreg.panel import (DescriptiveStats, PanelError, PanelParseError,
-                           RegionalPanel, correlation_matrix,
+from innoreg.panel import (DescriptiveStats, EmploymentTable, PanelError,
+                           PanelParseError, RegionalPanel, correlation_matrix,
                            descriptive_stats, impute_by_apportionment, lag,
                            load_employment, load_panel)
 
@@ -258,3 +258,30 @@ def test_load_employment_errors():
     twoparents = EMP + "n,2001,food,OTHER,5\n"
     with pytest.raises(PanelError, match="food"):
         load_employment(io.StringIO(twoparents))
+
+
+def test_load_employment_builds_the_count_matrix():
+    # a duplicate record sums; an absent (region-year, industry) pair is 0
+    t = load_employment(io.StringIO(EMP + "n,2002,food,m,5\nn,2001,food,m,2.5\n"))
+    assert t.keys == (("n", 2001), ("n", 2002), ("s", 2001))
+    assert t.industries == ("food", "retail")
+    assert t.counts.tolist() == [[12.5, 30.0], [5.0, 0.0], [20.0, 40.0]]
+    assert t.national_counts.tolist() == [[32.5, 70.0], [5.0, 0.0], [32.5, 70.0]]
+    assert t.sectors == ("m", "s") and t.sector_index.tolist() == [0, 1]
+    assert not t.counts.flags.writeable
+    # the constructor checks what it is handed as well
+    with pytest.raises(PanelError, match="non-negative"):
+        EmploymentTable(rows=(("n", 2001, "food", "m", -1.0),), parents={"food": "m"})
+    with pytest.raises(PanelError, match="'food' has no parent"):
+        EmploymentTable(rows=(("n", 2001, "food", "m", 1.0),), parents={})
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_cells_are_rejected_at_parse(cell):
+    with pytest.raises(PanelParseError, match=f"line 3: employment '{cell}' is not finite"):
+        load_employment(io.StringIO(EMP.replace("retail,s,30", f"retail,s,{cell}")))
+    with pytest.raises(PanelParseError, match=f"line 4: 'GDP' cell '{cell}' is not finite"):
+        load_panel(io.StringIO(BASIC.replace("cre,2001,2,", f"cre,2001,{cell},")))
+    stats = f"name,count,mean,sd,min,max\nA,10,1,{cell},0,2\n"
+    with pytest.raises(PanelParseError, match=f"line 2: 'A' sd '{cell}' is not finite"):
+        DescriptiveStats.from_csv(io.StringIO(stats))

@@ -452,6 +452,25 @@ def test_robust_covariance_rejects_rank_deficient_design():
         robust_covariance(X, rng.normal(size=30))
 
 
+def test_collinearity_error_names_the_dependent_set():
+    rng = np.random.default_rng(113)
+    x = rng.normal(size=(5, 8))
+    p = build_panel({"Y": rng.normal(size=(5, 8)), "x": x, "z": rng.normal(size=(5, 8)),
+                     "x2": 2 * x})
+    spec = RegressionSpec(dependent="Y", regressors=[
+        {"name": "x"}, {"name": "z"}, {"name": "x2"}])
+    with pytest.raises(CollinearityError) as err:
+        pooled_ols(p, spec)
+    assert str(err.value) == "rank-deficient design; collinear columns ['x', 'x2']"
+    # without names: plain column indices, the free column z (2) left out
+    X = np.column_stack([np.ones(40), x.ravel(), p.column("z"), 2 * x.ravel()])
+    with pytest.raises(CollinearityError) as err:
+        robust_covariance(X, rng.normal(size=40))
+    assert str(err.value) == "rank-deficient design; collinear columns [1, 3]"
+    with pytest.raises(CollinearityError, match=r"columns \[0, 1\]$"):
+        robust_covariance(np.zeros((40, 2)), rng.normal(size=40))  # rank 0
+
+
 @pytest.mark.parametrize("spec, match", [
     ({"label": "m", "regressors": [{"name": "X"}]}, "without 'dependent'"),
     ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lagg": 1}]},
