@@ -9,17 +9,20 @@ Three refinements make that basic recipe meet its contract on hard targets
 (bounded variables whose sd is several times the mean-to-bound distance, and
 a target correlation matrix that is not PSD to begin with):
 
-* the affine (loc, scale) per variable is calibrated so the *clipped* normal
-  hits the target mean and sd (nested root-finding on the censored-normal
-  moment equations), then a short in-sample affine/clip iteration pins the
-  sample moments;
-* the target correlation matrix is repaired to the nearest PSD matrix by
-  eigenvalue clipping (the repair size is recorded in the panel metadata);
+* the affine (loc, scale) per variable is solved on the draw itself so the
+  clipped sample has exactly the target mean and sd (to 1e-12 relative):
+  one bracketed, nested Newton solve over all variables at once, started
+  from the population fit of the clipped normal (nested root-finding on the
+  censored-normal moment equations) and, on later calibration steps, from
+  the previous step's solution;
+* the target correlation matrix is made PSD by eigenvalue clipping and
+  rescaling to a unit diagonal (the repair size is recorded in the panel
+  metadata);
 * the input correlation fed to the normal draw is tuned by a damped
-  fixed-point loop against the measured output correlation, keeping the best
-  iterate — clamping distorts Pearson correlations badly (up to ~0.5 for the
-  bundled targets without tuning), and tuning brings the worst-case error
-  within about 0.15.
+  fixed-point loop (300 steps by default) against the measured output
+  correlation, keeping the best iterate — clamping distorts Pearson
+  correlations badly (up to ~0.5 for the bundled targets without tuning),
+  and tuning brings the worst-case error within about 0.15.
 
 Everything is a pure function of (stats, corr, seed): same seed, same bytes.
 """
@@ -27,7 +30,6 @@ Everything is a pure function of (stats, corr, seed): same seed, same bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,10 +51,13 @@ def _norm_pdf(x):
 
 
 def nearest_psd(corr: np.ndarray, floor: float = 1e-8) -> np.ndarray:
-    """Nearest positive-semidefinite correlation matrix (eigenvalue clipping).
+    """Positive-semidefinite correlation matrix by eigenvalue clipping.
 
     Symmetrizes, clips eigenvalues at ``floor``, and rescales back to a unit
-    diagonal.
+    diagonal; a matrix whose eigenvalues are already at least ``floor`` only
+    gets a unit diagonal. The result is close to ``corr`` when the repair is
+    small, but it is not the Frobenius-nearest correlation matrix (Higham
+    2002), which needs alternating projections.
     """
     sym = (np.asarray(corr, dtype=float) + np.asarray(corr, dtype=float).T) / 2.0
     w, v = np.linalg.eigh(sym)
@@ -124,34 +129,109 @@ def _exact_corr_normals(rng, n, k):
     return z @ np.linalg.inv(np.linalg.cholesky(cov)).T
 
 
-def _sample_touchup(x, m, s, lo, hi, iters=100, rtol=1e-12):
-    # iterated in-sample affine + clip; pins sample mean/sd essentially exactly
-    for _ in range(iters):
-        gm = x.mean()
-        gs = x.std(ddof=1)
-        if (abs(gm - m) <= rtol * max(abs(m), 1e-12)
-                and abs(gs - s) <= rtol * max(s, 1e-12)):
-            break
-        if gs == 0:
-            break
-        x = np.clip(m + (x - gm) * (s / gs), lo, hi)
-    return x
+def _check_sd_attainable(names, n, m, s, lo, hi):
+    # the largest Σ(y − m)² of n points on [lo, hi] with mean m puts every
+    # point at a bound but one, which takes up the fraction of the mean
+    p = n * (m - lo) / (hi - lo)
+    top = np.floor(p)
+    cap = np.sqrt(((n - top - 1) * (m - lo) ** 2 + top * (hi - m) ** 2
+                   + (lo + (p - top) * (hi - lo) - m) ** 2) / (n - 1))
+    bad = np.flatnonzero(s >= cap)
+    if bad.size:
+        j = bad[0]
+        raise PanelError(
+            f"sd target {s[j]} for {names[j]!r} unattainable with {n} observations "
+            f"on [{lo[j]}, {hi[j]}] with mean {m[j]} (at most {cap[j]})")
 
 
-@dataclass
-class _Marginal:
-    name: str
-    mean: float
-    sd: float
-    lo: float
-    hi: float
-    loc: float
-    scale: float
+def _solve_moments(names, x, m, s, lo, hi, loc, scale, rtol=1e-12, max_steps=1000):
+    """Per-column (loc, scale) putting clip(loc + scale·x, lo, hi) on target.
+
+    Solves every column of the draw ``x`` (n × k) at once for the sample mean
+    ``m`` and sample sd ``s`` (ddof=1), starting from ``(loc, scale)``. Two
+    facts make a nested, bracketed solve possible. For fixed scale the sample
+    mean is a monotone piecewise-linear function of loc, with slope (number
+    of unclipped points) / n. With loc solved, D = Σ(y − m)² is a monotone
+    piecewise-linear function of t = scale², with slope Σ(x − x̄)² over the
+    unclipped points. Each level takes the Newton step of its current linear
+    piece, the exact root when the clip pattern holds, if it falls inside
+    its bracket, and bisects otherwise, so it cannot diverge.
+
+    Returns ``(y, loc, scale, err, steps)``. ``err`` per column is the larger
+    of |mean − m| / max(|m|, s) and |sd − s| / s; ``steps`` counts
+    evaluations of the clipped sample. Raises PanelError naming a variable
+    whose ``err`` stays above ``rtol``.
+    """
+    x = np.ascontiguousarray(x.T)  # one row per variable: fast row sums
+    k, n = x.shape
+    m, s, lo, hi, loc, scale = (np.reshape(v, (k, 1)) for v in (m, s, lo, hi, loc, scale))
+    den = np.maximum(np.abs(m), s)
+    tol = rtol * den
+    ss = (n - 1) * s * s  # target D
+    ss_tol = rtol * ss
+    xmin, xmax = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    steps = 0
+
+    def fit_loc(scale, loc):
+        # mean(a) = lo (every point at lo) and mean(b) = hi bracket the root
+        nonlocal steps
+        a, b = lo - scale * xmax, hi - scale * xmin
+        sx = scale * x
+        while True:
+            steps += 1
+            y = np.minimum(np.maximum(loc + sx, lo), hi)
+            f = y.sum(axis=1, keepdims=True) / n - m
+            done = np.abs(f) <= tol
+            if done.all() or steps >= max_steps:
+                return loc, y
+            below = f < 0
+            a = np.where(below, loc, a)
+            b = np.where(below, b, loc)
+            nm = ((y > lo) & (y < hi)).sum(axis=1, keepdims=True)
+            root = loc - f * n / np.maximum(nm, 1)
+            ok = (nm > 0) & (a < root) & (root < b)
+            loc = np.where(done, loc, np.where(ok, root, 0.5 * (a + b)))
+
+    t = scale * scale
+    t_lo, t_hi = np.zeros_like(t), np.full_like(t, np.inf)
+    while True:
+        scale = np.sqrt(t)
+        loc, y = fit_loc(scale, loc)
+        d = y - m
+        excess = (d * d).sum(axis=1, keepdims=True) - ss  # D − target
+        done = np.abs(excess) <= ss_tol
+        if done.all() or steps >= max_steps:
+            break
+        below = excess < 0
+        t_lo = np.where(below, t, t_lo)
+        t_hi = np.where(below, t_hi, t)
+        mid = (y > lo) & (y < hi)
+        nm = mid.sum(axis=1, keepdims=True)
+        xm = np.where(mid, x, 0.0)
+        s1 = xm.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # nm = 0 or 1: bisect
+            xbar = s1 / nm
+            root = t - excess / ((xm * xm).sum(axis=1, keepdims=True) - s1 * xbar)
+        ok = ~done & (nm > 1) & (t_lo < root) & (root < t_hi)
+        t = np.where(ok, root, np.where(
+            done, t, np.where(np.isinf(t_hi), 4.0 * t_lo, 0.5 * (t_lo + t_hi))))
+        # on an unchanged clip pattern this loc keeps the mean at m
+        loc = np.where(ok, loc + (scale - np.sqrt(t)) * xbar, loc)
+    y = y.T
+    err = np.maximum(np.abs(y.mean(axis=0) - m.ravel()) / den.ravel(),
+                     np.abs(y.std(axis=0, ddof=1) - s.ravel()) / s.ravel())
+    bad = np.flatnonzero(err > rtol)
+    if bad.size:
+        j = bad[0]
+        raise PanelError(
+            f"sample moments of {names[j]!r} not solved: relative residual "
+            f"{err[j]:.3e} after {steps} steps")
+    return y, loc.ravel(), np.sqrt(t).ravel(), err, steps
 
 
 def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
                      regions=13, years=9, corr_names=None,
-                     calibration_iterations: int = 150,
+                     calibration_iterations: int = 300,
                      repair_limit: float = 0.1) -> RegionalPanel:
     """Draw a balanced synthetic panel matching summary stats and correlations.
 
@@ -161,9 +241,9 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         Target mean/sd/min/max per variable; the variable order of the output
         panel.
     corr : array
-        Target correlation matrix. Repaired to the nearest PSD matrix when
-        needed; the repair magnitude lands in ``panel.meta``. Must be
-        symmetric with a unit diagonal.
+        Target correlation matrix. Made PSD by ``nearest_psd`` when needed;
+        the repair magnitude lands in ``panel.meta``. Must be symmetric with
+        a unit diagonal.
     seed : int
         Generator seed; fixes the output bit-for-bit.
     regions, years : int or sequence
@@ -172,14 +252,18 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     corr_names : optional sequence
         Variable order of ``corr`` when it differs from the stats order.
     calibration_iterations : int
-        Damped fixed-point steps tuning the input correlation against the
-        measured output correlation; the best iterate wins.
+        Damped fixed-point steps (default 300) tuning the input correlation
+        against the measured output correlation; the best iterate wins.
     repair_limit : float
         Maximum tolerated elementwise PSD-repair perturbation.
 
-    Returns a RegionalPanel whose ``meta`` documents the PSD repair and the
-    achieved correlation error. Sample moments match the targets to well
-    within 2%; every value sits inside [min, max].
+    Returns a RegionalPanel whose ``meta`` documents the PSD repair, the
+    achieved correlation error and the moment solve (``moment_max_rel_error``
+    of the returned panel, ``moment_solve_max_iterations`` over the run).
+    Every sample mean and sd (ddof=1) matches its target to 1e-12 relative
+    (the mean relative to max(|mean|, sd)), and every value sits inside
+    [min, max]. A target that no sample of this size can reach, or a solve
+    that misses the tolerance, raises PanelError naming the variable.
     """
     if isinstance(regions, int):
         regions = tuple(f"R{i + 1:02d}" for i in range(regions))
@@ -209,17 +293,16 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
         raise PanelError("corr must have a unit diagonal")
 
-    marginals = []
-    for nm in names:
-        st = stats.get(nm)
-        loc, scale = _fit_affine(nm, st.mean, st.sd, st.min, st.max)
-        marginals.append(_Marginal(nm, st.mean, st.sd, st.min, st.max, loc, scale))
-
-    const = [j for j, mg in enumerate(marginals) if mg.scale == 0.0]
-    active = [j for j in range(len(names)) if j not in const]
-    k = len(active)
+    targets = np.array([[st.mean, st.sd, st.min, st.max]
+                        for st in (stats.get(nm) for nm in names)])
+    affine = np.array([_fit_affine(nm, *row) for nm, row in zip(names, targets)])
+    const = np.flatnonzero(affine[:, 1] == 0.0)
+    active = np.flatnonzero(affine[:, 1] != 0.0)
+    k = active.size
     if k and n <= k:
         raise PanelError(f"need more than {k} observations for {k} variables; got {n}")
+    active_names = [names[j] for j in active]
+    m, s, lo, hi = targets[active].T
 
     target = corr[np.ix_(active, active)]
     repaired = nearest_psd(target)
@@ -231,17 +314,22 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
 
     rng = np.random.default_rng(seed)
     zw = _exact_corr_normals(rng, n, k) if k else np.empty((n, 0))
+    _check_sd_attainable(active_names, n, m, s, lo, hi)
+    # the first solve starts from the population fit, each later one from
+    # the previous solution, which sits on nearly the same clip pattern
+    loc, scale = affine[active].T
+    max_steps = 0
 
     def realize(cin):
+        nonlocal loc, scale, max_steps
         x = zw @ np.linalg.cholesky(cin).T
+        y, loc, scale, err, steps = _solve_moments(active_names, x, m, s, lo, hi,
+                                                   loc, scale)
+        max_steps = max(max_steps, steps)
         out = np.empty((n, len(names)))
-        for pos, j in enumerate(active):
-            mg = marginals[j]
-            col = np.clip(mg.loc + mg.scale * x[:, pos], mg.lo, mg.hi)
-            out[:, j] = _sample_touchup(col, mg.mean, mg.sd, mg.lo, mg.hi)
-        for j in const:
-            out[:, j] = marginals[j].mean
-        return out
+        out[:, const] = targets[const, 0]
+        out[:, active] = y
+        return out, float(err.max())
 
     def measured(out):
         if k < 2:
@@ -250,15 +338,15 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         c = np.corrcoef(sub, rowvar=False)
         return (c + c.T) / 2.0
 
-    best_out, best_err, best_it = None, math.inf, 0
+    best_out, best_err, best_it, best_moment = None, math.inf, 0, 0.0
     cin = repaired.copy()
     n_iter = max(1, int(calibration_iterations))
     for it in range(n_iter):
-        out = realize(cin)
+        out, moment = realize(cin)
         err = measured(out) - target
         mx = float(np.abs(err).max()) if k >= 2 else 0.0
         if mx < best_err:
-            best_out, best_err, best_it = out, mx, it
+            best_out, best_err, best_it, best_moment = out, mx, it, moment
         if k < 2 or mx < 1e-12:
             break
         step = 0.7 * (0.25 + 0.75 * (1.0 - it / n_iter))  # decaying damping
@@ -275,6 +363,8 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
                                 if k >= 2 and tri[0].size else 0.0),
         "calibration_iterations": n_iter,
         "best_iteration": int(best_it),
+        "moment_max_rel_error": best_moment,
+        "moment_solve_max_iterations": max_steps,
         "constant_variables": [names[j] for j in const],
     }
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from innoreg import cli
 from innoreg.cli import load_correlation_csv, main
 from innoreg.panel import PanelError
 
@@ -100,6 +101,31 @@ def test_synth_deterministic_and_atomic(tmp_path, capsys):
                    "--out", str(panel))
     assert rc == 0
     assert panel.read_bytes() != first
+
+
+def test_synth_solver_diagnostics_stay_on_stderr(tmp_path, capsys, monkeypatch):
+    panel, stats, corr = make_panel_file(tmp_path, capsys)
+    args = ["synth", "--stats", str(stats), "--corr", str(corr),
+            "--regions", "6", "--years", "5"]
+    rc, out, err = run(capsys, *args)
+    assert rc == 0
+    meta = json.loads(err)
+    assert meta["moment_max_rel_error"] <= 1e-12
+    assert meta["moment_solve_max_iterations"] >= 1
+    assert out == panel.read_text()  # stdout and --out carry the same bytes
+
+    real = cli.synthesize_panel
+
+    def other_diagnostics(*a, **kw):
+        p = real(*a, **kw)
+        p.meta.update(moment_max_rel_error=0.5, moment_solve_max_iterations=10**6)
+        return p
+    monkeypatch.setattr(cli, "synthesize_panel", other_diagnostics)
+    rc, out2, err2 = run(capsys, *args)
+    assert rc == 0 and out2 == out
+    assert json.loads(err2)["moment_solve_max_iterations"] == 10**6
+    rc, _, _ = run(capsys, *args, "--out", str(panel))
+    assert rc == 0 and panel.read_text() == out
 
 
 def test_describe_roundtrip(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from innoreg.panel import (DescriptiveStats, PanelError, correlation_matrix,
-                           descriptive_stats)
-from innoreg.synth import nearest_psd, synthesize_panel
+from innoreg.panel import (DescriptiveStats, PanelError, VariableStats,
+                           correlation_matrix, descriptive_stats)
+from innoreg.synth import _solve_moments, nearest_psd, synthesize_panel
 
 SMALL_STATS = (
     "name,count,mean,sd,min,max\n"
@@ -147,3 +150,76 @@ def test_bundled_targets_roundtrip(synthetic_panel, bundled_stats, bundled_corr)
         assert st.mean == pytest.approx(tg.mean, rel=0.02, abs=1e-9)
         assert st.sd == pytest.approx(tg.sd, rel=0.02)
         assert st.min >= tg.min - 1e-9 and st.max <= tg.max + 1e-9
+
+
+def assert_exact_moments(panel, stats, rtol=1e-9):
+    for nm in stats.names():
+        col, tg = panel.matrix(nm).ravel(), stats.get(nm)
+        assert abs(col.mean() - tg.mean) <= rtol * abs(tg.mean), nm
+        assert abs(col.std(ddof=1) - tg.sd) <= rtol * tg.sd, nm
+        assert tg.min <= col.min() and col.max() <= tg.max, nm
+
+
+@pytest.mark.parametrize("seed", [7, 42, 1])
+def test_bundled_targets_exact_moments(seed, bundled_stats, bundled_corr):
+    # seed 7 ended 2.3% off on RDPERS under the old rescale-and-clip loop
+    names, corr = bundled_corr
+    panel = synthesize_panel(bundled_stats, corr, seed=seed, corr_names=names)
+    assert_exact_moments(panel, bundled_stats)
+    assert panel.meta["moment_max_rel_error"] <= 1e-12
+    assert panel.meta["moment_solve_max_iterations"] >= 1
+
+
+@st.composite
+def hard_targets(draw):
+    """1–4 variables on [0, hi], mean anywhere inside, sd up to 0.97 of the cap."""
+    k = draw(st.integers(1, 4))
+    regions, years = draw(st.integers(3, 6)), draw(st.integers(3, 6))  # n = 9..36
+    variables = {}
+    for j in range(k):
+        hi = draw(st.floats(0.5, 1000.0))
+        m = draw(st.floats(0.02, 0.98)) * hi
+        sd = draw(st.floats(0.001, 0.97)) * math.sqrt(m * (hi - m))
+        variables[f"V{j}"] = VariableStats(regions * years, m, sd, 0.0, hi)
+    if draw(st.booleans()):
+        corr = np.eye(k)
+    else:
+        a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k,
+                                   max_size=k * k))).reshape(k, k)
+        c = a @ a.T + 1e-3 * np.eye(k)
+        d = np.sqrt(np.diag(c))
+        corr = c / np.outer(d, d)
+        corr = (corr + corr.T) / 2.0
+        np.fill_diagonal(corr, 1.0)
+    return DescriptiveStats(variables), corr, regions, years, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hard_targets())
+def test_hard_marginals_exact_or_named_error(case):
+    stats, corr, regions, years, seed = case
+    run = lambda: synthesize_panel(stats, corr, seed=seed, regions=regions,
+                                   years=years, calibration_iterations=5)
+    try:
+        panel = run()
+    except PanelError as exc:
+        assert any(repr(nm) in str(exc) for nm in stats.names()), str(exc)
+        return
+    assert_exact_moments(panel, stats)
+    assert run().to_csv() == panel.to_csv()
+
+
+def test_moment_solve_failures_name_the_variable():
+    # population sd cap 0.357 admits 0.346; nine points with mean 0.15 reach 0.339
+    text = "name,count,mean,sd,min,max\nA,9,0.5,0.2,0,1\nB,9,0.15,0.346,0,1\n"
+    stats = DescriptiveStats.from_csv(io.StringIO(text))
+    with pytest.raises(PanelError, match="'B' unattainable with 9 observations"):
+        synthesize_panel(stats, np.eye(2), seed=0, regions=3, years=3)
+    x = np.random.default_rng(0).standard_normal((9, 2))
+    m, s, lo, hi = np.array([0.5, 0.15]), np.array([0.2, 0.3]), np.zeros(2), np.ones(2)
+    with pytest.raises(PanelError, match="'A' not solved: relative residual"):
+        _solve_moments(["A", "B"], x, m, s, lo, hi, m, s, max_steps=1)
+    y, _, _, err, steps = _solve_moments(["A", "B"], x, m, s, lo, hi, m, s)
+    assert err.max() <= 1e-12 and 1 < steps < 200
+    np.testing.assert_allclose(y.mean(axis=0), m, rtol=1e-12)
+    np.testing.assert_allclose(y.std(axis=0, ddof=1), s, rtol=1e-12)
