@@ -7,16 +7,20 @@ Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
-fully produced. CSV and JSON renderings carry full-precision values so the
-two are value-equivalent; ``--precision`` shapes the human-readable markdown
-views. Panel CSVs emitted by ``synth`` are always full precision so reruns
-are byte-identical.
+fully produced. Every table goes through ``panel.render_table``: CSV and
+JSON carry full-precision values and are value-equivalent, except that JSON
+writes NaN and ±inf as ``null`` (CSV: ``nan``, ``inf``) so it stays
+standard JSON; ``--precision`` shapes the human-readable markdown views,
+which for ``regress`` and ``decompose`` are the journal-layout grids. Panel
+CSVs emitted by ``synth`` are always full precision so reruns are
+byte-identical. Every input CSV goes through one reader in ``panel``: blank
+lines are skipped, and empty input or a ragged row is an error naming its
+line.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -29,8 +33,8 @@ import numpy as np
 
 from . import game as game_mod
 from .indices import indices_table
-from .panel import (DescriptiveStats, PanelError, PanelParseError, _parse_float,
-                    descriptive_stats, load_employment, load_panel)
+from .panel import (DescriptiveStats, PanelError, _parse_float, _read_csv,
+                    descriptive_stats, load_employment, load_panel, render_table)
 from .regression import (RegressionSpec, format_decomposition_table,
                          format_suite_grid, run_model_suite,
                          variance_decomposition)
@@ -52,26 +56,11 @@ def _bundled(name: str) -> str:
 
 def load_correlation_csv(source) -> tuple:
     """(names, matrix) from a named square correlation CSV."""
-    if isinstance(source, str):
-        with open(source, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelParseError(1, "empty input") from None
-    names = [h.strip() for h in header[1:]]
+    header, lines = _read_csv(source)
+    names = header[1:]
     rows = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise PanelParseError(lineno, f"expected {len(header)} cells, got {len(row)}")
-        name = row[0].strip()
-        rows[name] = [_parse_float(c.strip(), lineno, f"{name!r} correlation")
-                      for c in row[1:]]
+    for lineno, (name, *cells) in lines:
+        rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
     if sorted(rows) != sorted(names):
         raise PanelError("correlation CSV row names do not match its header")
     mat = np.array([rows[n] for n in names], dtype=float)
@@ -99,49 +88,12 @@ def _write_text(text: str, out: str | None) -> None:
         raise
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return "%.17g" % v
-    return str(v)
-
-
-def _rows_to_csv(rows, columns) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(columns)
-    for r in rows:
-        w.writerow([_fmt_cell(r.get(c, "")) for c in columns])
-    return buf.getvalue()
-
-
-def _rows_to_json(rows) -> str:
-    def clean(v):
-        if isinstance(v, float) and math.isnan(v):
-            return None
-        return v
-    return json.dumps([{k: clean(v) for k, v in r.items()} for r in rows],
-                      indent=2) + "\n"
-
-
-def _rows_to_md(rows, columns, precision: int) -> str:
-    def disp(v):
-        if isinstance(v, float):
-            return f"{v:.{precision}f}"
-        return str(v)
-    lines = ["| " + " | ".join(columns) + " |",
-             "|" + "|".join("---" for _ in columns) + "|"]
-    for r in rows:
-        lines.append("| " + " | ".join(disp(r.get(c, "")) for c in columns) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_rows(rows, columns, args) -> None:
-    if args.format == "json":
-        text = _rows_to_json(rows)
-    elif args.format == "md":
-        text = _rows_to_md(rows, columns, args.precision)
+def _emit_rows(rows, columns, args, md=None) -> None:
+    """Write ``rows`` in ``args.format``; ``md()``, when given, is the md view."""
+    if args.format == "md" and md is not None:
+        text = md()
     else:
-        text = _rows_to_csv(rows, columns)
+        text = render_table(rows, columns, args.format, args.precision)
     _write_text(text, args.out)
 
 
@@ -162,10 +114,7 @@ def _cmd_describe(args) -> int:
     panel = load_panel(args.panel)
     variables = args.variables.split(",") if args.variables else None
     stats = descriptive_stats(panel, variables=variables)
-    rows = [{"name": nm, "count": st.count, "mean": st.mean, "sd": st.sd,
-             "min": st.min, "max": st.max}
-            for nm, st in stats.variables.items()]
-    _emit_rows(rows, ["name", "count", "mean", "sd", "min", "max"], args)
+    _emit_rows(stats.rows(), stats.columns, args)
     return 0
 
 
@@ -199,17 +148,13 @@ def _cmd_regress(args) -> int:
         if not e.ok:
             print(f"spec {e.label!r} failed: {e.error}", file=sys.stderr)
 
-    if args.format == "md":
-        text = format_suite_grid(entries, precision=args.precision) + "\n"
-    else:
-        rows = _result_rows(entries)
-        cols = ["label", "variable", "coef", "se_robust", "se_classical",
-                "stars", "r_squared", "f_stat", "avg_vif", "n"]
-        text = _rows_to_json(rows) if args.format == "json" \
-            else _rows_to_csv(rows, cols)
-    _write_text(text, args.out)
+    rows = _result_rows(entries)
+    cols = ["label", "variable", "coef", "se_robust", "se_classical",
+            "stars", "r_squared", "f_stat", "avg_vif", "n"]
+    _emit_rows(rows, cols, args,
+               md=lambda: format_suite_grid(entries, precision=args.precision))
     if args.out:  # machine-readable companion for the human-format grid
-        _write_text(_rows_to_json(_result_rows(entries)), args.out + ".json")
+        _write_text(render_table(rows, cols, "json"), args.out + ".json")
     if specs and all(not e.ok for e in entries):
         return 3
     return 0
@@ -219,30 +164,21 @@ def _cmd_decompose(args) -> int:
     panel = load_panel(args.panel)
     names = args.variables.split(",") if args.variables else list(panel.variables)
     decomps = [variance_decomposition(panel, nm) for nm in names]
-    if args.format == "md":
-        text = format_decomposition_table(decomps, precision=args.precision) + "\n"
-        _write_text(text, args.out)
-    else:
-        rows = [{
-            "variable": d.variable, "share_region": d.share_region,
-            "share_time": d.share_time, "share_residual": d.share_residual,
-            "systematic": d.systematic, "f_region": d.f_region,
-            "p_region": d.p_region, "f_time": d.f_time, "p_time": d.p_time,
-        } for d in decomps]
-        cols = list(rows[0]) if rows else []
-        _emit_rows(rows, cols, args)
+    cols = ["variable", "share_region", "share_time", "share_residual",
+            "systematic", "f_region", "p_region", "f_time", "p_time"]
+    _emit_rows([{c: getattr(d, c) for c in cols} for d in decomps], cols, args,
+               md=lambda: format_decomposition_table(decomps, precision=args.precision))
     return 0
 
 
 def _cmd_elasticities(args) -> int:
-    with open(args.provenance, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        prov = list(reader)
+    header, lines = _read_csv(args.provenance)
+    prov = [dict(zip(header, cells)) for _, cells in lines]
     required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
     stats = DescriptiveStats.from_csv(args.stats) if args.stats else None
     rows = []
     for rec in prov:
-        if not required.issubset({k for k, v in rec.items() if v not in (None, "")}):
+        if not required.issubset({k for k, v in rec.items() if v}):
             raise PanelError(f"provenance row incomplete: {rec}")
         x_mean = float(rec["x_mean"])
         y_mean = float(rec["y_mean"])

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -64,11 +65,65 @@ def _parse_float(text: str, line: int, what: str) -> float:
     return value
 
 
-def _as_lines(source) -> Iterable[str]:
+def _read_csv(source) -> tuple:
+    """(header, rows) of a CSV path or text stream, every cell stripped.
+
+    The first line is the header. ``rows`` yields ``(line, cells)`` for each
+    later line, skipping blank and whitespace-only ones. Empty input, and a
+    row whose cell count differs from the header's, raise PanelParseError
+    naming the line.
+    """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
-            return io.StringIO(fh.read())
-    return source
+            source = io.StringIO(fh.read())
+    reader = enumerate(csv.reader(source), start=1)
+    _, header = next(reader, (1, None))
+    if header is None:
+        raise PanelParseError(1, "empty input")
+    header = [c.strip() for c in header]
+
+    def rows():
+        for line, row in reader:
+            cells = [c.strip() for c in row]
+            if not any(cells):
+                continue
+            if len(cells) != len(header):
+                raise PanelParseError(
+                    line, f"expected {len(header)} cells, got {len(cells)}")
+            yield line, cells
+    return header, rows()
+
+
+def markdown_table(header, body) -> str:
+    """Markdown pipe table of a header row and body rows of cell text."""
+    rule = "|" + "|".join("---" for _ in header) + "|"
+    lines = ["| " + " | ".join(row) + " |" for row in (header, *body)]
+    return "\n".join([lines[0], rule, *lines[1:]])
+
+
+def render_table(rows, columns, fmt: str, precision: int = 4) -> str:
+    """Text of a list of row dicts as ``csv``, ``json`` or ``md``.
+
+    CSV has a header of ``columns`` and writes floats as ``%.17g``, so it
+    carries full precision; a column a row lacks is an empty cell. JSON writes
+    each row's own keys at full precision with NaN and ±inf as ``null``, so it
+    stays standard JSON. Markdown shows ``columns`` with floats rounded to
+    ``precision`` decimals.
+    """
+    if fmt == "json":
+        return json.dumps([{k: None if isinstance(v, float) and not math.isfinite(v)
+                            else v for k, v in r.items()} for r in rows],
+                          indent=2) + "\n"
+    float_text = f"%.{precision}f" if fmt == "md" else "%.17g"
+    body = [[float_text % v if isinstance(v, float) else str(v)
+             for v in (r.get(c, "") for c in columns)] for r in rows]
+    if fmt == "md":
+        return markdown_table(columns, body) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(body)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -136,12 +191,14 @@ class RegionalPanel:
                              data=data, meta=dict(self.meta))
 
     # -- serialization -----------------------------------------------------
-    def to_csv(self, stream=None, fmt: str = "%.17g") -> str | None:
-        """Write the wide-schema CSV; returns the text when stream is None."""
-        own = stream is None
-        if own:
-            stream = io.StringIO()
-        writer = csv.writer(stream, lineterminator="\n")
+    def to_csv(self) -> str:
+        """The wide-schema CSV text, values at full precision (``%.17g``).
+
+        A missing cell is written empty, the only missing marker
+        ``load_panel`` reads, so the text loads back to an equal panel.
+        """
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         names = list(self.data)
         writer.writerow(["region", "year", *names])
         for i, region in enumerate(self.regions):
@@ -149,11 +206,9 @@ class RegionalPanel:
                 cells = []
                 for name in names:
                     v = self.data[name][i, j]
-                    cells.append("" if math.isnan(v) else fmt % v)
+                    cells.append("" if math.isnan(v) else "%.17g" % v)
                 writer.writerow([region, year, *cells])
-        if own:
-            return stream.getvalue()
-        return None
+        return buf.getvalue()
 
 
 def load_panel(source, schema=None) -> RegionalPanel:
@@ -168,13 +223,7 @@ def load_panel(source, schema=None) -> RegionalPanel:
     Rows duplicated by (region, year) merge silently when their values agree
     and raise on conflict. Unbalanced grids raise listing the missing cells.
     """
-    lines = _as_lines(source)
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelParseError(1, "empty input") from None
-    header = [h.strip() for h in header]
+    header, lines = _read_csv(source)
     if header[:2] != ["region", "year"]:
         raise PanelParseError(1, "header must start with 'region,year'")
     file_vars = header[2:]
@@ -191,12 +240,8 @@ def load_panel(source, schema=None) -> RegionalPanel:
     rows: dict = {}
     regions: list = []
     years: set = set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise PanelParseError(lineno, f"expected {len(header)} cells, got {len(row)}")
-        region = row[0].strip()
+    for lineno, row in lines:
+        region = row[0]
         if not region:
             raise PanelParseError(lineno, "empty region identifier")
         try:
@@ -205,7 +250,7 @@ def load_panel(source, schema=None) -> RegionalPanel:
             raise PanelParseError(lineno, f"year {row[1]!r} is not an integer") from None
         values = []
         for v in names:
-            cell = row[col_of[v]].strip()
+            cell = row[col_of[v]]
             values.append(math.nan if cell == "" else
                           _parse_float(cell, lineno, what[v]))
         key = (region, year)
@@ -333,23 +378,13 @@ def load_employment(source) -> EmploymentTable:
     Enforces: non-negative employment, numeric cells, and that every industry
     code maps to exactly one parent sector across the whole file.
     """
-    lines = _as_lines(source)
-    reader = csv.reader(lines)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise PanelParseError(1, "empty input") from None
+    header, lines = _read_csv(source)
     expected = ["region", "year", "industry", "parent", "employment"]
     if header != expected:
         raise PanelParseError(1, f"header must be {','.join(expected)}")
     rows = []
     parents: dict = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 5:
-            raise PanelParseError(lineno, f"expected 5 cells, got {len(row)}")
-        region, ys, ind, parent, es = (c.strip() for c in row)
+    for lineno, (region, ys, ind, parent, es) in lines:
         try:
             year = int(ys)
         except ValueError:
@@ -488,6 +523,7 @@ class DescriptiveStats:
     """Per-variable count/mean/sd/min/max (sample sd, n-1 denominator)."""
 
     variables: dict
+    columns = ("name", "count", "mean", "sd", "min", "max")
 
     def names(self) -> tuple:
         return tuple(self.variables)
@@ -498,42 +534,28 @@ class DescriptiveStats:
         except KeyError:
             raise PanelError(f"no descriptive statistics for {name!r}") from None
 
-    def to_csv(self, stream=None, fmt: str = "%.17g") -> str | None:
-        own = stream is None
-        if own:
-            stream = io.StringIO()
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(["name", "count", "mean", "sd", "min", "max"])
-        for name, st in self.variables.items():
-            w.writerow([name, st.count, fmt % st.mean, fmt % st.sd,
-                        fmt % st.min, fmt % st.max])
-        if own:
-            return stream.getvalue()
-        return None
+    def rows(self) -> list:
+        """One dict per variable, keyed by ``columns``."""
+        return [{"name": name, **asdict(st)} for name, st in self.variables.items()]
+
+    def to_csv(self) -> str:
+        """The CSV that ``from_csv`` reads, floats at full precision (``%.17g``)."""
+        return render_table(self.rows(), self.columns, "csv")
 
     @classmethod
     def from_csv(cls, source) -> "DescriptiveStats":
-        lines = _as_lines(source)
-        reader = csv.reader(lines)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise PanelParseError(1, "empty input") from None
-        if header != ["name", "count", "mean", "sd", "min", "max"]:
-            raise PanelParseError(1, "stats header must be name,count,mean,sd,min,max")
+        header, lines = _read_csv(source)
+        if header != list(cls.columns):
+            raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
         out = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 6:
-                raise PanelParseError(lineno, "malformed stats row")
-            name = row[0].strip()
+        for lineno, (name, count, *values) in lines:
             try:
-                count = int(row[1])
+                count = int(count)
             except ValueError:
-                raise PanelParseError(lineno, "malformed stats row") from None
-            mean, sd, lo, hi = (_parse_float(c.strip(), lineno, f"{name!r} {k}")
-                                for k, c in zip(("mean", "sd", "min", "max"), row[2:6]))
+                raise PanelParseError(
+                    lineno, f"{name!r} count {count!r} is not an integer") from None
+            mean, sd, lo, hi = (_parse_float(c, lineno, f"{name!r} {k}")
+                                for k, c in zip(cls.columns[2:], values))
             st = VariableStats(count=count, mean=mean, sd=sd, min=lo, max=hi)
             if not (st.min <= st.mean <= st.max) or st.sd < 0:
                 raise PanelError(f"inconsistent stats for {name!r}")

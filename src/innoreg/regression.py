@@ -18,10 +18,10 @@ import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy import stats as _sps
 from scipy.linalg import qr as _qr_pivot, solve_triangular
+from scipy.special import fdtrc
 
-from .panel import PanelError, RegionalPanel, lag
+from .panel import PanelError, RegionalPanel, lag, markdown_table
 
 __all__ = [
     "CollinearityError",
@@ -403,7 +403,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
             wald = float(b @ np.linalg.solve(v, b))
             m = len(slope_idx)
             f_stat = wald / m
-            f_p = float(_sps.f.sf(f_stat, m, n - k))
+            f_p = float(fdtrc(m, n - k, f_stat))
         except np.linalg.LinAlgError:
             f_stat, f_p = math.nan, math.nan
     else:
@@ -481,8 +481,8 @@ def variance_decomposition(panel: RegionalPanel,
         share_time=ss_time / ss_total,
         share_residual=ss_resid / ss_total,
         systematic=1.0 - ss_resid / ss_total,
-        f_region=f_region, p_region=float(_sps.f.sf(f_region, df_r, df_e)),
-        f_time=f_time, p_time=float(_sps.f.sf(f_time, df_t, df_e)),
+        f_region=f_region, p_region=float(fdtrc(df_r, df_e, f_region)),
+        f_time=f_time, p_time=float(fdtrc(df_t, df_e, f_time)),
         df_region=df_r, df_time=df_t, df_residual=df_e)
 
 
@@ -545,10 +545,6 @@ def format_suite_grid(entries, precision: int = 4) -> str:
     if any(e.ok and "const" in e.result.names for e in entries):
         order.append("const")
 
-    header = ["Variables"] + [e.label or "?" for e in entries]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-
     def cell(e, nm):
         if not e.ok:
             return "failed" if nm == order[0] else "-"
@@ -558,20 +554,15 @@ def format_suite_grid(entries, precision: int = 4) -> str:
         i = res.names.index(nm)
         return f"{res.beta[i]:.{p}f}{res.stars()[i]} ({res.se_robust[i]:.{p}f})"
 
-    for nm in order:
-        lines.append("| " + " | ".join([nm] + [cell(e, nm) for e in entries]) + " |")
-
-    def foot(title, fn, fmt):
-        cells = [fmt.format(fn(e.result)) if e.ok else "-" for e in entries]
-        lines.append("| " + " | ".join([title] + cells) + " |")
-
+    body = [[nm] + [cell(e, nm) for e in entries] for nm in order]
+    feet = (("R2", "{:.4f}", lambda r: r.r_squared),
+            ("F", "{:.2f}", lambda r: r.f_stat),
+            ("Avg VIF", "{:.2f}", lambda r: math.nan if r.avg_vif is None else r.avg_vif),
+            ("N", "{:d}", lambda r: r.n))
     if entries:
-        foot("R2", lambda r: r.r_squared, "{:.4f}")
-        foot("F", lambda r: r.f_stat, "{:.2f}")
-        foot("Avg VIF", lambda r: r.avg_vif if r.avg_vif is not None else math.nan,
-             "{:.2f}")
-        foot("N", lambda r: r.n, "{:d}")
-    return "\n".join(lines)
+        body += [[title] + [fmt.format(fn(e.result)) if e.ok else "-" for e in entries]
+                 for title, fmt, fn in feet]
+    return markdown_table(["Variables"] + [e.label or "?" for e in entries], body)
 
 
 def format_decomposition_table(decomps, precision: int = 3) -> str:
@@ -583,17 +574,9 @@ def format_decomposition_table(decomps, precision: int = 3) -> str:
     p = precision
     header = ["Variable", "BETWEEN-REGIONS/s2", "BETWEEN-TIME/s2",
               "RESIDUAL/s2", "SYSTEMATIC(MODEL)/s2", "F-REGION", "F-TIME"]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "|".join("---" for _ in header) + "|"]
-    for d in decomps:
-        lines.append(
-            "| " + " | ".join([
-                d.variable,
-                f"{d.share_region:.{p}f}",
-                f"{d.share_time:.{p}f}",
-                f"{d.share_residual:.{p}f}",
-                f"{d.systematic:.{p}f}",
-                f"{d.f_region:.2f} ({d.p_region:.2g})",
-                f"{d.f_time:.2f} ({d.p_time:.2g})",
-            ]) + " |")
-    return "\n".join(lines)
+    return markdown_table(header, [
+        [d.variable,
+         *(f"{v:.{p}f}" for v in (d.share_region, d.share_time, d.share_residual,
+                                  d.systematic)),
+         f"{d.f_region:.2f} ({d.p_region:.2g})",
+         f"{d.f_time:.2f} ({d.p_time:.2g})"] for d in decomps])

@@ -91,17 +91,22 @@ def _clipped_moments(loc, scale, lo, hi):
 
 
 def _fit_affine(name, m, s, lo, hi):
-    """(loc, scale) such that the clipped normal has population mean m, sd s."""
+    """(loc, scale) such that the clipped normal has population mean m, sd s.
+
+    An sd no clipped normal reaches gets the unclipped map (m, s) instead,
+    which gives a draw of sample mean 0 and sd 1 the target moments before
+    clipping. It is only a start for the sample moment solve: an n-point
+    sample can exceed the population sd cap, and ``_check_sd_attainable``
+    rejects a target that no sample of that size reaches.
+    """
     span = hi - lo
     if span < 0 or not (lo <= m <= hi):
         raise PanelError(f"inconsistent stats for {name!r}")
     if s == 0 or span == 0:
         return m, 0.0
     # given mean m on [lo, hi] no distribution exceeds this sd
-    sd_cap = math.sqrt((m - lo) * (hi - m))
-    if s >= sd_cap:
-        raise PanelError(
-            f"sd target {s} for {name!r} unattainable on [{lo}, {hi}] with mean {m}")
+    if s >= math.sqrt((m - lo) * (hi - m)):
+        return m, s
 
     def loc_for(scale):
         f = lambda loc: _clipped_moments(loc, scale, lo, hi)[0] - m
@@ -114,8 +119,8 @@ def _fit_affine(name, m, s, lo, hi):
         return _clipped_moments(loc, scale, lo, hi)[1] - s
 
     s_lo, s_hi = 1e-9 * span, 80.0 * span
-    if sd_gap(s_hi) < 0:  # even near-two-point mass undershoots: give up
-        raise PanelError(f"sd target {s} for {name!r} unattainable")
+    if sd_gap(s_hi) < 0:  # even near-two-point mass undershoots
+        return m, s
     scale = brentq(sd_gap, s_lo, s_hi, xtol=1e-13, maxiter=200)
     return loc_for(scale), scale
 
@@ -305,7 +310,7 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     m, s, lo, hi = targets[active].T
 
     target = corr[np.ix_(active, active)]
-    repaired = nearest_psd(target)
+    repaired = nearest_psd(target) if k else target  # all constant: nothing to draw
     repair = float(np.abs(repaired - target).max()) if k else 0.0
     if repair > repair_limit:
         raise PanelError(
@@ -329,7 +334,7 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         out = np.empty((n, len(names)))
         out[:, const] = targets[const, 0]
         out[:, active] = y
-        return out, float(err.max())
+        return out, float(err.max(initial=0.0))
 
     def measured(out):
         if k < 2:

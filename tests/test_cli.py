@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import innoreg
 from innoreg import cli
 from innoreg.cli import load_correlation_csv, main
 from innoreg.panel import PanelError
@@ -315,3 +320,91 @@ def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):
     assert rc == 2 and err.startswith("error:")
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["blocked", "emp.csv", "idx.csv", "idx.csv.tmp"]
+
+
+PANEL = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
+
+# each CSV reader: the file it reads, a valid text, and a command reading it
+READERS = {
+    "panel": ("panel.csv", PANEL, ["describe", "panel.csv"]),
+    "employment": ("emp.csv", EMP, ["indices", "emp.csv"]),
+    "stats": ("stats.csv", STATS,
+              ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"]),
+    "correlation": ("corr.csv", CORR, ["synth", "--stats", "stats.csv", "--corr",
+                                       "corr.csv", "--regions", "3", "--years", "3"]),
+    "provenance": ("prov.csv", PROV, ["elasticities", "prov.csv"]),
+}
+
+
+def _reader_case(text, case):
+    """(edited text, expected error or None); edits land on line 3."""
+    header, first, *rest = text.splitlines(keepends=True)
+    width = len(header.split(","))
+    if case == "empty":
+        return "", "line 1: empty input"
+    if case == "blank-lines":
+        return header + "\n" + first + " \t \n" + "".join(rest) + " , \n", None
+    if case == "short-row":
+        return (header + "\n" + first.rstrip("\n").rsplit(",", 1)[0] + "\n",
+                f"line 3: expected {width} cells, got {width - 1}")
+    return (header + "\n" + first.rstrip("\n") + ",1\n",
+            f"line 3: expected {width} cells, got {width + 1}")
+
+
+@pytest.mark.parametrize("case", ["empty", "blank-lines", "short-row", "long-row"])
+@pytest.mark.parametrize("reader", list(READERS))
+def test_csv_reader_contract(tmp_path, capsys, reader, case):
+    name, text, argv = READERS[reader]
+    files = {"prov.csv": PROV, "stats.csv": STATS, "corr.csv": CORR, name: text}
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    for fname, body in files.items():
+        (tmp_path / fname).write_text(body)
+    rc, clean, _ = run(capsys, *argv)
+    assert rc == 0
+    edited, message = _reader_case(text, case)
+    (tmp_path / name).write_text(edited)
+    rc, out, err = run(capsys, *argv)
+    if message is None:  # blank and whitespace-only lines are skipped
+        assert rc == 0 and out == clean, err
+        return
+    assert rc == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message}"], err
+    assert "Traceback" not in err
+
+
+def test_json_writes_non_finite_as_null(tmp_path, capsys):
+    # A = region + year exactly: no residual, so both F statistics are +inf
+    panel = tmp_path / "additive.csv"
+    panel.write_text("region,year,A\nr1,2001,0\nr1,2002,1\nr1,2003,2\n"
+                     "r2,2001,1\nr2,2002,2\nr2,2003,3\n")
+    rc, out, _ = run(capsys, "decompose", str(panel), "--format", "json")
+    assert rc == 0
+
+    def strict(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    row, = json.loads(out, parse_constant=strict)
+    assert row["f_region"] is None and row["f_time"] is None
+    assert row["p_region"] == 0.0
+    rc, out, _ = run(capsys, "decompose", str(panel))
+    assert rc == 0 and next(csv.DictReader(io.StringIO(out)))["f_region"] == "inf"
+
+
+def test_synth_writes_a_constant_only_panel(tmp_path, capsys):
+    stats = tmp_path / "stats.csv"
+    stats.write_text("name,count,mean,sd,min,max\nK,4,7,0,7,7\n")
+    corr = tmp_path / "corr.csv"
+    corr.write_text("name,K\nK,1\n")
+    rc, out, err = run(capsys, "synth", "--stats", str(stats), "--corr", str(corr),
+                       "--regions", "2", "--years", "2")
+    assert rc == 0, err
+    assert out == "region,year,K\nR01,2001,7\nR01,2002,7\nR02,2001,7\nR02,2002,7\n"
+    assert json.loads(err)["constant_variables"] == ["K"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(innoreg.__file__).resolve().parents[1]
+    code = "import innoreg.cli, sys; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "False\n"

@@ -223,3 +223,13 @@ def test_moment_solve_failures_name_the_variable():
     assert err.max() <= 1e-12 and 1 < steps < 200
     np.testing.assert_allclose(y.mean(axis=0), m, rtol=1e-12)
     np.testing.assert_allclose(y.std(axis=0, ddof=1), s, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_sd_above_the_population_cap_is_matched(seed):
+    # a clipped normal with mean 0.45 on [0, 1] has sd below 0.497, while
+    # nine points with that mean reach 0.522
+    stats = DescriptiveStats.from_csv(io.StringIO(
+        "name,count,mean,sd,min,max\nA,9,0.45,0.5,0,1\nB,9,3,1,0,10\n"))
+    panel = synthesize_panel(stats, np.eye(2), seed=seed, regions=3, years=3)
+    assert_exact_moments(panel, stats)
