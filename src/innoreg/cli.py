@@ -33,8 +33,9 @@ import numpy as np
 
 from . import game as game_mod
 from .indices import indices_table
-from .panel import (DescriptiveStats, PanelError, _parse_float, _read_csv,
-                    descriptive_stats, load_employment, load_panel, render_table)
+from .panel import (DescriptiveStats, PanelError, PanelParseError, _parse_float,
+                    _read_csv, descriptive_stats, load_employment, load_panel,
+                    render_table)
 from .regression import (RegressionSpec, format_decomposition_table,
                          format_suite_grid, run_model_suite,
                          variance_decomposition)
@@ -56,10 +57,12 @@ def _bundled(name: str) -> str:
 
 def load_correlation_csv(source) -> tuple:
     """(names, matrix) from a named square correlation CSV."""
-    header, lines = _read_csv(source)
+    header, columns, lines = _read_csv(source)
     names = header[1:]
     rows = {}
-    for lineno, (name, *cells) in lines:
+    for lineno, (name, *cells) in zip(lines, zip(*columns)):
+        if name in rows:
+            raise PanelParseError(lineno, f"duplicate row {name!r}")
         rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
     if sorted(rows) != sorted(names):
         raise PanelError("correlation CSV row names do not match its header")
@@ -68,33 +71,48 @@ def load_correlation_csv(source) -> tuple:
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
     if out is None:
-        sys.stdout.write(text)
-        return
-    # a unique sibling temp file, so concurrent writers never share one
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
-                               prefix=os.path.basename(out) + ".", suffix=".tmp")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    else:
+        _write_files({out: text})
+
+
+def _write_files(files: dict) -> None:
+    """Write each path's text, newline-terminated, through a temp file.
+
+    Every temp file is written before any target is replaced, so a failed
+    write leaves all the targets as they were.
+    """
+    mask = os.umask(0)
+    os.umask(mask)
+    temps = {}
     try:
-        mask = os.umask(0)
-        os.umask(mask)
-        os.fchmod(fd, 0o666 & ~mask)  # the mode a plain open() would give
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)  # atomic per file
+        for out, text in files.items():
+            # a unique sibling temp file, so concurrent writers never share one
+            fd, temps[out] = tempfile.mkstemp(dir=os.path.dirname(out) or ".",
+                                              prefix=os.path.basename(out) + ".",
+                                              suffix=".tmp")
+            os.fchmod(fd, 0o666 & ~mask)  # the mode a plain open() would give
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        for out in files:
+            os.replace(temps[out], out)  # atomic per file
+            del temps[out]
     except BaseException:
-        os.unlink(tmp)
+        for tmp in temps.values():
+            os.unlink(tmp)
         raise
 
 
-def _emit_rows(rows, columns, args, md=None) -> None:
-    """Write ``rows`` in ``args.format``; ``md()``, when given, is the md view."""
+def _table_text(rows, columns, args, md=None) -> str:
+    """``rows`` in ``args.format``; ``md()``, when given, is the md view."""
     if args.format == "md" and md is not None:
-        text = md()
-    else:
-        text = render_table(rows, columns, args.format, args.precision)
-    _write_text(text, args.out)
+        return md()
+    return render_table(rows, columns, args.format, args.precision)
+
+
+def _emit_rows(rows, columns, args, md=None) -> None:
+    _write_text(_table_text(rows, columns, args, md), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +169,12 @@ def _cmd_regress(args) -> int:
     rows = _result_rows(entries)
     cols = ["label", "variable", "coef", "se_robust", "se_classical",
             "stars", "r_squared", "f_stat", "avg_vif", "n"]
-    _emit_rows(rows, cols, args,
-               md=lambda: format_suite_grid(entries, precision=args.precision))
-    if args.out:  # machine-readable companion for the human-format grid
-        _write_text(render_table(rows, cols, "json"), args.out + ".json")
+    text = _table_text(rows, cols, args,
+                       md=lambda: format_suite_grid(entries, precision=args.precision))
+    if args.out:  # the grid and its machine-readable companion, replaced together
+        _write_files({args.out: text, args.out + ".json": render_table(rows, cols, "json")})
+    else:
+        _write_text(text, None)
     if specs and all(not e.ok for e in entries):
         return 3
     return 0
@@ -172,25 +192,26 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_elasticities(args) -> int:
-    header, lines = _read_csv(args.provenance)
-    prov = [dict(zip(header, cells)) for _, cells in lines]
+    header, columns, lines = _read_csv(args.provenance)
     required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
     stats = DescriptiveStats.from_csv(args.stats) if args.stats else None
     rows = []
-    for rec in prov:
+    for lineno, cells in zip(lines, zip(*columns)):
+        rec = dict(zip(header, cells))
         if not required.issubset({k for k, v in rec.items() if v}):
             raise PanelError(f"provenance row incomplete: {rec}")
-        x_mean = float(rec["x_mean"])
-        y_mean = float(rec["y_mean"])
+        what = f"{rec['variable']!r} "
+        beta, x_mean, y_mean = (_parse_float(rec[k], lineno, what + k)
+                                for k in ("beta", "x_mean", "y_mean"))
         if stats is not None:  # recompute the means from the stats file
             x_mean = stats.get(rec["variable"]).mean
             y_mean = stats.get(args.dependent).mean
-        value = _elasticity(float(rec["beta"]), x_mean, y_mean)
-        row = {"variable": rec["variable"], "beta": float(rec["beta"]),
+        value = _elasticity(beta, x_mean, y_mean)
+        row = {"variable": rec["variable"], "beta": beta,
                "source_column": rec["source_column"], "x_mean": x_mean,
                "y_mean": y_mean, "elasticity": value}
         if rec.get("expected"):
-            expected = float(rec["expected"])
+            expected = _parse_float(rec["expected"], lineno, what + "expected")
             delta = value - expected
             row.update(expected=expected, delta=delta,
                        within_tol=int(abs(delta) <= args.tol))

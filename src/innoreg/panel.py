@@ -17,7 +17,8 @@ import io
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
+from itertools import compress, repeat
 from typing import Mapping
 
 import numpy as np
@@ -66,32 +67,89 @@ def _parse_float(text: str, line: int, what: str) -> float:
 
 
 def _read_csv(source) -> tuple:
-    """(header, rows) of a CSV path or text stream, every cell stripped.
+    """(header, columns, lines) of a CSV path or text stream, every cell stripped.
 
-    The first line is the header. ``rows`` yields ``(line, cells)`` for each
-    later line, skipping blank and whitespace-only ones. Empty input, and a
-    row whose cell count differs from the header's, raise PanelParseError
-    naming the line.
+    The first line is the header. ``columns[j]`` lists the cells of column j
+    and ``lines`` the 1-based line number of each row kept; blank and
+    whitespace-only lines are skipped. Empty input, and a row whose cell count
+    differs from the header's, raise PanelParseError naming the line.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
-            source = io.StringIO(fh.read())
-    reader = enumerate(csv.reader(source), start=1)
-    _, header = next(reader, (1, None))
-    if header is None:
+            text = fh.read()
+    else:
+        text = source.read()
+    if not text:
         raise PanelParseError(1, "empty input")
-    header = [c.strip() for c in header]
+    # without quotes or a lone carriage return, every line is one record and
+    # every comma a separator, so str.split reads exactly what csv.reader does
+    lf_text = text.replace("\r\n", "\n") if "\r" in text else text
+    if '"' in text or "\r" in lf_text:
+        return _csv_table(text)
+    return _split_table(lf_text)
 
-    def rows():
-        for line, row in reader:
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            if len(cells) != len(header):
-                raise PanelParseError(
-                    line, f"expected {len(header)} cells, got {len(cells)}")
-            yield line, cells
-    return header, rows()
+
+# the ASCII characters str.strip() removes, "\n" aside
+_ASCII_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _split_table(text: str) -> tuple:
+    """``_read_csv`` of quote-free text with ``\\n`` line ends, by str.split."""
+    header, *body = text.split("\n")
+    header = [c.strip() for c in header.split(",")] if header else []
+    width = len(header)
+    # a line with another cell count must be blank, and is dropped
+    counts = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) + 1
+    other = np.flatnonzero(counts != width)
+    for i in other.tolist():
+        if body[i].replace(",", "").strip():
+            raise PanelParseError(i + 2, f"expected {width} cells, got {counts[i]}")
+    keep = np.ones(len(body), dtype=bool)
+    keep[other] = False
+    body, lines = list(compress(body, keep.tolist())), (np.flatnonzero(keep) + 2).tolist()
+    cells = ",".join(body).split(",") if body else []
+    columns = [cells[j::width] for j in range(width)]
+    if not text.isascii() or any(c in text for c in _ASCII_PADDING):
+        columns = [list(map(str.strip, col)) for col in columns]
+    if columns and "" in columns[0]:  # drop lines like " , " too
+        keep = [i for i, c in enumerate(columns[0]) if c or any(col[i] for col in columns)]
+        columns = [[col[i] for i in keep] for col in columns]
+        lines = [lines[i] for i in keep]
+    return header, columns, lines
+
+
+def _csv_table(text: str) -> tuple:
+    """``_read_csv`` of any CSV text, row by row with csv.reader."""
+    records = enumerate(csv.reader(io.StringIO(text)), start=1)
+    _, header = next(records)
+    header = [c.strip() for c in header]
+    lines, rows = [], []
+    for line, row in records:
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise PanelParseError(line, f"expected {len(header)} cells, got {len(cells)}")
+        lines.append(line)
+        rows.append(cells)
+    return header, [list(col) for col in zip(*rows)] or [[] for _ in header], lines
+
+
+def _float_column(cells) -> np.ndarray:
+    """``float()`` of every cell, NaN where a cell is empty.
+
+    Raises ValueError unless every non-empty cell is a finite number.
+    """
+    if "" in cells:
+        cells = np.array(cells, dtype=object)
+        empty = cells == ""
+        cells[empty] = "nan"
+    else:
+        empty = False
+    values = np.fromiter(map(float, cells), float, len(cells))
+    if not (np.isfinite(values) | empty).all():
+        raise ValueError("non-finite cell")
+    return values
 
 
 def markdown_table(header, body) -> str:
@@ -222,10 +280,14 @@ def load_panel(source, schema=None) -> RegionalPanel:
 
     Rows duplicated by (region, year) merge silently when their values agree
     and raise on conflict. Unbalanced grids raise listing the missing cells.
+    A header naming a column twice raises.
     """
-    header, lines = _read_csv(source)
+    header, columns, lines = _read_csv(source)
     if header[:2] != ["region", "year"]:
         raise PanelParseError(1, "header must start with 'region,year'")
+    repeated = [c for c in header if header.count(c) > 1]
+    if repeated:
+        raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
     file_vars = header[2:]
     if schema is not None:
         missing = [v for v in schema if v not in file_vars]
@@ -234,25 +296,64 @@ def load_panel(source, schema=None) -> RegionalPanel:
         names = list(schema)
     else:
         names = file_vars
-    col_of = {v: file_vars.index(v) + 2 for v in names}
-    what = {v: f"{v!r} cell" for v in names}
+    regions, years = columns[:2]
+    cells = [columns[header.index(v)] for v in names]
+    # whole columns at once; any failed check reruns the row loop, which
+    # raises naming the first bad line or merges repeated identical rows
+    try:
+        if "" in regions:
+            raise ValueError("empty region identifier")
+        year_values = np.fromiter(map(int, years), np.int64, len(years))
+        values = [_float_column(c) for c in cells]
+    except (ValueError, OverflowError):  # OverflowError: a year beyond int64
+        panel = None
+    else:
+        panel = _panel_grid(names, regions, year_values, values)
+    if panel is None:
+        panel = _panel_grid(names, *_panel_rows(names, lines, regions, years, cells))
+    return panel
 
+
+def _panel_grid(names, regions, years, values):
+    """The panel holding ``values[k][i]`` at (``regions[i]``, ``years[i]``).
+
+    Regions keep their first-appearance order and years are sorted. Returns
+    None unless every (region, year) pair of the grid occurs exactly once.
+    """
+    region_at = {r: i for i, r in enumerate(dict.fromkeys(regions))}
+    year_values, year_index = np.unique(years, return_inverse=True)
+    shape = (len(region_at), len(year_values))
+    cell = (np.fromiter(map(region_at.__getitem__, regions), np.intp, len(regions))
+            * shape[1] + year_index)
+    if len(cell) != shape[0] * shape[1] or np.unique(cell).size != len(cell):
+        return None
+    data = {}
+    for name, column in zip(names, values):
+        mat = np.empty(len(cell))
+        mat[cell] = column
+        data[name] = mat.reshape(shape)
+    return RegionalPanel(regions=tuple(region_at), years=tuple(year_values.tolist()),
+                         data=data)
+
+
+def _panel_rows(names, lines, regions, years, cells) -> tuple:
+    """``load_panel``'s per-row parse: the first bad line raises, naming it.
+
+    Returns the distinct rows as ``_panel_grid`` arguments (regions, years,
+    values), a repeated (region, year) row merged when its values agree.
+    """
+    what = [f"{v!r} cell" for v in names]
     rows: dict = {}
-    regions: list = []
-    years: set = set()
-    for lineno, row in lines:
-        region = row[0]
+    for lineno, region, year_text, *row in zip(lines, regions, years, *cells):
         if not region:
             raise PanelParseError(lineno, "empty region identifier")
         try:
-            year = int(row[1])
+            year = int(year_text)
         except ValueError:
-            raise PanelParseError(lineno, f"year {row[1]!r} is not an integer") from None
-        values = []
-        for v in names:
-            cell = row[col_of[v]]
-            values.append(math.nan if cell == "" else
-                          _parse_float(cell, lineno, what[v]))
+            raise PanelParseError(
+                lineno, f"year {year_text!r} is not an integer") from None
+        values = [math.nan if cell == "" else _parse_float(cell, lineno, w)
+                  for cell, w in zip(row, what)]
         key = (region, year)
         if key in rows:
             old = rows[key]
@@ -263,27 +364,16 @@ def load_panel(source, schema=None) -> RegionalPanel:
                 raise PanelParseError(lineno, f"conflicting duplicate row for {key}")
             continue  # idempotent merge
         rows[key] = values
-        if region not in regions:
-            regions.append(region)
-        years.add(year)
 
-    years_sorted = sorted(years)
-    missing_cells = [(r, y) for r in regions for y in years_sorted
+    region_order = list(dict.fromkeys(r for r, _ in rows))
+    years_sorted = sorted({y for _, y in rows})
+    missing_cells = [(r, y) for r in region_order for y in years_sorted
                      if (r, y) not in rows]
     if missing_cells:
         raise PanelError(f"unbalanced panel; missing cells: {missing_cells}")
-    if len(regions) < 2 or len(years_sorted) < 2:
-        raise PanelError("panel requires at least 2 regions and 2 years")
-
-    data = {}
-    for k, name in enumerate(names):
-        mat = np.empty((len(regions), len(years_sorted)))
-        for i, r in enumerate(regions):
-            for j, y in enumerate(years_sorted):
-                mat[i, j] = rows[(r, y)][k]
-        data[name] = mat
-    return RegionalPanel(regions=tuple(regions), years=tuple(years_sorted),
-                         data=data)
+    # object dtype keeps a year beyond int64 an exact Python int
+    return ([r for r, _ in rows], np.array([y for _, y in rows], dtype=object),
+            [np.array(v, dtype=float) for v in zip(*rows.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +399,9 @@ class EmploymentTable:
 
     rows: tuple  # of (region, year, industry, parent, employment)
     parents: dict
+    # the rows' (region, year, industry, employment-array) columns, when the
+    # caller has them, so that construction does not transpose ``rows``
+    columns: InitVar[tuple] = None
     keys: tuple = field(init=False, repr=False, compare=False)
     industries: tuple = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -316,11 +409,18 @@ class EmploymentTable:
     sectors: tuple = field(init=False, repr=False, compare=False)
     sector_index: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        regions, row_years, inds, _, emps = list(zip(*self.rows)) or [()] * 5
-        row_keys = list(zip(regions, row_years))
-        keys = sorted(set(row_keys))
-        codes = sorted(set(inds))
+    def __post_init__(self, columns):
+        if columns is None:
+            regions, years, inds, _, emps = list(zip(*self.rows)) or [()] * 5
+            columns = (regions, years, inds, np.array(emps, dtype=float))
+        regions, years, inds, emp = columns
+
+        def rank(values):  # the sorted distinct values, and each value's index
+            distinct = sorted(set(values))
+            at = {v: i for i, v in enumerate(distinct)}
+            return distinct, np.fromiter(map(at.__getitem__, values), np.intp, len(values))
+
+        codes, code_index = rank(inds)
         try:
             parent_of = [self.parents[c] for c in codes]
         except KeyError as exc:
@@ -328,20 +428,19 @@ class EmploymentTable:
                 f"industry {exc.args[0]!r} has no parent sector mapping") from None
         sectors, sector_index = np.unique(np.array(parent_of, dtype=object),
                                           return_inverse=True)
-        years, key_year = np.unique([y for _, y in keys], return_inverse=True)
-
-        key_at = {k: i for i, k in enumerate(keys)}
-        code_at = {c: j for j, c in enumerate(codes)}
-        m = len(codes)
-        cell = (np.fromiter(map(key_at.__getitem__, row_keys), np.intp, len(row_keys)) * m
-                + np.fromiter(map(code_at.__getitem__, inds), np.intp, len(inds)))
-        emp = np.array(emps, dtype=float)
+        year_values, year_index = rank(years)
+        n_years, m = len(year_values), len(codes)
+        _, first, key_index = np.unique(rank(regions)[1] * n_years + year_index,
+                                        return_index=True, return_inverse=True)
+        keys = [(regions[i], years[i]) for i in first.tolist()]
+        cell = key_index * m + code_index
         # both sums run in an order fixed by the data, never by the record
         # order, so a shuffled file gives bit-identical matrices
         order = np.lexsort((emp, cell))
         counts = np.bincount(cell[order], weights=emp[order],
                              minlength=len(keys) * m).reshape(len(keys), m)
-        national = np.zeros((len(years), m))
+        national = np.zeros((n_years, m))
+        key_year = year_index[first]
         np.add.at(national, key_year, counts)
         if not (np.all(emp >= 0) and np.all(np.isfinite(national.sum(axis=1)))):
             raise PanelError("employment must be non-negative with finite totals")
@@ -378,13 +477,32 @@ def load_employment(source) -> EmploymentTable:
     Enforces: non-negative employment, numeric cells, and that every industry
     code maps to exactly one parent sector across the whole file.
     """
-    header, lines = _read_csv(source)
+    header, columns, lines = _read_csv(source)
     expected = ["region", "year", "industry", "parent", "employment"]
     if header != expected:
         raise PanelParseError(1, f"header must be {','.join(expected)}")
+    regions, year_cells, inds, parent_cells, emp_cells = columns
+    # whole columns at once; any failed check reruns the row loop, which
+    # raises naming the first bad line
+    try:
+        years = list(map(int, year_cells))
+        emps = list(map(float, emp_cells))
+    except ValueError:
+        return _employment_rows(lines, columns)
+    emp = np.array(emps)
+    parents = dict(zip(inds, parent_cells))
+    if not (np.isfinite(emp).all() and (emp >= 0).all()
+            and list(map(parents.__getitem__, inds)) == parent_cells):
+        return _employment_rows(lines, columns)
+    return EmploymentTable(rows=tuple(zip(regions, years, inds, parent_cells, emps)),
+                           parents=parents, columns=(regions, years, inds, emp))
+
+
+def _employment_rows(lines, columns) -> EmploymentTable:
+    """``load_employment``'s per-row parse: the first bad line raises, naming it."""
     rows = []
     parents: dict = {}
-    for lineno, (region, ys, ind, parent, es) in lines:
+    for lineno, region, ys, ind, parent, es in zip(lines, *columns):
         try:
             year = int(ys)
         except ValueError:
@@ -544,11 +662,13 @@ class DescriptiveStats:
 
     @classmethod
     def from_csv(cls, source) -> "DescriptiveStats":
-        header, lines = _read_csv(source)
+        header, columns, lines = _read_csv(source)
         if header != list(cls.columns):
             raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
         out = {}
-        for lineno, (name, count, *values) in lines:
+        for lineno, (name, count, *values) in zip(lines, zip(*columns)):
+            if name in out:
+                raise PanelParseError(lineno, f"duplicate row {name!r}")
             try:
                 count = int(count)
             except ValueError:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,36 @@ def test_regress_grid_and_json_companion(tmp_path, capsys):
     assert any("error" in r for r in side)
 
 
+def test_regress_out_replaces_the_grid_and_its_companion_together(
+        tmp_path, capsys, monkeypatch):
+    panel, *_ = make_panel_file(tmp_path, capsys)
+    specs = tmp_path / "specs.json"
+    specs.write_text(json.dumps(
+        [{"label": "1", "dependent": "A", "regressors": [{"name": "B"}]}]))
+    grid, companion = tmp_path / "grid.md", tmp_path / "grid.md.json"
+    grid.write_text("old grid\n")
+    companion.write_text("old companion\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    mkstemp = tempfile.mkstemp
+
+    def no_space_for_the_companion(*args, prefix="", **kwargs):
+        if prefix.startswith("grid.md.json"):
+            raise OSError("no space left on device")
+        return mkstemp(*args, prefix=prefix, **kwargs)
+    monkeypatch.setattr(tempfile, "mkstemp", no_space_for_the_companion)
+    argv = ["regress", str(panel), "--specs", str(specs), "--format", "md",
+            "--out", str(grid)]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and "no space left" in err
+    assert grid.read_text() == "old grid\n"
+    assert companion.read_text() == "old companion\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
+    monkeypatch.undo()
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0 and grid.read_text().startswith("| Variables | 1 |")
+    assert json.loads(companion.read_text())[0]["variable"] == "const"
+
+
 def test_regress_all_specs_failing_exits_3(tmp_path, capsys):
     panel, *_ = make_panel_file(tmp_path, capsys)
     specs = tmp_path / "specs.json"
@@ -284,11 +315,24 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
     ({"emp.csv": EMP + "east,2001,retail,serv,5\n"},
      ["indices", "emp.csv", "--industries", "food,textile"],
      "region 'east' year 2001 has no employment in the selected industries"),
+    ({"dup.csv": "region,year,A,A\nr1,2001,1,5\nr1,2002,2,6\nr2,2001,3,7\nr2,2002,4,8\n"},
+     ["describe", "dup.csv"], "line 1: duplicate column 'A'"),
+    ({"stats.csv": STATS + "A,9,2,0.5,0,3\n", "corr.csv": CORR},
+     ["synth", "--stats", "stats.csv", "--corr", "corr.csv", "--regions", "3",
+      "--years", "3"], "line 4: duplicate row 'A'"),
+    ({"corr.csv": CORR + "A,1,0.4\n"},
+     ["synth", "--corr", "corr.csv"], "line 4: duplicate row 'A'"),
+    ({"prov.csv": PROV.replace("B,2.0", "B,x")},
+     ["elasticities", "prov.csv"], "line 2: 'B' beta 'x' is not numeric"),
+    ({"prov.csv": PROV.replace("B,2.0", "B,nan")},
+     ["elasticities", "prov.csv"], "line 2: 'B' beta 'nan' is not finite"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
         "nan-correlation-cell", "short-correlation-row",
-        "empty-region-year-after-industry-subset"])
+        "empty-region-year-after-industry-subset", "duplicate-panel-column",
+        "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
+        "nan-provenance-beta"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"

@@ -10,7 +10,8 @@ from innoreg import indices
 from innoreg.indices import (ShareVector, hoover_index, indices_table,
                              related_variety, theil_index, unrelated_variety,
                              variety_decomposition)
-from innoreg.panel import EmploymentTable, load_employment
+from innoreg.panel import (EmploymentTable, _employment_rows, _read_csv,
+                           load_employment)
 
 LN2 = math.log(2.0)
 
@@ -245,6 +246,21 @@ def test_indices_table_matches_the_scalar_functions(table):
         assert list(g) == list(w)
         for k in ("theil", "related", "unrelated", "hoover"):
             assert abs(g[k] - w[k]) <= 1e-12 * max(1.0, abs(w[k])), (k, g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(employment_tables())
+def test_columnar_load_matches_the_row_loop(table):
+    lines, _, _ = table
+    text = "\n".join([HEADER, *lines]) + "\n"
+    fast = load_employment(io.StringIO(text))
+    _, columns, numbers = _read_csv(io.StringIO(text))
+    slow = _employment_rows(numbers, columns)
+    assert fast.rows == slow.rows and fast.parents == slow.parents
+    assert (fast.keys, fast.industries, fast.sectors) == \
+        (slow.keys, slow.industries, slow.sectors)
+    for name in ("counts", "national_counts", "sector_index"):
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
 
 
 def outcome(lines, subset):

@@ -1,9 +1,13 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from innoreg import panel as panel_mod
 from innoreg.panel import (DescriptiveStats, EmploymentTable, PanelError,
                            PanelParseError, RegionalPanel, correlation_matrix,
                            descriptive_stats, impute_by_apportionment, lag,
@@ -71,6 +75,108 @@ def test_load_panel_duplicate_rows():
     clash = agree.replace("a,2001,1\na,2001,1", "a,2001,1\na,2001,9")
     with pytest.raises(PanelError):
         load_panel(io.StringIO(clash))
+
+
+def test_load_panel_rejects_a_repeated_column():
+    text = "region,year,A,A\na,2001,1,5\na,2002,2,6\nb,2001,3,7\nb,2002,4,8\n"
+    with pytest.raises(PanelParseError, match="line 1: duplicate column 'A'"):
+        load_panel(io.StringIO(text))
+    with pytest.raises(PanelParseError, match="duplicate column 'A'"):
+        load_panel(io.StringIO(text), schema=["A"])
+
+
+def test_load_panel_keeps_a_year_beyond_int64_exact():
+    big = 2 ** 70
+    text = f"region,year,X\na,2001,1\na,{big},2\nb,2001,3\nb,{big},4\n"
+    p = load_panel(io.StringIO(text))
+    assert p.years == (2001, big)
+    np.testing.assert_array_equal(p.matrix("X"), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_clean_inputs_never_reach_the_per_cell_parse(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 5))
+    x[2, 3] = np.nan
+    text = build_panel({"A": x, "B": rng.normal(size=(6, 5))}).to_csv()
+    emp = EMP + "n,2002,food,m,5\nn,2001,food,m,2.5\n"
+    want_panel, want_emp = load_panel(io.StringIO(text)), load_employment(io.StringIO(emp))
+
+    def per_cell(*args):
+        raise AssertionError("a clean file takes the columnar path")
+    monkeypatch.setattr(panel_mod, "_parse_float", per_cell)
+    got = load_panel(io.StringIO(text))
+    assert got.regions == want_panel.regions and got.years == want_panel.years
+    for name in ("A", "B"):
+        np.testing.assert_array_equal(got.matrix(name), want_panel.matrix(name))
+    got = load_employment(io.StringIO(emp))
+    assert got.rows == want_emp.rows and got.parents == want_emp.parents
+    assert got.counts.tobytes() == want_emp.counts.tobytes()
+    # a bad cell still goes through it, to name its line
+    lines = text.splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",oops"
+    with pytest.raises(AssertionError, match="columnar"):
+        load_panel(io.StringIO("\n".join(lines)))
+
+
+def _padded(text):
+    """The CSV text with every cell padded by whitespace, quoted as needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [[f" {c}\t" for c in row] for row in csv.reader(io.StringIO(text))])
+    return buf.getvalue()
+
+
+@st.composite
+def panels(draw):
+    """A random panel: region names with commas and quotes, missing cells, and
+    years beyond int64."""
+    name = st.text(alphabet='ab1,"', min_size=1, max_size=4)
+    regions = draw(st.lists(name, min_size=2, max_size=5, unique=True))
+    year = st.integers(1900, 2100) | st.integers(-2 ** 70, 2 ** 70)
+    years = sorted(draw(st.lists(year, min_size=2, max_size=4, unique=True)))
+    cell = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan)
+    shape = (len(regions), len(years))
+    data = {f"V{k}": np.array(draw(st.lists(cell, min_size=shape[0] * shape[1],
+                                            max_size=shape[0] * shape[1]))).reshape(shape)
+            for k in range(draw(st.integers(1, 3)))}
+    return RegionalPanel(regions=tuple(regions), years=tuple(years), data=data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(panels(), st.booleans())
+def test_to_csv_load_panel_round_trip(p, pad):
+    text = _padded(p.to_csv()) if pad else p.to_csv()
+    again = load_panel(io.StringIO(text))
+    assert again.regions == p.regions and again.years == p.years
+    assert again.variables == p.variables
+    for name in p.variables:
+        assert again.matrix(name).tobytes() == p.matrix(name).tobytes()
+
+
+# quote-free text: padding (ASCII and not), blank lines, CRLF, ragged rows
+_cells = st.text(alphabet="a1. \t\x0b\x0c\x1c\xa0\u2003", max_size=3)
+_rows = st.lists(st.lists(_cells, min_size=1, max_size=4), min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows, st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_split_route_reads_what_csv_reader_reads(rows, newline, final_newline):
+    text = newline.join(",".join(row) for row in rows) + (newline if final_newline else "")
+    assume(text)  # empty input never reaches either route
+
+    def table(route, text):
+        try:
+            return route(text)
+        except PanelParseError as exc:
+            return str(exc)
+    want = table(panel_mod._csv_table, text)
+    assert table(panel_mod._split_table, text.replace("\r\n", "\n")) == want
+    assert table(panel_mod._read_csv, io.StringIO(text)) == want
+
+
+def test_ascii_padding_is_what_strip_removes():
+    assert set(panel_mod._ASCII_PADDING) == \
+        {c for c in map(chr, range(128)) if c.isspace()} - {"\n"}
 
 
 def test_panel_requires_minimum_shape():
