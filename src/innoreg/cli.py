@@ -57,10 +57,10 @@ def _bundled(name: str) -> str:
 
 def load_correlation_csv(source) -> tuple:
     """(names, matrix) from a named square correlation CSV."""
-    header, columns, lines = _read_csv(source)
-    names = header[1:]
+    table = _read_csv(source)
+    names = table.header[1:]
     rows = {}
-    for lineno, (name, *cells) in zip(lines, zip(*columns)):
+    for lineno, (name, *cells) in table.records():
         if name in rows:
             raise PanelParseError(lineno, f"duplicate row {name!r}")
         rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
@@ -81,7 +81,8 @@ def _write_files(files: dict) -> None:
     """Write each path's text, newline-terminated, through a temp file.
 
     Every temp file is written before any target is replaced, so a failed
-    write leaves all the targets as they were.
+    write replaces nothing. A failure between two replaces still leaves the
+    earlier targets new and the later ones old.
     """
     mask = os.umask(0)
     os.umask(mask)
@@ -192,12 +193,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_elasticities(args) -> int:
-    header, columns, lines = _read_csv(args.provenance)
+    table = _read_csv(args.provenance)
+    prov = list(table.records())  # a ragged row raises before the stats file is read
     required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
     stats = DescriptiveStats.from_csv(args.stats) if args.stats else None
     rows = []
-    for lineno, cells in zip(lines, zip(*columns)):
-        rec = dict(zip(header, cells))
+    for lineno, cells in prov:
+        rec = dict(zip(table.header, cells))
         if not required.issubset({k for k, v in rec.items() if v}):
             raise PanelError(f"provenance row incomplete: {rec}")
         what = f"{rec['variable']!r} "

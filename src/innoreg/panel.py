@@ -17,9 +17,9 @@ import io
 import json
 import math
 import warnings
-from dataclasses import InitVar, asdict, dataclass, field
-from itertools import compress, repeat
-from typing import Mapping
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,13 +66,40 @@ def _parse_float(text: str, line: int, what: str) -> float:
     return value
 
 
-def _read_csv(source) -> tuple:
-    """(header, columns, lines) of a CSV path or text stream, every cell stripped.
+class _Table(NamedTuple):
+    """A parsed CSV: ``columns[j]`` lists the cells of column j and ``lines``
+    the 1-based line number of each row kept.
 
-    The first line is the header. ``columns[j]`` lists the cells of column j
-    and ``lines`` the 1-based line number of each row kept; blank and
-    whitespace-only lines are skipped. Empty input, and a row whose cell count
-    differs from the header's, raise PanelParseError naming the line.
+    ``ragged`` is the error for the first row whose cell count differs from
+    the header's, or None; that row and every later one are left out.
+    """
+
+    header: list
+    columns: list
+    lines: list
+    ragged: PanelParseError | None
+
+    def records(self, columns=None):
+        """``(line, cells)`` of each row kept, then raise ``ragged`` if set.
+
+        ``columns``, when given, replaces ``self.columns`` in the cells.
+        """
+        yield from zip(self.lines, zip(*(self.columns if columns is None else columns)))
+        if self.ragged is not None:
+            raise self.ragged
+
+
+# the ASCII characters str.strip() removes, "\n" aside
+_ASCII_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _read_csv(source) -> _Table:
+    """The ``_Table`` of a CSV path or text stream, every cell stripped.
+
+    The first line is the header; blank and whitespace-only lines are
+    skipped. Empty input raises PanelParseError. A ragged row is kept as the
+    table's pending error, so that a caller still reports a bad header, or a
+    bad cell on an earlier line, first.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -82,57 +109,37 @@ def _read_csv(source) -> tuple:
     if not text:
         raise PanelParseError(1, "empty input")
     # without quotes or a lone carriage return, every line is one record and
-    # every comma a separator, so str.split reads exactly what csv.reader does
+    # every comma a separator, so str.split reads what csv.reader does
     lf_text = text.replace("\r\n", "\n") if "\r" in text else text
-    if '"' in text or "\r" in lf_text:
-        return _csv_table(text)
-    return _split_table(lf_text)
-
-
-# the ASCII characters str.strip() removes, "\n" aside
-_ASCII_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-
-def _split_table(text: str) -> tuple:
-    """``_read_csv`` of quote-free text with ``\\n`` line ends, by str.split."""
-    header, *body = text.split("\n")
-    header = [c.strip() for c in header.split(",")] if header else []
+    split = '"' not in text and "\r" not in lf_text
+    if split:
+        header, *body = lf_text.split("\n")
+        header = header.split(",") if header else []
+        counts = [n + 1 for n in map(str.count, body, repeat(","))]
+    else:
+        header, *body = csv.reader(io.StringIO(text))
+        counts = list(map(len, body))
+    header = [c.strip() for c in header]
     width = len(header)
-    # a line with another cell count must be blank, and is dropped
-    counts = np.fromiter(map(str.count, body, repeat(",")), np.intp, len(body)) + 1
-    other = np.flatnonzero(counts != width)
-    for i in other.tolist():
-        if body[i].replace(",", "").strip():
-            raise PanelParseError(i + 2, f"expected {width} cells, got {counts[i]}")
-    keep = np.ones(len(body), dtype=bool)
-    keep[other] = False
-    body, lines = list(compress(body, keep.tolist())), (np.flatnonzero(keep) + 2).tolist()
-    cells = ",".join(body).split(",") if body else []
-    columns = [cells[j::width] for j in range(width)]
-    if not text.isascii() or any(c in text for c in _ASCII_PADDING):
-        columns = [list(map(str.strip, col)) for col in columns]
+    lines, ragged = list(range(2, len(body) + 2)), None
+    for i in [i for i, n in enumerate(counts) if n != width]:
+        if any(map(str.strip, body[i].split(",") if split else body[i])):
+            ragged = PanelParseError(i + 2, f"expected {width} cells, got {counts[i]}")
+            del body[i:], lines[i:]
+            break
+        body[i] = "," * (width - 1) if split else [""] * width  # a blank line, dropped below
+    if split:
+        cells = ",".join(body).split(",") if body else []
+        columns = [cells[j::width] for j in range(width)]
+        if not text.isascii() or any(c in text for c in _ASCII_PADDING):
+            columns = [list(map(str.strip, col)) for col in columns]
+    else:
+        columns = [list(map(str.strip, col)) for col in zip(*body)] or [[] for _ in header]
     if columns and "" in columns[0]:  # drop lines like " , " too
         keep = [i for i, c in enumerate(columns[0]) if c or any(col[i] for col in columns)]
         columns = [[col[i] for i in keep] for col in columns]
         lines = [lines[i] for i in keep]
-    return header, columns, lines
-
-
-def _csv_table(text: str) -> tuple:
-    """``_read_csv`` of any CSV text, row by row with csv.reader."""
-    records = enumerate(csv.reader(io.StringIO(text)), start=1)
-    _, header = next(records)
-    header = [c.strip() for c in header]
-    lines, rows = [], []
-    for line, row in records:
-        cells = [c.strip() for c in row]
-        if not any(cells):
-            continue
-        if len(cells) != len(header):
-            raise PanelParseError(line, f"expected {len(header)} cells, got {len(cells)}")
-        lines.append(line)
-        rows.append(cells)
-    return header, [list(col) for col in zip(*rows)] or [[] for _ in header], lines
+    return _Table(header, columns, lines, ragged)
 
 
 def _float_column(cells) -> np.ndarray:
@@ -282,7 +289,8 @@ def load_panel(source, schema=None) -> RegionalPanel:
     and raise on conflict. Unbalanced grids raise listing the missing cells.
     A header naming a column twice raises.
     """
-    header, columns, lines = _read_csv(source)
+    table = _read_csv(source)
+    header = table.header
     if header[:2] != ["region", "year"]:
         raise PanelParseError(1, "header must start with 'region,year'")
     repeated = [c for c in header if header.count(c) > 1]
@@ -296,13 +304,13 @@ def load_panel(source, schema=None) -> RegionalPanel:
         names = list(schema)
     else:
         names = file_vars
-    regions, years = columns[:2]
-    cells = [columns[header.index(v)] for v in names]
+    regions, years = table.columns[:2]
+    cells = [table.columns[header.index(v)] for v in names]
     # whole columns at once; any failed check reruns the row loop, which
     # raises naming the first bad line or merges repeated identical rows
     try:
-        if "" in regions:
-            raise ValueError("empty region identifier")
+        if "" in regions or table.ragged is not None:
+            raise ValueError("empty region identifier or ragged row")
         year_values = np.fromiter(map(int, years), np.int64, len(years))
         values = [_float_column(c) for c in cells]
     except (ValueError, OverflowError):  # OverflowError: a year beyond int64
@@ -310,7 +318,7 @@ def load_panel(source, schema=None) -> RegionalPanel:
     else:
         panel = _panel_grid(names, regions, year_values, values)
     if panel is None:
-        panel = _panel_grid(names, *_panel_rows(names, lines, regions, years, cells))
+        panel = _panel_grid(names, *_panel_rows(names, table.records([regions, years, *cells])))
     return panel
 
 
@@ -336,15 +344,16 @@ def _panel_grid(names, regions, years, values):
                          data=data)
 
 
-def _panel_rows(names, lines, regions, years, cells) -> tuple:
-    """``load_panel``'s per-row parse: the first bad line raises, naming it.
+def _panel_rows(names, records) -> tuple:
+    """``load_panel``'s per-row parse of ``(line, (region, year, *cells))``
+    records: the first bad line raises, naming it.
 
     Returns the distinct rows as ``_panel_grid`` arguments (regions, years,
     values), a repeated (region, year) row merged when its values agree.
     """
     what = [f"{v!r} cell" for v in names]
     rows: dict = {}
-    for lineno, region, year_text, *row in zip(lines, regions, years, *cells):
+    for lineno, (region, year_text, *row) in records:
         if not region:
             raise PanelParseError(lineno, "empty region identifier")
         try:
@@ -399,9 +408,6 @@ class EmploymentTable:
 
     rows: tuple  # of (region, year, industry, parent, employment)
     parents: dict
-    # the rows' (region, year, industry, employment-array) columns, when the
-    # caller has them, so that construction does not transpose ``rows``
-    columns: InitVar[tuple] = None
     keys: tuple = field(init=False, repr=False, compare=False)
     industries: tuple = field(init=False, repr=False, compare=False)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
@@ -409,11 +415,9 @@ class EmploymentTable:
     sectors: tuple = field(init=False, repr=False, compare=False)
     sector_index: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, columns):
-        if columns is None:
-            regions, years, inds, _, emps = list(zip(*self.rows)) or [()] * 5
-            columns = (regions, years, inds, np.array(emps, dtype=float))
-        regions, years, inds, emp = columns
+    def __post_init__(self):
+        regions, years, inds, _, emp = list(zip(*self.rows)) or [()] * 5
+        emp = np.array(emp, dtype=float)
 
         def rank(values):  # the sorted distinct values, and each value's index
             distinct = sorted(set(values))
@@ -477,32 +481,33 @@ def load_employment(source) -> EmploymentTable:
     Enforces: non-negative employment, numeric cells, and that every industry
     code maps to exactly one parent sector across the whole file.
     """
-    header, columns, lines = _read_csv(source)
+    table = _read_csv(source)
     expected = ["region", "year", "industry", "parent", "employment"]
-    if header != expected:
+    if table.header != expected:
         raise PanelParseError(1, f"header must be {','.join(expected)}")
-    regions, year_cells, inds, parent_cells, emp_cells = columns
+    regions, year_cells, inds, parent_cells, emp_cells = table.columns
     # whole columns at once; any failed check reruns the row loop, which
     # raises naming the first bad line
     try:
         years = list(map(int, year_cells))
         emps = list(map(float, emp_cells))
     except ValueError:
-        return _employment_rows(lines, columns)
+        return _employment_rows(table.records())
     emp = np.array(emps)
     parents = dict(zip(inds, parent_cells))
-    if not (np.isfinite(emp).all() and (emp >= 0).all()
+    if not (table.ragged is None and np.isfinite(emp).all() and (emp >= 0).all()
             and list(map(parents.__getitem__, inds)) == parent_cells):
-        return _employment_rows(lines, columns)
+        return _employment_rows(table.records())
     return EmploymentTable(rows=tuple(zip(regions, years, inds, parent_cells, emps)),
-                           parents=parents, columns=(regions, years, inds, emp))
+                           parents=parents)
 
 
-def _employment_rows(lines, columns) -> EmploymentTable:
-    """``load_employment``'s per-row parse: the first bad line raises, naming it."""
+def _employment_rows(records) -> EmploymentTable:
+    """``load_employment``'s per-row parse of ``(line, cells)`` records: the
+    first bad line raises, naming it."""
     rows = []
     parents: dict = {}
-    for lineno, region, ys, ind, parent, es in zip(lines, *columns):
+    for lineno, (region, ys, ind, parent, es) in records:
         try:
             year = int(ys)
         except ValueError:
@@ -662,11 +667,11 @@ class DescriptiveStats:
 
     @classmethod
     def from_csv(cls, source) -> "DescriptiveStats":
-        header, columns, lines = _read_csv(source)
-        if header != list(cls.columns):
+        table = _read_csv(source)
+        if table.header != list(cls.columns):
             raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
         out = {}
-        for lineno, (name, count, *values) in zip(lines, zip(*columns)):
+        for lineno, (name, count, *values) in table.records():
             if name in out:
                 raise PanelParseError(lineno, f"duplicate row {name!r}")
             try:

@@ -326,13 +326,18 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
      ["elasticities", "prov.csv"], "line 2: 'B' beta 'x' is not numeric"),
     ({"prov.csv": PROV.replace("B,2.0", "B,nan")},
      ["elasticities", "prov.csv"], "line 2: 'B' beta 'nan' is not finite"),
+    ({"corr.csv": "name,A,B\nA,1,x\nB,0.4\n"},
+     ["synth", "--corr", "corr.csv"], "line 2: 'A' correlation 'x' is not numeric"),
+    ({"prov.csv": PROV + "C,1\n", "stats.csv": "name\n"},
+     ["elasticities", "prov.csv", "--stats", "stats.csv"], "line 3: expected 5 cells, got 2"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
         "nan-correlation-cell", "short-correlation-row",
         "empty-region-year-after-industry-subset", "duplicate-panel-column",
         "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
-        "nan-provenance-beta"])
+        "nan-provenance-beta", "correlation-cell-before-ragged-row",
+        "ragged-provenance-row-before-stats-file"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"

@@ -254,8 +254,7 @@ def test_columnar_load_matches_the_row_loop(table):
     lines, _, _ = table
     text = "\n".join([HEADER, *lines]) + "\n"
     fast = load_employment(io.StringIO(text))
-    _, columns, numbers = _read_csv(io.StringIO(text))
-    slow = _employment_rows(numbers, columns)
+    slow = _employment_rows(_read_csv(io.StringIO(text)).records())
     assert fast.rows == slow.rows and fast.parents == slow.parents
     assert (fast.keys, fast.industries, fast.sectors) == \
         (slow.keys, slow.industries, slow.sectors)

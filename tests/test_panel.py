@@ -77,6 +77,34 @@ def test_load_panel_duplicate_rows():
         load_panel(io.StringIO(clash))
 
 
+_EMP_HEADER = "region,year,industry,parent,employment\n"
+_STATS_HEADER = "name,count,mean,sd,min,max\n"
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_panel, "foo,bar\n1\n", "line 1: header must start with 'region,year'"),
+    (load_panel, "region,year,A,A\nr,2001\n", "line 1: duplicate column 'A'"),
+    (load_panel, "region,year,A\nr,2001,x\nr,2002\n", "line 2: 'A' cell 'x' is not numeric"),
+    (load_panel, "region,year,A\nr,2001,1\nr,2001,2\nr\n",
+     "line 3: conflicting duplicate row for ('r', 2001)"),
+    (load_panel, "region,year,A\nr,2001,1\nr,2002\n", "line 3: expected 3 cells, got 2"),
+    (load_employment, "region,year\n1\n",
+     "line 1: header must be region,year,industry,parent,employment"),
+    (load_employment, _EMP_HEADER + "r,2001,f,m,-1\nr\n", "line 2: negative employment -1.0"),
+    (load_employment, _EMP_HEADER + "r,2001,f,m,1\nr\n", "line 3: expected 5 cells, got 1"),
+    (DescriptiveStats.from_csv, "name\nA,1\n",
+     "line 1: stats header must be name,count,mean,sd,min,max"),
+    (DescriptiveStats.from_csv, _STATS_HEADER + "A,x,1,1,1,1\nB\n",
+     "line 2: 'A' count 'x' is not an integer"),
+], ids=["panel-header", "panel-column", "panel-cell", "panel-duplicate", "panel-ragged",
+        "employment-header", "employment-cell", "employment-ragged", "stats-header",
+        "stats-cell"])
+def test_a_ragged_row_is_reported_after_the_header_and_earlier_lines(load, text, message):
+    with pytest.raises(PanelParseError) as exc:
+        load(io.StringIO(text))
+    assert str(exc.value) == message
+
+
 def test_load_panel_rejects_a_repeated_column():
     text = "region,year,A,A\na,2001,1,5\na,2002,2,6\nb,2001,3,7\nb,2002,4,8\n"
     with pytest.raises(PanelParseError, match="line 1: duplicate column 'A'"):
@@ -153,25 +181,41 @@ def test_to_csv_load_panel_round_trip(p, pad):
         assert again.matrix(name).tobytes() == p.matrix(name).tobytes()
 
 
-# quote-free text: padding (ASCII and not), blank lines, CRLF, ragged rows
+def _csv_module_table(text):
+    """What ``_read_csv`` should read, row by row with csv.reader: the header,
+    the ``(line, cells)`` of each non-blank row, and the ragged-row message."""
+    records = enumerate(csv.reader(io.StringIO(text)), start=1)
+    header = [c.strip() for c in next(records)[1]]
+    rows = []
+    for line, row in records:
+        cells = tuple(c.strip() for c in row)
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            return header, rows, f"line {line}: expected {len(header)} cells, got {len(cells)}"
+        rows.append((line, cells))
+    return header, rows, None
+
+
+# padding (ASCII and not), blank lines, line ends, ragged rows, and with
+# one quoted cell or without
 _cells = st.text(alphabet="a1. \t\x0b\x0c\x1c\xa0\u2003", max_size=3)
 _rows = st.lists(st.lists(_cells, min_size=1, max_size=4), min_size=1, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rows, st.sampled_from(["\n", "\r\n"]), st.booleans())
-def test_split_route_reads_what_csv_reader_reads(rows, newline, final_newline):
+@given(_rows, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+def test_read_csv_reads_what_csv_reader_reads(rows, newline, final_newline, quoted):
+    if quoted:
+        rows[-1][0] = f'"{rows[-1][0]}"'
     text = newline.join(",".join(row) for row in rows) + (newline if final_newline else "")
-    assume(text)  # empty input never reaches either route
-
-    def table(route, text):
-        try:
-            return route(text)
-        except PanelParseError as exc:
-            return str(exc)
-    want = table(panel_mod._csv_table, text)
-    assert table(panel_mod._split_table, text.replace("\r\n", "\n")) == want
-    assert table(panel_mod._read_csv, io.StringIO(text)) == want
+    assume(text)  # empty input is an error of its own
+    table = panel_mod._read_csv(io.StringIO(text))
+    try:
+        got = (table.header, list(table.records()), None)
+    except PanelParseError as exc:
+        got = (table.header, list(zip(table.lines, zip(*table.columns))), str(exc))
+    assert got == _csv_module_table(text)
 
 
 def test_ascii_padding_is_what_strip_removes():
