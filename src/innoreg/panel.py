@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -113,7 +114,7 @@ def _read_csv(source) -> _Table:
     lf_text = text.replace("\r\n", "\n") if "\r" in text else text
     split = '"' not in text and "\r" not in lf_text
     if split:
-        header, *body = lf_text.split("\n")
+        header, *body = lf_text.removesuffix("\n").split("\n")
         header = header.split(",") if header else []
         counts = [n + 1 for n in map(str.count, body, repeat(","))]
     else:
@@ -416,7 +417,8 @@ class EmploymentTable:
     sector_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        regions, years, inds, _, emp = list(zip(*self.rows)) or [()] * 5
+        # one column at a time: zip(*rows) would make an iterator per record
+        regions, years, inds, emp = (list(map(itemgetter(k), self.rows)) for k in (0, 1, 2, 4))
         emp = np.array(emp, dtype=float)
 
         def rank(values):  # the sorted distinct values, and each value's index
