@@ -35,6 +35,8 @@ def main():
     print(f"  PSD repair {meta['psd_repair_max_abs']:.4f}, correlation "
           f"round-trip max {meta['corr_max_abs_error']:.4f} / "
           f"mean {meta['corr_mean_abs_error']:.4f}")
+    print(f"  the marginals alone force a max error of {meta['corr_error_floor']:.4f} "
+          f"({meta['corr_infeasible_pairs']} target pairs out of reach)")
 
     got = descriptive_stats(panel)
     worst = max(abs(got.get(nm).mean - stats.get(nm).mean)

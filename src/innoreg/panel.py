@@ -98,15 +98,18 @@ def _read_csv(source) -> _Table:
     """The ``_Table`` of a CSV path or text stream, every cell stripped.
 
     The first line is the header; blank and whitespace-only lines are
-    skipped. Empty input raises PanelParseError. A ragged row is kept as the
-    table's pending error, so that a caller still reports a bad header, or a
-    bad cell on an earlier line, first.
+    skipped, and one leading byte-order mark is dropped. Empty input, or text
+    that ``csv.reader`` rejects (a field over its size limit), raises
+    PanelParseError. A ragged row is kept as the table's pending error, so
+    that a caller still reports a bad header, or a bad cell on an earlier
+    line, first.
     """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = source.read()
+    text = text.removeprefix("\ufeff")
     if not text:
         raise PanelParseError(1, "empty input")
     # without quotes or a lone carriage return, every line is one record and
@@ -118,7 +121,11 @@ def _read_csv(source) -> _Table:
         header = header.split(",") if header else []
         counts = [n + 1 for n in map(str.count, body, repeat(","))]
     else:
-        header, *body = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text, newline=""))  # any line end, a lone "\r" too
+        try:
+            header, *body = reader
+        except csv.Error as exc:
+            raise PanelParseError(reader.line_num, str(exc)) from None
         counts = list(map(len, body))
     header = [c.strip() for c in header]
     width = len(header)

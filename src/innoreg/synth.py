@@ -1,53 +1,34 @@
 """Deterministic synthetic panels matched to target moments and correlations.
 
 The source microdata behind the bundled summary tables is unpublished, so
-every downstream demonstration runs on synthetic panels instead: a
-correlated-normal draw pushed through a per-variable affine rescale with
-min/max clamping.
+every downstream demonstration runs on synthetic panels instead, built in
+two steps, each done once:
 
-Three refinements make that basic recipe meet its contract on hard targets
-(bounded variables whose sd is several times the mean-to-bound distance, and
-a target correlation matrix that is not PSD to begin with):
+* the marginals: one normal draw, recoloured to the target correlation
+  matrix (made PSD by eigenvalue clipping; the repair size lands in the
+  panel metadata), goes through clip(loc + scale·x, min, max) per variable,
+  with (loc, scale) solved on the draw so that the sample has exactly the
+  target mean and sd (to 1e-12 relative);
+* the row order: a permutation of a column keeps its mean, sd, min and max,
+  so the correlations are tuned by reordering alone. The solved columns
+  start in the ranks of the recoloured draw (Iman & Conover 1982; clipping
+  is monotone), and greedy pairwise swaps within a column (Vořechovský &
+  Novák 2009) lower the squared distance to the target correlations.
 
-* the affine (loc, scale) per variable is solved on the draw itself so the
-  clipped sample has exactly the target mean and sd (to 1e-12 relative):
-  one bracketed, nested Newton solve over all variables at once, started
-  from the population fit of the clipped normal (nested root-finding on the
-  censored-normal moment equations) and, on later calibration steps, from
-  the previous step's solution;
-* the target correlation matrix is made PSD by eigenvalue clipping and
-  rescaling to a unit diagonal (the repair size is recorded in the panel
-  metadata);
-* the input correlation fed to the normal draw is tuned by a damped
-  fixed-point loop (300 steps by default) against the measured output
-  correlation, keeping the best iterate — clamping distorts Pearson
-  correlations badly (up to ~0.5 for the bundled targets without tuning),
-  and tuning brings the worst-case error within about 0.15.
+The marginals alone bound every pair's correlation (sort both columns the
+same way or opposite ways), so the metadata reports how far the targets lie
+beyond those bounds next to the achieved error.
 
 Everything is a pure function of (stats, corr, seed): same seed, same bytes.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.optimize import brentq
 
 from .panel import DescriptiveStats, PanelError, RegionalPanel
 
 __all__ = ["nearest_psd", "synthesize_panel"]
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _norm_cdf(x):
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
-def _norm_pdf(x):
-    return math.exp(-0.5 * x * x) * _INV_SQRT2PI
 
 
 def nearest_psd(corr: np.ndarray, floor: float = 1e-8) -> np.ndarray:
@@ -74,57 +55,6 @@ def nearest_psd(corr: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     return out
 
 
-def _clipped_moments(loc, scale, lo, hi):
-    # mean and sd of clip(loc + scale * Z, lo, hi), Z standard normal
-    a = (lo - loc) / scale
-    b = (hi - loc) / scale
-    fa, fb = _norm_cdf(a), _norm_cdf(b)
-    pa, pb = _norm_pdf(a), _norm_pdf(b)
-    mid = fb - fa
-    ez = -(pb - pa)
-    ez2 = mid - (b * pb - a * pa)
-    m1 = lo * fa + hi * (1.0 - fb) + loc * mid + scale * ez
-    m2 = (lo * lo * fa + hi * hi * (1.0 - fb) + loc * loc * mid
-          + 2.0 * loc * scale * ez + scale * scale * ez2)
-    var = m2 - m1 * m1
-    return m1, math.sqrt(max(var, 0.0))
-
-
-def _fit_affine(name, m, s, lo, hi):
-    """(loc, scale) such that the clipped normal has population mean m, sd s.
-
-    An sd no clipped normal reaches gets the unclipped map (m, s) instead,
-    which gives a draw of sample mean 0 and sd 1 the target moments before
-    clipping. It is only a start for the sample moment solve: an n-point
-    sample can exceed the population sd cap, and ``_check_sd_attainable``
-    rejects a target that no sample of that size reaches.
-    """
-    span = hi - lo
-    if span < 0 or not (lo <= m <= hi):
-        raise PanelError(f"inconsistent stats for {name!r}")
-    if s == 0 or span == 0:
-        return m, 0.0
-    # given mean m on [lo, hi] no distribution exceeds this sd
-    if s >= math.sqrt((m - lo) * (hi - m)):
-        return m, s
-
-    def loc_for(scale):
-        f = lambda loc: _clipped_moments(loc, scale, lo, hi)[0] - m
-        l1 = lo - 9.0 * scale - span
-        l2 = hi + 9.0 * scale + span
-        return brentq(f, l1, l2, xtol=1e-13, maxiter=200)
-
-    def sd_gap(scale):
-        loc = loc_for(scale)
-        return _clipped_moments(loc, scale, lo, hi)[1] - s
-
-    s_lo, s_hi = 1e-9 * span, 80.0 * span
-    if sd_gap(s_hi) < 0:  # even near-two-point mass undershoots
-        return m, s
-    scale = brentq(sd_gap, s_lo, s_hi, xtol=1e-13, maxiter=200)
-    return loc_for(scale), scale
-
-
 def _exact_corr_normals(rng, n, k):
     # centered, whitened, so the sample correlation of the recolored draw is
     # exactly the requested matrix
@@ -149,27 +79,29 @@ def _check_sd_attainable(names, n, m, s, lo, hi):
             f"on [{lo[j]}, {hi[j]}] with mean {m[j]} (at most {cap[j]})")
 
 
-def _solve_moments(names, x, m, s, lo, hi, loc, scale, rtol=1e-12, max_steps=1000):
-    """Per-column (loc, scale) putting clip(loc + scale·x, lo, hi) on target.
+def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
+    """Columns clip(loc + scale·x, lo, hi) with the target sample moments.
 
-    Solves every column of the draw ``x`` (n × k) at once for the sample mean
-    ``m`` and sample sd ``s`` (ddof=1), starting from ``(loc, scale)``. Two
-    facts make a nested, bracketed solve possible. For fixed scale the sample
-    mean is a monotone piecewise-linear function of loc, with slope (number
-    of unclipped points) / n. With loc solved, D = Σ(y − m)² is a monotone
+    Solves every column of the draw ``x`` (n × k) at once for a per-column
+    (loc, scale) that gives sample mean ``m`` and sample sd ``s`` (ddof=1),
+    starting from the unclipped map (loc, scale) = (m, s), which puts a
+    column of sample mean 0 and sd 1 on target before clipping. Two facts
+    make a nested, bracketed solve possible. For fixed scale the sample mean
+    is a monotone piecewise-linear function of loc, with slope (number of
+    unclipped points) / n. With loc solved, D = Σ(y − m)² is a monotone
     piecewise-linear function of t = scale², with slope Σ(x − x̄)² over the
     unclipped points. Each level takes the Newton step of its current linear
     piece, the exact root when the clip pattern holds, if it falls inside
     its bracket, and bisects otherwise, so it cannot diverge.
 
-    Returns ``(y, loc, scale, err, steps)``. ``err`` per column is the larger
-    of |mean − m| / max(|m|, s) and |sd − s| / s; ``steps`` counts
-    evaluations of the clipped sample. Raises PanelError naming a variable
-    whose ``err`` stays above ``rtol``.
+    Returns ``(y, err, steps)``. ``err`` per column is the larger of
+    |mean − m| / max(|m|, s) and |sd − s| / s; ``steps`` counts evaluations
+    of the clipped sample. Raises PanelError naming a variable whose ``err``
+    stays above ``rtol``.
     """
     x = np.ascontiguousarray(x.T)  # one row per variable: fast row sums
     k, n = x.shape
-    m, s, lo, hi, loc, scale = (np.reshape(v, (k, 1)) for v in (m, s, lo, hi, loc, scale))
+    m, s, lo, hi = (np.reshape(v, (k, 1)) for v in (m, s, lo, hi))
     den = np.maximum(np.abs(m), s)
     tol = rtol * den
     ss = (n - 1) * s * s  # target D
@@ -197,7 +129,7 @@ def _solve_moments(names, x, m, s, lo, hi, loc, scale, rtol=1e-12, max_steps=100
             ok = (nm > 0) & (a < root) & (root < b)
             loc = np.where(done, loc, np.where(ok, root, 0.5 * (a + b)))
 
-    t = scale * scale
+    loc, t = m, s * s
     t_lo, t_hi = np.zeros_like(t), np.full_like(t, np.inf)
     while True:
         scale = np.sqrt(t)
@@ -231,12 +163,77 @@ def _solve_moments(names, x, m, s, lo, hi, loc, scale, rtol=1e-12, max_steps=100
         raise PanelError(
             f"sample moments of {names[j]!r} not solved: relative residual "
             f"{err[j]:.3e} after {steps} steps")
-    return y, loc.ravel(), np.sqrt(t).ravel(), err, steps
+    return y, err, steps
+
+
+def _standardized(y):
+    return (y - y.mean(axis=0)) / y.std(axis=0, ddof=1)
+
+
+def _swap_toward(y, target, max_sweeps):
+    """Reorder rows within the columns of ``y`` toward correlation ``target``.
+
+    Visits the columns in turn and applies in each the row swap that lowers
+    F = Σ(C − T)² the most, C being the sample correlation, until a sweep
+    swaps nothing or ``max_sweeps`` sweeps are done. With z the standardized
+    columns, swapping rows a and b of column j (Δz = z_bj − z_aj) changes F by
+
+        4·Δz·(u_a − u_b)/(n−1) + 2·Δz²·(s_a + s_b − 2P_ab)/(n−1)²
+
+    where u = z·D, D is row j of C − T with a zero at j, and
+    s_a + s_b − 2P_ab is the squared distance of rows a and b without
+    column j. One n × n table per step scores every pair, so a step takes
+    time and memory in n². Works in place; returns the last sweep that
+    swapped, 0 if none did.
+    """
+    n, k = y.shape
+    z = _standardized(y)
+    dist = np.array([((z - row) ** 2).sum(axis=1) for row in z])  # squared row distances
+    # g = gain·(n−1)²/2 = e²·(dist − e²) − e·(v_a − v_b), with e = z_a − z_b
+    # and v = 2(n−1)·u, worked in two preallocated n × n buffers
+    e, g = np.empty((n, n)), np.empty((n, n))
+    tol = -1e-12 * (n - 1) ** 2 / 2.0  # no swap lowers F beyond rounding
+    last = 0
+    for sweep in range(1, max_sweeps + 1):
+        for j in range(k):
+            zj = z[:, j]
+            d = z.T @ zj / (n - 1) - target[j]
+            d[j] = 0.0
+            v = z @ d * (2.0 * (n - 1))
+            np.subtract.outer(zj, zj, out=e)
+            np.square(e, out=g)
+            np.subtract(dist, g, out=g)
+            g *= e
+            g -= np.subtract.outer(v, v)
+            g *= e
+            i = int(g.argmin())
+            if g.flat[i] > tol:
+                continue
+            rows = list(divmod(i, n))
+            z[rows, j] = z[rows[::-1], j]
+            y[rows, j] = y[rows[::-1], j]
+            dist[rows] = ((z[rows, None, :] - z) ** 2).sum(axis=2)
+            dist[:, rows] = dist[rows].T
+            last = sweep
+        if last < sweep:
+            break
+    return last
+
+
+def _attainable_gap(y, target):
+    """Distance from each target to the correlation interval its pair allows.
+
+    Sorting both columns the same way gives the pair's largest Pearson
+    correlation, opposite ways its smallest (Fréchet–Hoeffding bounds).
+    """
+    s = np.sort(_standardized(y), axis=0)
+    top, bottom = s.T @ s / (len(s) - 1), s.T @ s[::-1] / (len(s) - 1)
+    return np.maximum(np.maximum(bottom - target, target - top), 0.0)
 
 
 def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
                      regions=13, years=9, corr_names=None,
-                     calibration_iterations: int = 300,
+                     calibration_iterations: int = 40,
                      repair_limit: float = 0.1) -> RegionalPanel:
     """Draw a balanced synthetic panel matching summary stats and correlations.
 
@@ -257,18 +254,23 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     corr_names : optional sequence
         Variable order of ``corr`` when it differs from the stats order.
     calibration_iterations : int
-        Damped fixed-point steps (default 300) tuning the input correlation
-        against the measured output correlation; the best iterate wins.
+        Cap on the sweeps of row swaps (default 40) that tune the row order
+        toward ``corr``; each sweep tries one swap per variable, and the
+        swaps stop earlier once a sweep finds none that helps.
     repair_limit : float
         Maximum tolerated elementwise PSD-repair perturbation.
 
     Returns a RegionalPanel whose ``meta`` documents the PSD repair, the
-    achieved correlation error and the moment solve (``moment_max_rel_error``
-    of the returned panel, ``moment_solve_max_iterations`` over the run).
-    Every sample mean and sd (ddof=1) matches its target to 1e-12 relative
-    (the mean relative to max(|mean|, sd)), and every value sits inside
-    [min, max]. A target that no sample of this size can reach, or a solve
-    that misses the tolerance, raises PanelError naming the variable.
+    correlation error (``corr_max_abs_error``, ``corr_mean_abs_error``),
+    its floor (``corr_error_floor``: the largest distance from a target to
+    the interval its pair's marginals allow; ``corr_infeasible_pairs``
+    targets lie outside theirs), ``best_iteration`` (the last sweep that
+    swapped) and the moment solve (``moment_max_rel_error``,
+    ``moment_solve_max_iterations``). Every sample mean and sd (ddof=1)
+    matches its target to 1e-12 relative (the mean relative to
+    max(|mean|, sd)), and every value sits inside [min, max]. A target that
+    no sample of this size can reach, or a solve that misses the tolerance,
+    raises PanelError naming the variable.
     """
     if isinstance(regions, int):
         regions = tuple(f"R{i + 1:02d}" for i in range(regions))
@@ -300,9 +302,12 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
 
     targets = np.array([[st.mean, st.sd, st.min, st.max]
                         for st in (stats.get(nm) for nm in names)])
-    affine = np.array([_fit_affine(nm, *row) for nm, row in zip(names, targets)])
-    const = np.flatnonzero(affine[:, 1] == 0.0)
-    active = np.flatnonzero(affine[:, 1] != 0.0)
+    m, s, lo, hi = targets.T
+    bad = np.flatnonzero(~((lo <= m) & (m <= hi)))  # also catches hi < lo
+    if bad.size:
+        raise PanelError(f"inconsistent stats for {names[bad[0]]!r}")
+    const = (s == 0) | (hi == lo)
+    active = np.flatnonzero(~const)
     k = active.size
     if k and n <= k:
         raise PanelError(f"need more than {k} observations for {k} variables; got {n}")
@@ -320,60 +325,32 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     rng = np.random.default_rng(seed)
     zw = _exact_corr_normals(rng, n, k) if k else np.empty((n, 0))
     _check_sd_attainable(active_names, n, m, s, lo, hi)
-    # the first solve starts from the population fit, each later one from
-    # the previous solution, which sits on nearly the same clip pattern
-    loc, scale = affine[active].T
-    max_steps = 0
+    y, moment_err, steps = _solve_moments(active_names, zw @ np.linalg.cholesky(repaired).T,
+                                          m, s, lo, hi)
+    n_sweeps = max(1, int(calibration_iterations))
+    last_sweep = _swap_toward(y, target, n_sweeps) if k >= 2 else 0
 
-    def realize(cin):
-        nonlocal loc, scale, max_steps
-        x = zw @ np.linalg.cholesky(cin).T
-        y, loc, scale, err, steps = _solve_moments(active_names, x, m, s, lo, hi,
-                                                   loc, scale)
-        max_steps = max(max_steps, steps)
-        out = np.empty((n, len(names)))
-        out[:, const] = targets[const, 0]
-        out[:, active] = y
-        return out, float(err.max(initial=0.0))
-
-    def measured(out):
-        if k < 2:
-            return target.copy()
-        sub = out[:, active]
-        c = np.corrcoef(sub, rowvar=False)
-        return (c + c.T) / 2.0
-
-    best_out, best_err, best_it, best_moment = None, math.inf, 0, 0.0
-    cin = repaired.copy()
-    n_iter = max(1, int(calibration_iterations))
-    for it in range(n_iter):
-        out, moment = realize(cin)
-        err = measured(out) - target
-        mx = float(np.abs(err).max()) if k >= 2 else 0.0
-        if mx < best_err:
-            best_out, best_err, best_it, best_moment = out, mx, it, moment
-        if k < 2 or mx < 1e-12:
-            break
-        step = 0.7 * (0.25 + 0.75 * (1.0 - it / n_iter))  # decaying damping
-        cin = nearest_psd(np.clip(cin - step * err, -0.999, 0.999))
-
-    final_err = measured(best_out) - target if k >= 2 else np.zeros((k, k))
     tri = np.triu_indices(k, 1)
+    err = np.abs((np.corrcoef(y, rowvar=False) if k >= 2 else target) - target)[tri]
+    gap = _attainable_gap(y, target)[tri]
     meta = {
         "seed": int(seed),
         "n_obs": n,
         "psd_repair_max_abs": repair,
-        "corr_max_abs_error": float(np.abs(final_err).max()) if k >= 2 else 0.0,
-        "corr_mean_abs_error": (float(np.abs(final_err)[tri].mean())
-                                if k >= 2 and tri[0].size else 0.0),
-        "calibration_iterations": n_iter,
-        "best_iteration": int(best_it),
-        "moment_max_rel_error": best_moment,
-        "moment_solve_max_iterations": max_steps,
-        "constant_variables": [names[j] for j in const],
+        "corr_max_abs_error": float(err.max(initial=0.0)),
+        "corr_mean_abs_error": float(err.mean()) if err.size else 0.0,
+        "corr_error_floor": float(gap.max(initial=0.0)),
+        "corr_infeasible_pairs": int(np.count_nonzero(gap)),
+        "calibration_iterations": n_sweeps,
+        "best_iteration": last_sweep,
+        "moment_max_rel_error": float(moment_err.max(initial=0.0)),
+        "moment_solve_max_iterations": steps,
+        "constant_variables": [names[j] for j in np.flatnonzero(const)],
     }
 
     data = {}
+    cols = iter(y.T)
     for j, nm in enumerate(names):
-        data[nm] = best_out[:, j].reshape(len(regions), len(years))
+        col = np.full(n, targets[j, 0]) if const[j] else next(cols)
+        data[nm] = col.reshape(len(regions), len(years))
     return RegionalPanel(regions=regions, years=years, data=data, meta=meta)

@@ -7,8 +7,12 @@ numbers (run with ``pytest -s`` to see them on passing runs), then asserts.
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +264,16 @@ def test_criterion_12_synth_determinism(tmp_path):
     same = out1.read_bytes() == out2.read_bytes()
     check(12, same, f"two seeded synth runs byte-identical "
                     f"({out1.stat().st_size} bytes)")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs_without_a_traceback(demo):
+    # a fresh interpreter, as a reader runs it; demo 03 prints synth meta keys
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr

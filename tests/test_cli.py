@@ -330,6 +330,8 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
      ["synth", "--corr", "corr.csv"], "line 2: 'A' correlation 'x' is not numeric"),
     ({"prov.csv": PROV + "C,1\n", "stats.csv": "name\n"},
      ["elasticities", "prov.csv", "--stats", "stats.csv"], "line 3: expected 5 cells, got 2"),
+    ({"long.csv": 'region,year,A\n"r1",2001,' + "1" * 131073 + "\n"},
+     ["describe", "long.csv"], "line 2: field larger than field limit (131072)"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -337,7 +339,7 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
         "empty-region-year-after-industry-subset", "duplicate-panel-column",
         "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
         "nan-provenance-beta", "correlation-cell-before-ragged-row",
-        "ragged-provenance-row-before-stats-file"])
+        "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"

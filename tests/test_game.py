@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from innoreg.game import (Equilibrium, MarketParams, equilibrium_at_royalty,
                           feasibility_region, follower_best_response,
@@ -126,9 +128,12 @@ def test_profit_profile_monotone_when_a_exceeds_c():
     assert profits[0] == pytest.approx(leader_profit(0.0, q1_0, p))
 
 
-def test_verify_equilibrium_accepts_true_optimum():
-    p = MarketParams(a=10.0, c=1.0)
-    eq = equilibrium_at_royalty(p, 1.0)
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.1, 20.0), st.floats(0.1, 20.0), st.floats(-2.0, 2.0))
+@example(10.0, 1.0, 1.0)
+def test_verify_equilibrium_accepts_true_optimum(a, c, r):
+    p = MarketParams(a=a, c=c)
+    eq = equilibrium_at_royalty(p, r)
     rep = verify_equilibrium(p, eq)
     assert rep.all_ok()
     assert rep.foc_follower_gap < 1e-8

@@ -426,6 +426,21 @@ def test_load_employment_builds_the_count_matrix():
         EmploymentTable(rows=(("n", 2001, "food", "m", 1.0),), parents={})
 
 
+@pytest.mark.parametrize("variant", [lambda text: "\ufeff" + text,
+                                     lambda text: text.replace("\n", "\r")],
+                         ids=["byte-order-mark", "lone-cr-line-ends"])
+def test_bom_and_lone_cr_files_load_as_their_plain_twin(tmp_path, variant):
+    stats = "name,count,mean,sd,min,max\nA,10,1,0.5,0,2\nB,10,3,1,0,9\n"
+    path = tmp_path / "in.csv"
+    for text, load, view in ((BASIC, load_panel, RegionalPanel.to_csv),
+                             (EMP, load_employment, lambda table: table.rows),
+                             (stats, DescriptiveStats.from_csv, DescriptiveStats.to_csv)):
+        want = view(load(io.StringIO(text)))
+        path.write_text(variant(text), encoding="utf-8")
+        assert view(load(str(path))) == want
+        assert view(load(io.StringIO(variant(text)))) == want
+
+
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
 def test_non_finite_cells_are_rejected_at_parse(cell):
     with pytest.raises(PanelParseError, match=f"line 3: employment '{cell}' is not finite"):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import innoreg.regression as reg
 from innoreg.regression import (CollinearityError, Interaction,
@@ -224,14 +227,30 @@ def test_residuals_orthogonal_to_design():
     assert np.abs(X.T @ e).max() / np.abs(p.column("Y")).sum() < 1e-8
 
 
-def test_covariances_symmetric_psd():
-    rng = np.random.default_rng(89)
-    p = rand_panel(rng, ["Y", "X1", "X2"])
-    res = pooled_ols(p, RegressionSpec(dependent="Y",
-                                       regressors=[{"name": "X1"}, {"name": "X2"}]))
+@st.composite
+def full_rank_panels(draw):
+    """Y and 1-3 regressors on 3-6 regions x 3-6 years, design of full rank."""
+    k, r, t = draw(st.integers(1, 3)), draw(st.integers(3, 6)), draw(st.integers(3, 6))
+    cells = draw(arrays(float, (k + 1, r, t), elements=st.floats(-100.0, 100.0)))
+    design = np.column_stack([np.ones(r * t), cells[1:].reshape(k, -1).T])
+    cond = np.linalg.cond(design)
+    assume(cond < 1e3)
+    panel = build_panel({"Y": cells[0], **{f"X{j}": cells[j] for j in range(1, k + 1)}})
+    return panel, cond
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_rank_panels(), st.sampled_from(["HC0", "HC1", "HC2", "HC3"]))
+def test_covariances_symmetric_psd(case, hc):
+    p, cond = case
+    spec = RegressionSpec(dependent="Y", regressors=[{"name": nm} for nm in p.variables[1:]])
+    res = pooled_ols(p, spec, hc=hc)
     for cov in (res.cov_classical, res.cov_robust):
-        np.testing.assert_allclose(cov, cov.T, atol=1e-14)
-        assert np.linalg.eigvalsh(cov).min() > -1e-12
+        # a true zero eigenvalue (a leverage-1 cell) comes out of
+        # (X'X)^-1 M (X'X)^-1 with a rounding error that grows as cond(X)^4
+        scale = np.abs(cov).max()
+        np.testing.assert_allclose(cov, cov.T, rtol=0, atol=1e-14 * scale)
+        assert np.linalg.eigvalsh(cov).min() >= -np.finfo(float).eps * cond ** 4 * scale
 
 
 def test_elasticity_invariant_to_regressor_rescaling():
@@ -246,16 +265,17 @@ def test_elasticity_invariant_to_regressor_rescaling():
     assert e1 == pytest.approx(e2, rel=1e-10)
 
 
-def test_coefficients_invariant_to_region_order():
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(range(5)))
+def test_coefficients_invariant_to_region_order(perm):
     rng = np.random.default_rng(101)
     x = rng.normal(size=(5, 7))
     y = 0.3 + 1.2 * x + rng.normal(size=(5, 7))
     spec = RegressionSpec(dependent="Y", regressors=[{"name": "X"}])
     base = pooled_ols(build_panel({"Y": y, "X": x},
                                   regions=tuple("abcde")), spec)
-    perm = [3, 0, 4, 2, 1]
     shuffled = pooled_ols(build_panel({"Y": y[perm], "X": x[perm]},
-                                      regions=tuple("daecb")), spec)
+                                      regions=tuple("abcde"[i] for i in perm)), spec)
     np.testing.assert_allclose(shuffled.beta, base.beta, atol=1e-8)
     np.testing.assert_allclose(shuffled.se_robust, base.se_robust, atol=1e-8)
 

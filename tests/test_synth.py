@@ -1,11 +1,15 @@
+import inspect
 import io
 import math
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innoreg import synth
 from innoreg.panel import (DescriptiveStats, PanelError, VariableStats,
                            correlation_matrix, descriptive_stats)
 from innoreg.synth import _solve_moments, nearest_psd, synthesize_panel
@@ -138,10 +142,11 @@ def test_bundled_targets_roundtrip(synthetic_panel, bundled_stats, bundled_corr)
     got = correlation_matrix(synthetic_panel, list(names))
     iu = np.triu_indices(len(names), k=1)
     err = np.abs(got - corr)[iu]
-    # tolerance measured on the bundled targets: extreme skew/clipping caps
-    # what any bounded marginal can reproduce
-    assert err.max() <= 0.15
-    assert err.mean() <= 0.06
+    # tolerance measured on the bundled targets at seeds 42, 7 and 1 (at most
+    # 0.106 and 0.0055): extreme skew/clipping caps what any bounded marginal
+    # can reproduce
+    assert err.max() <= 0.12
+    assert err.mean() <= 0.01
     assert meta["corr_max_abs_error"] == pytest.approx(err.max(), abs=1e-12)
 
     stats = descriptive_stats(synthetic_panel)
@@ -166,8 +171,55 @@ def test_bundled_targets_exact_moments(seed, bundled_stats, bundled_corr):
     names, corr = bundled_corr
     panel = synthesize_panel(bundled_stats, corr, seed=seed, corr_names=names)
     assert_exact_moments(panel, bundled_stats)
-    assert panel.meta["moment_max_rel_error"] <= 1e-12
-    assert panel.meta["moment_solve_max_iterations"] >= 1
+    meta = panel.meta
+    assert meta["moment_max_rel_error"] <= 1e-12
+    assert meta["moment_solve_max_iterations"] >= 1
+    # the damped calibration loop this replaced ended at these maxima (mean
+    # error 0.035 at seed 42); no row order gets below the floor
+    assert meta["corr_max_abs_error"] < {7: 0.1529, 42: 0.1484, 1: 0.0985}[seed]
+    assert meta["corr_error_floor"] - 1e-12 <= meta["corr_max_abs_error"] \
+        <= meta["corr_error_floor"] + 0.01
+    assert meta["corr_mean_abs_error"] < 0.035
+    assert synthesize_panel(bundled_stats, corr, seed=seed,
+                            corr_names=names).to_csv() == panel.to_csv()
+
+
+def test_one_psd_repair_and_one_moment_solve(bundled_stats, bundled_corr, monkeypatch):
+    calls = Counter()
+    for name in ("nearest_psd", "_solve_moments"):
+        def counted(*args, _real=getattr(synth, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(synth, name, counted)
+    names, corr = bundled_corr
+    synth.synthesize_panel(bundled_stats, corr, seed=42, corr_names=names)
+    assert calls == {"nearest_psd": 1, "_solve_moments": 1}
+    assert not re.search(r"^\s*(from|import)\s+scipy", inspect.getsource(synth), re.M)
+
+
+def test_bundled_error_is_stable_under_rounding_level_rescaling(
+        synthetic_panel, bundled_stats, bundled_corr, monkeypatch):
+    # the damped calibration loop gave 0.1428-0.1497 under these rescalings
+    names, corr = bundled_corr
+    real = synth._exact_corr_normals
+    for j in (1, 4, 11):
+        monkeypatch.setattr(synth, "_exact_corr_normals",
+                            lambda *args, j=j: real(*args) * (1.0 + j * 1e-15))
+        panel = synth.synthesize_panel(bundled_stats, corr, seed=42, corr_names=names)
+        assert abs(panel.meta["corr_max_abs_error"]
+                   - synthetic_panel.meta["corr_max_abs_error"]) < 1e-3
+
+
+def test_unreachable_target_ends_on_its_floor():
+    # right- and left-skewed marginals: sorting both columns together gives
+    # the largest correlation they allow, below the 0.99 asked for
+    stats = DescriptiveStats.from_csv(io.StringIO(
+        "name,count,mean,sd,min,max\nA,40,0.6,0.8,0,5\nB,40,4.4,0.8,0,5\n"))
+    panel = synthesize_panel(stats, np.array([[1.0, 0.99], [0.99, 1.0]]), seed=4,
+                             regions=8, years=5)
+    meta = panel.meta
+    assert meta["corr_infeasible_pairs"] == 1 and meta["corr_error_floor"] > 0.05
+    assert meta["corr_max_abs_error"] == pytest.approx(meta["corr_error_floor"], abs=1e-12)
 
 
 @st.composite
@@ -218,8 +270,8 @@ def test_moment_solve_failures_name_the_variable():
     x = np.random.default_rng(0).standard_normal((9, 2))
     m, s, lo, hi = np.array([0.5, 0.15]), np.array([0.2, 0.3]), np.zeros(2), np.ones(2)
     with pytest.raises(PanelError, match="'A' not solved: relative residual"):
-        _solve_moments(["A", "B"], x, m, s, lo, hi, m, s, max_steps=1)
-    y, _, _, err, steps = _solve_moments(["A", "B"], x, m, s, lo, hi, m, s)
+        _solve_moments(["A", "B"], x, m, s, lo, hi, max_steps=1)
+    y, err, steps = _solve_moments(["A", "B"], x, m, s, lo, hi)
     assert err.max() <= 1e-12 and 1 < steps < 200
     np.testing.assert_allclose(y.mean(axis=0), m, rtol=1e-12)
     np.testing.assert_allclose(y.std(axis=0, ddof=1), s, rtol=1e-12)
