@@ -232,8 +232,10 @@ def _sandwich(X, e, xtx_inv, h, hc: str) -> np.ndarray:
         w = w / denom if hc == "HC2" else w / denom ** 2
     elif hc not in ("HC0", "HC1"):
         raise ValueError(f"unknown robust variant {hc!r}")
-    meat = (X * w[:, None]).T @ X
-    cov = xtx_inv @ meat @ xtx_inv
+    # (X'X)^-1 X' diag(w) X (X'X)^-1 as the Gram matrix G'G: its diagonal is a
+    # sum of squares, so a variance that is 0 in theory cannot round below 0
+    g = (X @ xtx_inv) * np.sqrt(w)[:, None]
+    cov = g.T @ g
     if hc == "HC1":
         cov = cov * (n / (n - k))
     return (cov + cov.T) / 2.0

@@ -2,6 +2,7 @@ import inspect
 import io
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -208,6 +209,25 @@ def test_bundled_error_is_stable_under_rounding_level_rescaling(
         panel = synth.synthesize_panel(bundled_stats, corr, seed=42, corr_names=names)
         assert abs(panel.meta["corr_max_abs_error"]
                    - synthetic_panel.meta["corr_max_abs_error"]) < 1e-3
+
+
+def test_larger_panel_reaches_its_floor_without_n_squared_memory(bundled_stats,
+                                                                 bundled_corr):
+    # n = 1000: one n × n float table takes 8 MB, and a swap moves C by
+    # O(1/n), so single swaps alone need far more than the 40 sweeps here
+    names, corr = bundled_corr
+    tracemalloc.start()
+    try:
+        panel = synthesize_panel(bundled_stats, corr, seed=42, corr_names=names,
+                                 regions=40, years=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    meta = panel.meta
+    assert meta["n_obs"] == 1000
+    assert meta["corr_max_abs_error"] <= meta["corr_error_floor"] + 0.005
+    assert_exact_moments(panel, bundled_stats)
 
 
 def test_unreachable_target_ends_on_its_floor():
