@@ -1,92 +1,51 @@
 """Regional innovation toolkit: panels, diversity indices, pooled OLS,
-and a patent-licensing duopoly solver."""
+and a patent-licensing duopoly solver.
 
-from .game import (Equilibrium, EquilibriumFlags, MarketParams, RoyaltySolution,
-                   VerificationReport, equilibrium_at_royalty,
-                   feasibility_region, follower_best_response,
-                   follower_equilibrium_quantity, follower_profit,
-                   inverse_demand, leader_optimal_quantity, leader_profit,
-                   leader_profit_at, optimal_royalty, royalty_foc,
-                   royalty_profit_profile, spne, verify_equilibrium)
-from .indices import (HooverResult, ShareVector, VarietyResult, hoover_index,
-                      indices_table, related_variety, theil_index,
-                      unrelated_variety, variety_decomposition)
-from .panel import (DescriptiveStats, EmploymentTable, ImputationResult,
-                    PanelError, PanelParseError, RegionalPanel, VariableStats,
-                    correlation_matrix, descriptive_stats,
-                    impute_by_apportionment, lag, load_employment, load_panel)
-from .regression import (CollinearityError, Interaction, RegressionResult,
-                         RegressionSpec, Regressor, SuiteEntry,
-                         VarianceDecomposition, elasticity,
-                         format_decomposition_table, format_suite_grid,
-                         interaction_term, orthogonalize, pooled_ols,
-                         robust_covariance, robust_se, run_model_suite,
-                         significance_stars, variance_decomposition, vif)
-from .synth import nearest_psd, synthesize_panel
+The public names below are loaded on first use (PEP 562), so importing the
+package, or running a command that needs one module, loads only that
+module: ``game`` and ``indices`` need numpy only, ``regression`` scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CollinearityError",
-    "DescriptiveStats",
-    "EmploymentTable",
-    "Equilibrium",
-    "EquilibriumFlags",
-    "HooverResult",
-    "ImputationResult",
-    "Interaction",
-    "MarketParams",
-    "PanelError",
-    "PanelParseError",
-    "RegionalPanel",
-    "RegressionResult",
-    "RegressionSpec",
-    "Regressor",
-    "RoyaltySolution",
-    "ShareVector",
-    "SuiteEntry",
-    "VariableStats",
-    "VarianceDecomposition",
-    "VarietyResult",
-    "VerificationReport",
-    "correlation_matrix",
-    "descriptive_stats",
-    "elasticity",
-    "equilibrium_at_royalty",
-    "feasibility_region",
-    "follower_best_response",
-    "follower_equilibrium_quantity",
-    "follower_profit",
-    "format_decomposition_table",
-    "format_suite_grid",
-    "hoover_index",
-    "impute_by_apportionment",
-    "indices_table",
-    "interaction_term",
-    "inverse_demand",
-    "lag",
-    "leader_optimal_quantity",
-    "leader_profit",
-    "leader_profit_at",
-    "load_employment",
-    "load_panel",
-    "nearest_psd",
-    "optimal_royalty",
-    "orthogonalize",
-    "pooled_ols",
-    "related_variety",
-    "robust_covariance",
-    "robust_se",
-    "royalty_foc",
-    "royalty_profit_profile",
-    "run_model_suite",
-    "significance_stars",
-    "spne",
-    "synthesize_panel",
-    "theil_index",
-    "unrelated_variety",
-    "variance_decomposition",
-    "variety_decomposition",
-    "verify_equilibrium",
-    "vif",
-]
+_EXPORTS = {
+    "game": ("Equilibrium", "EquilibriumFlags", "MarketParams", "RoyaltySolution",
+             "VerificationReport", "equilibrium_at_royalty", "feasibility_region",
+             "follower_best_response", "follower_equilibrium_quantity",
+             "follower_profit", "inverse_demand", "leader_optimal_quantity",
+             "leader_profit", "leader_profit_at", "optimal_royalty", "royalty_foc",
+             "royalty_profit_profile", "spne", "verify_equilibrium"),
+    "indices": ("HooverResult", "ShareVector", "VarietyResult", "hoover_index",
+                "indices_table", "related_variety", "theil_index",
+                "unrelated_variety", "variety_decomposition"),
+    "panel": ("DescriptiveStats", "EmploymentTable", "ImputationResult",
+              "PanelError", "PanelParseError", "RegionalPanel", "VariableStats",
+              "correlation_matrix", "descriptive_stats", "impute_by_apportionment",
+              "lag", "load_employment", "load_panel"),
+    "regression": ("CollinearityError", "Interaction", "RegressionResult",
+                   "RegressionSpec", "Regressor", "SuiteEntry",
+                   "VarianceDecomposition", "elasticity",
+                   "format_decomposition_table", "format_suite_grid",
+                   "interaction_term", "orthogonalize", "pooled_ols",
+                   "robust_covariance", "robust_se", "run_model_suite",
+                   "significance_stars", "variance_decomposition", "vif"),
+    "synth": ("nearest_psd", "synthesize_panel"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

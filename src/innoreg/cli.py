@@ -31,16 +31,9 @@ from importlib.resources import files as _pkg_files
 
 import numpy as np
 
-from . import game as game_mod
-from .indices import indices_table
 from .panel import (DescriptiveStats, PanelError, PanelParseError, _parse_float,
                     _read_csv, descriptive_stats, load_employment, load_panel,
                     render_table)
-from .regression import (RegressionSpec, format_decomposition_table,
-                         format_suite_grid, run_model_suite,
-                         variance_decomposition)
-from .regression import elasticity as _elasticity
-from .synth import synthesize_panel
 
 DEFAULT_SEED = 42  # documented reproducibility constant
 
@@ -117,10 +110,13 @@ def _emit_rows(rows, columns, args, md=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands; each imports the modules it runs, so that a command loads no
+# library it does not use (regression alone needs scipy)
 
 
 def _cmd_indices(args) -> int:
+    from .indices import indices_table
+
     emp = load_employment(args.employment)
     industries = args.industries.split(",") if args.industries else None
     rows = indices_table(emp, industries=industries, scale=args.scale)
@@ -158,6 +154,8 @@ def _result_rows(entries):
 
 
 def _cmd_regress(args) -> int:
+    from .regression import RegressionSpec, format_suite_grid, run_model_suite
+
     panel = load_panel(args.panel)
     with open(args.specs, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -182,6 +180,8 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .regression import format_decomposition_table, variance_decomposition
+
     panel = load_panel(args.panel)
     names = args.variables.split(",") if args.variables else list(panel.variables)
     decomps = [variance_decomposition(panel, nm) for nm in names]
@@ -193,6 +193,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_elasticities(args) -> int:
+    from .regression import elasticity
+
     table = _read_csv(args.provenance)
     prov = list(table.records())  # a ragged row raises before the stats file is read
     required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
@@ -208,7 +210,7 @@ def _cmd_elasticities(args) -> int:
         if stats is not None:  # recompute the means from the stats file
             x_mean = stats.get(rec["variable"]).mean
             y_mean = stats.get(args.dependent).mean
-        value = _elasticity(beta, x_mean, y_mean)
+        value = elasticity(beta, x_mean, y_mean)
         row = {"variable": rec["variable"], "beta": beta,
                "source_column": rec["source_column"], "x_mean": x_mean,
                "y_mean": y_mean, "elasticity": value}
@@ -236,6 +238,8 @@ def _eq_rows(eq) -> list:
 
 
 def _cmd_game(args) -> int:
+    from . import game as game_mod
+
     p = args.precision
     if args.game_cmd == "solve":
         params = game_mod.MarketParams(a=args.a, c=args.c)
@@ -302,6 +306,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import synthesize_panel
+
     stats_src = args.stats if args.stats else io.StringIO(_bundled("table2_stats.csv"))
     corr_src = args.corr if args.corr else io.StringIO(_bundled("table3_corr.csv"))
     stats = DescriptiveStats.from_csv(stats_src)

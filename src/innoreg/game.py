@@ -10,8 +10,10 @@ where they go out of economic bounds: negative quantities and prices are
 returned together with feasibility flags instead of being clamped, and the
 royalty stage reports a structured infeasibility when its radicand is
 negative. :func:`verify_equilibrium` provides an independent numeric check
-(finite differences and direct scalar optimization) of every first-order
-condition.
+(finite differences, and a grid search refined by golden-section search) of
+every first-order condition. The closed forms are evaluated on numpy arrays
+where a call covers many points: the verification grid, the royalty profile
+and the feasibility region.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.optimize import minimize_scalar
+import numpy as np
 
 __all__ = [
     "MarketParams",
@@ -107,22 +109,40 @@ def inverse_demand(q1: float, q2: float, params: MarketParams) -> float:
     return params.a - (q1 + q2)
 
 
+# The closed forms in r**2 space, on scalars or numpy arrays. Taking r**2
+# keeps them defined at a negative radicand (non-real royalty), and taking
+# a, c rather than MarketParams lets them run over a grid of markets.
+
+
+def _pi2(rsq, q1, q2, a, c):
+    return (a - q1 - q2) * q2 - rsq * q2 - c * q2
+
+
+def _reaction(rsq, q1, a, c):
+    return (a - q1 - rsq - c) / 2.0
+
+
+def _pi1(rsq, q1, a, c):
+    return (a * q1 - q1 * q1 - q1 * a / 2.0 + q1 * q1 / 2.0
+            + rsq * q1 / 2.0 + c * q1 / 2.0 + rsq * q1 - c * q1)
+
+
+def _q1_star(rsq, a, c):
+    return (a + 3.0 * rsq - c) / 2.0
+
+
+def _q2_star(rsq, a, c):
+    return (a - 5.0 * rsq - c) / 4.0
+
+
 def follower_profit(r: float, q1: float, q2: float, params: MarketParams) -> float:
     """Follower profit ``(a - q1 - q2) q2 - r^2 q2 - c q2``."""
-    return _follower_profit_rsq(r * r, q1, q2, params)
-
-
-def _follower_profit_rsq(rsq, q1, q2, params):
-    return (params.a - q1 - q2) * q2 - rsq * q2 - params.c * q2
+    return _pi2(r * r, q1, q2, params.a, params.c)
 
 
 def follower_best_response(q1: float, r: float, params: MarketParams) -> float:
     """Follower reaction ``(a - q1 - r^2 - c) / 2``; negative values are returned as-is."""
-    return _follower_best_response_rsq(r * r, q1, params)
-
-
-def _follower_best_response_rsq(rsq, q1, params):
-    return (params.a - q1 - rsq - params.c) / 2.0
+    return _reaction(r * r, q1, params.a, params.c)
 
 
 def leader_profit(r: float, q1: float, params: MarketParams) -> float:
@@ -134,13 +154,7 @@ def leader_profit(r: float, q1: float, params: MarketParams) -> float:
 
     Identical to ``leader_profit_at(r, q1, follower_best_response(q1, r))``.
     """
-    return _leader_profit_rsq(r * r, q1, params)
-
-
-def _leader_profit_rsq(rsq, q1, params):
-    a, c = params.a, params.c
-    return (a * q1 - q1 * q1 - q1 * a / 2.0 + q1 * q1 / 2.0
-            + rsq * q1 / 2.0 + c * q1 / 2.0 + rsq * q1 - c * q1)
+    return _pi1(r * r, q1, params.a, params.c)
 
 
 def leader_profit_at(r: float, q1: float, q2: float, params: MarketParams) -> float:
@@ -156,25 +170,21 @@ def leader_profit_at(r: float, q1: float, q2: float, params: MarketParams) -> fl
 
 def leader_optimal_quantity(r: float, params: MarketParams) -> float:
     """Stage-1 quantity ``(a + 3 r^2 - c) / 2`` (global max; curvature is -1)."""
-    return _leader_optimal_quantity_rsq(r * r, params)
-
-
-def _leader_optimal_quantity_rsq(rsq, params):
-    return (params.a + 3.0 * rsq - params.c) / 2.0
+    return _q1_star(r * r, params.a, params.c)
 
 
 def follower_equilibrium_quantity(r: float, params: MarketParams) -> float:
     """Follower quantity on the equilibrium path: ``(a - 5 r^2 - c) / 4``."""
-    return _follower_equilibrium_quantity_rsq(r * r, params)
-
-
-def _follower_equilibrium_quantity_rsq(rsq, params):
-    return (params.a - 5.0 * rsq - params.c) / 4.0
+    return _q2_star(r * r, params.a, params.c)
 
 
 def royalty_foc(r: float, q1: float) -> float:
     """Partial derivative of the reduced leader profit in ``r`` at fixed ``q1``: ``3 r q1``."""
     return 3.0 * r * q1
+
+
+def _radicand(a, c):
+    return (c - a) / 3.0
 
 
 def optimal_royalty(params: MarketParams) -> RoyaltySolution:
@@ -184,7 +194,7 @@ def optimal_royalty(params: MarketParams) -> RoyaltySolution:
     solution carrying the negative radicand rather than raising: the standard
     demand regime ``a > c`` always lands there.
     """
-    radicand = (params.c - params.a) / 3.0
+    radicand = _radicand(params.a, params.c)
     if radicand < 0:
         return RoyaltySolution(value=math.nan, radicand=radicand, real=False)
     return RoyaltySolution(value=math.sqrt(radicand), radicand=radicand, real=True)
@@ -192,12 +202,11 @@ def optimal_royalty(params: MarketParams) -> RoyaltySolution:
 
 def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams,
               q1: float | None = None) -> Equilibrium:
+    a, c = params.a, params.c
     if q1 is None:
-        q1 = _leader_optimal_quantity_rsq(rsq, params)
-    q2 = _follower_equilibrium_quantity_rsq(rsq, params)
+        q1 = _q1_star(rsq, a, c)
+    q2 = _q2_star(rsq, a, c)
     p = inverse_demand(q1, q2, params)
-    pi1 = _leader_profit_rsq(rsq, q1, params)
-    pi2 = _follower_profit_rsq(rsq, q1, q2, params)
     flags = EquilibriumFlags(
         r_real=r_real,
         q1_nonneg=q1 >= 0,
@@ -205,7 +214,8 @@ def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams,
         price_nonneg=p >= 0,
     )
     return Equilibrium(q1=q1, q2=q2, r=r, r_squared=rsq, price=p,
-                       leader_payoff=pi1, follower_payoff=pi2, flags=flags)
+                       leader_payoff=_pi1(rsq, q1, a, c),
+                       follower_payoff=_pi2(rsq, q1, q2, a, c), flags=flags)
 
 
 def equilibrium_at_royalty(params: MarketParams, r: float) -> Equilibrium:
@@ -232,11 +242,9 @@ def spne(params: MarketParams) -> Equilibrium:
 
 def royalty_profit_profile(params: MarketParams, r_values) -> list:
     """Reduced leader profit along ``r`` with the quantity stage re-optimized."""
-    out = []
-    for r in r_values:
-        q1 = leader_optimal_quantity(r, params)
-        out.append(leader_profit(r, q1, params))
-    return out
+    rsq = np.square(np.asarray(r_values, dtype=float))
+    a, c = params.a, params.c
+    return _pi1(rsq, _q1_star(rsq, a, c), a, c).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +255,30 @@ def _central_diff(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _refine_argmax(f, lo, hi, coarse: int, xatol: float) -> float:
-    # coarse grid brackets the maximizer, bounded scalar search refines it
+    """Maximizer of ``f`` on [lo, hi]: the best of ``coarse + 1`` evenly spaced
+    points brackets it, and a golden-section search narrows the bracket to
+    ``xatol``. ``f`` must accept a numpy array as well as a float.
+    """
     step = (hi - lo) / coarse
-    best_x, best_v = lo, f(lo)
-    x = lo
-    for i in range(1, coarse + 1):
-        x = lo + i * step
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    a, b = max(lo, best_x - 2 * step), min(hi, best_x + 2 * step)
-    res = minimize_scalar(lambda t: -f(t), bounds=(a, b), method="bounded",
-                          options={"xatol": xatol})
-    return float(res.x)
+    best = lo + int(np.argmax(f(lo + np.arange(coarse + 1) * step))) * step
+    a, b = max(lo, best - 2 * step), min(hi, best + 2 * step)
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    # stop at xatol, or at a few ulps, below which [a, b] would stop shrinking
+    while b - a > max(xatol, 4.0 * math.ulp(max(abs(a), abs(b)))):
+        if f1 >= f2:  # the maximizer is in [a, x2]
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:  # in [x1, b]
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+    return (a + b) / 2.0
 
 
 @dataclass
@@ -268,10 +286,11 @@ class VerificationReport:
     """Numeric cross-check of the closed forms at a candidate point.
 
     FOC gaps compare central finite differences against the stated
-    derivatives; argmax gaps compare grid-plus-refinement maximizers of the
-    stage objectives against the closed-form quantities; point gaps compare
-    the candidate quantities against those optima. ``checks`` holds a boolean
-    per item at the caller's tolerance.
+    derivatives; argmax gaps compare the maximizers of the stage objectives,
+    found by a grid search refined by golden-section search, against the
+    closed-form quantities; point gaps compare the candidate quantities
+    against those optima. ``checks`` holds a boolean per item at the
+    caller's tolerance.
     """
 
     foc_follower_gap: float
@@ -299,48 +318,51 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
     eq : Equilibrium
         Candidate point; typically from spne() or equilibrium_at_royalty().
     grid : int
-        Coarse grid resolution used to bracket each stage argmax.
+        Coarse grid resolution used to bracket each stage argmax; at least 1.
     fd_step : float
-        Central finite-difference step.
+        Central finite-difference step; finite and positive.
     tol : float
-        Tolerance for the boolean checks.
+        Tolerance for the boolean checks; finite and non-negative.
 
     Non-real royalties are handled by verifying in ``r**2`` space where the
     objective is a polynomial either way.
     """
+    if not grid >= 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     for v in (eq.q1, eq.q2, eq.r_squared):
         if not math.isfinite(v):
             raise ValueError("equilibrium carries non-finite values")
-    a = params.a
+    a, c = params.a, params.c
     rsq = eq.r_squared
 
     # follower FOC: d(pi2)/dq2 = a - q1 - 2 q2 - r^2 - c
-    closed = a - eq.q1 - 2.0 * eq.q2 - rsq - params.c
-    fd = _central_diff(lambda q2: _follower_profit_rsq(rsq, eq.q1, q2, params),
-                       eq.q2, fd_step)
+    closed = a - eq.q1 - 2.0 * eq.q2 - rsq - c
+    fd = _central_diff(lambda q2: _pi2(rsq, eq.q1, q2, a, c), eq.q2, fd_step)
     foc_follower_gap = abs(fd - closed)
 
     # leader FOC: d(pi1)/dq1 = a/2 - q1 + 3 r^2 / 2 - c/2
-    closed = a / 2.0 - eq.q1 + 1.5 * rsq - params.c / 2.0
-    fd = _central_diff(lambda q1: _leader_profit_rsq(rsq, q1, params),
-                       eq.q1, fd_step)
+    closed = a / 2.0 - eq.q1 + 1.5 * rsq - c / 2.0
+    fd = _central_diff(lambda q1: _pi1(rsq, q1, a, c), eq.q1, fd_step)
     foc_leader_gap = abs(fd - closed)
 
     # royalty FOC vs finite difference in r (real r only; else identically 3*r*q1 at r = sqrt|rsq|)
     r = eq.r if math.isfinite(eq.r) else 0.0
-    fd = _central_diff(lambda rr: _leader_profit_rsq(rr * rr, eq.q1, params),
-                       r, fd_step)
+    fd = _central_diff(lambda rr: _pi1(rr * rr, eq.q1, a, c), r, fd_step)
     foc_royalty_gap = abs(fd - royalty_foc(r, eq.q1))
 
     # stage argmax agreement; both objectives are concave quadratics
     span = max(1.0, abs(a), abs(eq.q1), abs(eq.q2), abs(rsq))
-    br = _follower_best_response_rsq(rsq, eq.q1, params)
-    got = _refine_argmax(lambda q2: _follower_profit_rsq(rsq, eq.q1, q2, params),
+    br = _reaction(rsq, eq.q1, a, c)
+    got = _refine_argmax(lambda q2: _pi2(rsq, eq.q1, q2, a, c),
                          br - span, br + span, grid, 1e-10)
     argmax_follower_gap = abs(got - br)
 
-    q1_star = _leader_optimal_quantity_rsq(rsq, params)
-    got = _refine_argmax(lambda q1: _leader_profit_rsq(rsq, q1, params),
+    q1_star = _q1_star(rsq, a, c)
+    got = _refine_argmax(lambda q1: _pi1(rsq, q1, a, c),
                          q1_star - span, q1_star + span, grid, 1e-10)
     argmax_leader_gap = abs(got - q1_star)
 
@@ -374,18 +396,22 @@ def feasibility_region(a_values, c_values) -> list:
     """SPNE feasibility flags over an (a, c) grid.
 
     Returns a list of dict rows ``{a, c, r_real, q1_nonneg, q2_nonneg,
-    p_nonneg}`` with 0/1 flags, ready for CSV emission.
+    p_nonneg}`` with 0/1 flags, ready for CSV emission, ``a`` varying
+    slowest. The flags are those of :func:`spne` at each point, computed
+    over the whole grid at once; a point that is not a valid market raises
+    the ValueError of its MarketParams.
     """
-    rows = []
-    for a in a_values:
-        for c in c_values:
-            eq = spne(MarketParams(a=float(a), c=float(c)))
-            rows.append({
-                "a": float(a),
-                "c": float(c),
-                "r_real": int(eq.flags.r_real),
-                "q1_nonneg": int(eq.flags.q1_nonneg),
-                "q2_nonneg": int(eq.flags.q2_nonneg),
-                "p_nonneg": int(eq.flags.price_nonneg),
-            })
-    return rows
+    a, c = (m.ravel() for m in np.meshgrid(np.asarray(a_values, dtype=float),
+                                           np.asarray(c_values, dtype=float),
+                                           indexing="ij"))
+    valid = np.isfinite(a) & np.isfinite(c) & (a > 0) & (c > 0)
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        MarketParams(a=float(a[bad]), c=float(c[bad]))  # raises for this point
+    rsq = _radicand(a, c)
+    q2 = _q2_star(rsq, a, c)
+    # q1* = 0 on the SPNE path, so the price a - (q1 + q2) is a - q2
+    flags = np.stack([rsq >= 0, q2 >= 0, a - q2 >= 0]).astype(int).tolist()
+    return [{"a": ai, "c": ci, "r_real": rr, "q1_nonneg": 1,
+             "q2_nonneg": q2n, "p_nonneg": pn}
+            for ai, ci, rr, q2n, pn in zip(a.tolist(), c.tolist(), *flags)]

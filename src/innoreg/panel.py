@@ -69,7 +69,8 @@ def _parse_float(text: str, line: int, what: str) -> float:
 
 class _Table(NamedTuple):
     """A parsed CSV: ``columns[j]`` lists the cells of column j and ``lines``
-    the 1-based line number of each row kept.
+    the 1-based line number of each row kept (its last line, where a quoted
+    cell spans lines).
 
     ``ragged`` is the error for the first row whose cell count differs from
     the header's, or None; that row and every later one are left out.
@@ -120,19 +121,22 @@ def _read_csv(source) -> _Table:
         header, *body = lf_text.removesuffix("\n").split("\n")
         header = header.split(",") if header else []
         counts = [n + 1 for n in map(str.count, body, repeat(","))]
+        lines = list(range(2, len(body) + 2))
     else:
         reader = csv.reader(io.StringIO(text, newline=""))  # any line end, a lone "\r" too
         try:
-            header, *body = reader
+            (_, header), *numbered = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise PanelParseError(reader.line_num, str(exc)) from None
+        lines = [n for n, _ in numbered]
+        body = [row for _, row in numbered]
         counts = list(map(len, body))
     header = [c.strip() for c in header]
     width = len(header)
-    lines, ragged = list(range(2, len(body) + 2)), None
+    ragged = None
     for i in [i for i, n in enumerate(counts) if n != width]:
         if any(map(str.strip, body[i].split(",") if split else body[i])):
-            ragged = PanelParseError(i + 2, f"expected {width} cells, got {counts[i]}")
+            ragged = PanelParseError(lines[i], f"expected {width} cells, got {counts[i]}")
             del body[i:], lines[i:]
             break
         body[i] = "," * (width - 1) if split else [""] * width  # a blank line, dropped below

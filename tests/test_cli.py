@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import innoreg
-from innoreg import cli
+from innoreg import synth
 from innoreg.cli import load_correlation_csv, main
 from innoreg.panel import PanelError
 
@@ -120,13 +120,13 @@ def test_synth_solver_diagnostics_stay_on_stderr(tmp_path, capsys, monkeypatch):
     assert meta["moment_solve_max_iterations"] >= 1
     assert out == panel.read_text()  # stdout and --out carry the same bytes
 
-    real = cli.synthesize_panel
+    real = synth.synthesize_panel  # the synth command looks it up on each call
 
     def other_diagnostics(*a, **kw):
         p = real(*a, **kw)
         p.meta.update(moment_max_rel_error=0.5, moment_solve_max_iterations=10**6)
         return p
-    monkeypatch.setattr(cli, "synthesize_panel", other_diagnostics)
+    monkeypatch.setattr(synth, "synthesize_panel", other_diagnostics)
     rc, out2, err2 = run(capsys, *args)
     assert rc == 0 and out2 == out
     assert json.loads(err2)["moment_solve_max_iterations"] == 10**6
@@ -283,6 +283,7 @@ def test_unknown_command_exits_nonzero(capsys):
 
 
 PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
+VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
 
 
 @pytest.mark.parametrize("files, argv, names", [
@@ -332,6 +333,10 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
      ["elasticities", "prov.csv", "--stats", "stats.csv"], "line 3: expected 5 cells, got 2"),
     ({"long.csv": 'region,year,A\n"r1",2001,' + "1" * 131073 + "\n"},
      ["describe", "long.csv"], "line 2: field larger than field limit (131072)"),
+    ({}, VERIFY + ["--grid", "0"], "grid must be at least 1"),
+    ({}, VERIFY + ["--grid", "-5"], "grid must be at least 1"),
+    ({}, VERIFY + ["--fd-step", "0"], "fd_step must be finite and positive"),
+    ({}, VERIFY + ["--tol", "nan"], "tolerance must be finite and non-negative"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -339,7 +344,8 @@ PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
         "empty-region-year-after-industry-subset", "duplicate-panel-column",
         "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
         "nan-provenance-beta", "correlation-cell-before-ragged-row",
-        "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit"])
+        "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit",
+        "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
@@ -453,9 +459,44 @@ def test_synth_writes_a_constant_only_panel(tmp_path, capsys):
     assert json.loads(err)["constant_variables"] == ["K"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _python(code):
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
     src = Path(innoreg.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
     code = "import innoreg.cli, sys; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out == "False\n"
+    assert _python(code) == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY,
+    ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c-max", "4"],
+    ["indices", "EMP"],
+], ids=["game-verify", "game-region", "indices"])
+def test_numpy_only_commands_import_no_scipy(tmp_path, argv):
+    emp = tmp_path / "emp.csv"
+    emp.write_text(EMP)
+    argv = [str(emp) if a == "EMP" else a for a in argv]
+    code = ("import contextlib, io, sys\n"
+            "from innoreg import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _python(code) == "0 []\n"
+
+
+def test_every_public_name_resolves_through_the_lazy_package():
+    code = ("import innoreg, sys\n"
+            "print(sorted(m for m in sys.modules if m.startswith('innoreg.')))\n"
+            "names = innoreg.__all__\n"
+            "print(sorted(set(names) - set(dir(innoreg))))\n"
+            "print([n for n in names if getattr(innoreg, n, None) is None])\n"
+            "from innoreg import *\n"
+            "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
+    assert _python(code) == "[]\n[]\n[]\nTrue\n"
+    assert len(innoreg.__all__) == 62
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        innoreg.nope

@@ -153,6 +153,34 @@ def test_verify_equilibrium_rejects_off_equilibrium_point():
     assert rep.checks["argmax_leader"]  # the closed form itself is still right
 
 
+def test_verify_equilibrium_rejects_off_equilibrium_follower_quantity():
+    p = MarketParams(a=10.0, c=1.0)
+    eq = equilibrium_at_royalty(p, 1.0)
+    bad = Equilibrium(q1=eq.q1, q2=eq.q2 + 0.5, r=eq.r, r_squared=eq.r_squared,
+                      price=eq.price, leader_payoff=eq.leader_payoff,
+                      follower_payoff=eq.follower_payoff, flags=eq.flags)
+    rep = verify_equilibrium(p, bad)
+    assert [k for k, ok in rep.checks.items() if not ok] == ["point_follower"]
+    assert rep.point_follower_gap == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("knobs", [  # the CLI table has grid 0, -5, fd_step 0, tol nan
+    {"fd_step": math.inf}, {"fd_step": math.nan}, {"tol": -1e-9}, {"tol": math.inf},
+])
+def test_verify_equilibrium_rejects_bad_knobs(knobs):
+    p = MarketParams(a=10.0, c=1.0)
+    with pytest.raises(ValueError):
+        verify_equilibrium(p, equilibrium_at_royalty(p, 1.0), **knobs)
+
+
+def test_verify_equilibrium_ends_where_xatol_is_below_one_ulp():
+    # near q = 1e12 one ulp is 1.2e-4, so a search to xatol = 1e-10 alone never ends
+    p = MarketParams(a=1e12, c=1.0)
+    rep = verify_equilibrium(p, equilibrium_at_royalty(p, 1.0))
+    assert rep.argmax_follower_gap < 1e-6 * p.a
+    assert rep.argmax_leader_gap < 1e-6 * p.a
+
+
 def test_verify_equilibrium_non_finite_input():
     p = MarketParams(a=10.0, c=1.0)
     eq = equilibrium_at_royalty(p, 1.0)
@@ -206,3 +234,32 @@ def test_spne_leader_quantity_is_exactly_zero():
         assert eq.q1 == 0.0 and eq.flags.q1_nonneg
         assert eq.leader_payoff == 0.0
         assert eq.q2 == pytest.approx(2.0 * (a - c) / 3.0, rel=1e-12, abs=1e-15)
+
+
+_market = st.floats(0.01, 50.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_market, min_size=1, max_size=8), st.lists(_market, min_size=1, max_size=8))
+@example([1.0, 2.9, 5.0, 7.3], [1.0, 2.9, 5.0, 7.3])
+def test_feasibility_region_equals_spne_at_every_point(a_values, c_values):
+    rows = feasibility_region(a_values, c_values)
+    assert [(row["a"], row["c"]) for row in rows] == [
+        (a, c) for a in a_values for c in c_values]
+    for row in rows:
+        eq = spne(MarketParams(a=row["a"], c=row["c"]))
+        assert eq.q1 == 0.0
+        assert row == {"a": row["a"], "c": row["c"], "r_real": int(eq.flags.r_real),
+                       "q1_nonneg": int(eq.flags.q1_nonneg),
+                       "q2_nonneg": int(eq.flags.q2_nonneg),
+                       "p_nonneg": int(eq.flags.price_nonneg)}
+
+
+@pytest.mark.parametrize("a_values, c_values, message", [
+    ([1.0, -1.0, math.nan], [1.0], "must be positive"),
+    ([1.0, math.inf], [1.0, 0.0], "must be positive"),  # (1, 0) comes before (inf, 1)
+    ([math.inf, 1.0], [1.0, 0.0], "must be finite"),
+])
+def test_feasibility_region_rejects_the_first_invalid_market(a_values, c_values, message):
+    with pytest.raises(ValueError, match=message):
+        feasibility_region(a_values, c_values)

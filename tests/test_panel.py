@@ -88,6 +88,9 @@ _STATS_HEADER = "name,count,mean,sd,min,max\n"
     (load_panel, "region,year,A\nr,2001,1\nr,2001,2\nr\n",
      "line 3: conflicting duplicate row for ('r', 2001)"),
     (load_panel, "region,year,A\nr,2001,1\nr,2002\n", "line 3: expected 3 cells, got 2"),
+    (load_panel, 'region,year,A\n"r\n1",2001,1\nr1,2002\n', "line 4: expected 3 cells, got 2"),
+    (load_panel, 'region,year,A\n"r\n1",2001,1\nr1,2002,x\n',
+     "line 4: 'A' cell 'x' is not numeric"),
     (load_employment, "region,year\n1\n",
      "line 1: header must be region,year,industry,parent,employment"),
     (load_employment, _EMP_HEADER + "r,2001,f,m,-1\nr\n", "line 2: negative employment -1.0"),
@@ -97,6 +100,7 @@ _STATS_HEADER = "name,count,mean,sd,min,max\n"
     (DescriptiveStats.from_csv, _STATS_HEADER + "A,x,1,1,1,1\nB\n",
      "line 2: 'A' count 'x' is not an integer"),
 ], ids=["panel-header", "panel-column", "panel-cell", "panel-duplicate", "panel-ragged",
+        "panel-ragged-after-a-two-line-cell", "panel-cell-after-a-two-line-cell",
         "employment-header", "employment-cell", "employment-ragged", "stats-header",
         "stats-cell"])
 def test_a_ragged_row_is_reported_after_the_header_and_earlier_lines(load, text, message):

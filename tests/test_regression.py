@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -278,15 +278,19 @@ def test_leverage_one_cell_gets_a_finite_robust_se(hc):
     assert np.all(np.isfinite(res.se_robust))
 
 
-def test_elasticity_invariant_to_regressor_rescaling():
-    rng = np.random.default_rng(97)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
+@example(97, 7.0)
+def test_elasticity_invariant_to_regressor_rescaling(seed, scale):
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(6, 8)) + 3.0
     y = 1.0 + 0.5 * x + 0.1 * rng.normal(size=(6, 8))
     spec = RegressionSpec(dependent="Y", regressors=[{"name": "X"}])
     r1 = pooled_ols(build_panel({"Y": y, "X": x}), spec)
-    r2 = pooled_ols(build_panel({"Y": y, "X": 7.0 * x}), spec)
+    r2 = pooled_ols(build_panel({"Y": y, "X": scale * x}), spec)
     e1 = elasticity(r1.coefficient("X"), x.mean(), y.mean())
-    e2 = elasticity(r2.coefficient("X"), 7.0 * x.mean(), y.mean())
+    e2 = elasticity(r2.coefficient("X"), (scale * x).mean(), y.mean())
     assert e1 == pytest.approx(e2, rel=1e-10)
 
 
