@@ -396,8 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="finite-difference / grid-search oracle report")
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--grid", type=int, default=4000)
-    g.add_argument("--fd-step", type=float, default=1e-5)
-    g.add_argument("--tol", type=float, default=1e-6)
+    g.add_argument("--fd-step", type=float, default=1e-5,
+                   help="finite-difference step, times the market scale "
+                        "s = max(1, |a|, |c|, |q1|, |q2|, r^2)")
+    g.add_argument("--tol", type=float, default=1e-6,
+                   help="gap tolerance, times the market scale s")
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("region", parents=[shared],
                         help="feasibility flags over an (a, c) grid")

@@ -268,8 +268,7 @@ def _refine_argmax(f, lo, hi, coarse: int, xatol: float) -> float:
     a, b = max(lo, best - 2 * step), min(hi, best + 2 * step)
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    # stop at xatol, or at a few ulps, below which [a, b] would stop shrinking
-    while b - a > max(xatol, 4.0 * math.ulp(max(abs(a), abs(b)))):
+    while b - a > xatol:
         if f1 >= f2:  # the maximizer is in [a, x2]
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -289,8 +288,9 @@ class VerificationReport:
     derivatives; argmax gaps compare the maximizers of the stage objectives,
     found by a grid search refined by golden-section search, against the
     closed-form quantities; point gaps compare the candidate quantities
-    against those optima. ``checks`` holds a boolean per item at the
-    caller's tolerance.
+    against those optima. ``checks`` holds a boolean per item, true when the
+    gap is at most ``tolerance``: the caller's ``tol`` times the market scale
+    ``max(1, |a|, |c|, |q1|, |q2|, r^2)``.
     """
 
     foc_follower_gap: float
@@ -320,9 +320,20 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
     grid : int
         Coarse grid resolution used to bracket each stage argmax; at least 1.
     fd_step : float
-        Central finite-difference step; finite and positive.
+        Central finite-difference step relative to the market scale; finite
+        and positive.
     tol : float
-        Tolerance for the boolean checks; finite and non-negative.
+        Tolerance for the boolean checks relative to the market scale;
+        finite and non-negative.
+
+    Every check is scaled to the market: with s = max(1, |a|, |c|, |q1|,
+    |q2|, r^2), the finite-difference step is ``fd_step * s``, the argmax
+    search resolves to ``1e-10 * s``, and each gap (a quantity, or a
+    derivative of a profit of order s^2) is compared with ``tol * s``. The
+    rounding error of a difference quotient, about eps |profit| / step, and
+    the flat top of a maximized profit, about sqrt(eps) s wide, then stay
+    the same fraction of the tolerance at every market size, as does a
+    candidate moved off its optimum by a fixed share of s.
 
     Non-real royalties are handled by verifying in ``r**2`` space where the
     objective is a polynomial either way.
@@ -338,32 +349,33 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
             raise ValueError("equilibrium carries non-finite values")
     a, c = params.a, params.c
     rsq = eq.r_squared
+    scale = max(1.0, abs(a), abs(c), abs(eq.q1), abs(eq.q2), abs(rsq))
+    h, tol = fd_step * scale, tol * scale
 
     # follower FOC: d(pi2)/dq2 = a - q1 - 2 q2 - r^2 - c
     closed = a - eq.q1 - 2.0 * eq.q2 - rsq - c
-    fd = _central_diff(lambda q2: _pi2(rsq, eq.q1, q2, a, c), eq.q2, fd_step)
+    fd = _central_diff(lambda q2: _pi2(rsq, eq.q1, q2, a, c), eq.q2, h)
     foc_follower_gap = abs(fd - closed)
 
     # leader FOC: d(pi1)/dq1 = a/2 - q1 + 3 r^2 / 2 - c/2
     closed = a / 2.0 - eq.q1 + 1.5 * rsq - c / 2.0
-    fd = _central_diff(lambda q1: _pi1(rsq, q1, a, c), eq.q1, fd_step)
+    fd = _central_diff(lambda q1: _pi1(rsq, q1, a, c), eq.q1, h)
     foc_leader_gap = abs(fd - closed)
 
     # royalty FOC vs finite difference in r (real r only; else identically 3*r*q1 at r = sqrt|rsq|)
     r = eq.r if math.isfinite(eq.r) else 0.0
-    fd = _central_diff(lambda rr: _pi1(rr * rr, eq.q1, a, c), r, fd_step)
+    fd = _central_diff(lambda rr: _pi1(rr * rr, eq.q1, a, c), r, h)
     foc_royalty_gap = abs(fd - royalty_foc(r, eq.q1))
 
     # stage argmax agreement; both objectives are concave quadratics
-    span = max(1.0, abs(a), abs(eq.q1), abs(eq.q2), abs(rsq))
     br = _reaction(rsq, eq.q1, a, c)
     got = _refine_argmax(lambda q2: _pi2(rsq, eq.q1, q2, a, c),
-                         br - span, br + span, grid, 1e-10)
+                         br - scale, br + scale, grid, 1e-10 * scale)
     argmax_follower_gap = abs(got - br)
 
     q1_star = _q1_star(rsq, a, c)
     got = _refine_argmax(lambda q1: _pi1(rsq, q1, a, c),
-                         q1_star - span, q1_star + span, grid, 1e-10)
+                         q1_star - scale, q1_star + scale, grid, 1e-10 * scale)
     argmax_leader_gap = abs(got - q1_star)
 
     # and the candidate itself must sit on the stage optima

@@ -205,7 +205,11 @@ def render_table(rows, columns, fmt: str, precision: int = 4) -> str:
 
 @dataclass(frozen=True)
 class RegionalPanel:
-    """Balanced panel of named R x T variable matrices (NaN = missing)."""
+    """Balanced panel of named R x T variable matrices.
+
+    NaN marks a missing cell; an infinite cell raises PanelError naming its
+    variable.
+    """
 
     regions: tuple
     years: tuple
@@ -226,6 +230,8 @@ class RegionalPanel:
             if arr.shape != shape:
                 raise PanelError(
                     f"variable {name!r} has shape {arr.shape}, expected {shape}")
+            if np.isinf(arr).any():
+                raise PanelError(f"variable {name!r} has an infinite cell")
             arr = arr.copy()
             arr.setflags(write=False)
             frozen[name] = arr
@@ -625,16 +631,20 @@ def _apportionment_diagnostic(panel, target, national, proxy) -> float:
 # lags
 
 
+def _check_lag(panel: RegionalPanel, k) -> None:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k <= 0:
+        raise PanelError("lag order must be a positive integer")
+    if k >= panel.n_years:
+        raise PanelError(f"lag {k} >= panel length {panel.n_years}")
+
+
 def lag(panel: RegionalPanel, variable: str, k: int) -> np.ndarray:
     """Shift a variable k years back within each region.
 
     The first k years of every region come back missing; values never cross
     region boundaries. k must be a positive integer below T.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k <= 0:
-        raise PanelError("lag order must be a positive integer")
-    if k >= panel.n_years:
-        raise PanelError(f"lag {k} >= panel length {panel.n_years}")
+    _check_lag(panel, k)
     src = panel.matrix(variable)
     out = np.full_like(src, np.nan)
     out[:, k:] = src[:, :-k]

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import qr as _qr_pivot, solve_triangular
 from scipy.special import fdtrc
 
-from .panel import PanelError, RegionalPanel, lag, markdown_table
+from .panel import PanelError, RegionalPanel, _check_lag, markdown_table
 
 __all__ = [
     "CollinearityError",
@@ -226,16 +226,18 @@ def _factor(X: np.ndarray, names=None):
 def _sandwich(X, e, xtx_inv, h, hc: str) -> np.ndarray:
     n, k = X.shape
     hc = hc.upper()
-    w = e * e
+    sw = np.abs(e)  # the square root of each observation's weight
     if hc in ("HC2", "HC3"):
         denom = np.maximum(1.0 - h, 1e-12)
-        w = w / denom if hc == "HC2" else w / denom ** 2
+        sw = sw / np.sqrt(denom) if hc == "HC2" else sw / denom
     elif hc not in ("HC0", "HC1"):
         raise ValueError(f"unknown robust variant {hc!r}")
-    # (X'X)^-1 X' diag(w) X (X'X)^-1 as the Gram matrix G'G: its diagonal is a
-    # sum of squares, so a variance that is 0 in theory cannot round below 0
-    g = (X @ xtx_inv) * np.sqrt(w)[:, None]
-    cov = g.T @ g
+    # (X'X)^-1 X' diag(w) X (X'X)^-1 as the Gram matrix G G': its diagonal is a
+    # sum of squares, so a variance that is 0 in theory cannot round below 0.
+    # G is k x n, so scaling its columns runs along rows of length n.
+    g = xtx_inv.T @ X.T
+    g *= sw
+    cov = g @ g.T
     if hc == "HC1":
         cov = cov * (n / (n - k))
     return (cov + cov.T) / 2.0
@@ -266,7 +268,9 @@ def vif(X: np.ndarray, names=None):
     Each auxiliary regression includes an intercept; VIF_j = 1/(1 - R_j^2),
     the squared row norm of R^-1 for the centred, unit-norm block Z P = Q R.
     Columns caught in an exactly collinear set (past the rank, or in the
-    support of R11^-1 R12) come back +inf with a warning.
+    support of R11^-1 R12) come back +inf with a warning. :func:`pooled_ols`
+    calls this only for a spec without an intercept; with one, it reads the
+    same values off the (X'X)^-1 of its own factorization.
 
     Returns (dict name -> VIF, average).
     """
@@ -297,36 +301,31 @@ def vif(X: np.ndarray, names=None):
 # design assembly
 
 
-def _raw_column(panel, name, lag_k):
-    if lag_k == 0:
-        return panel.column(name)
-    return lag(panel, name, lag_k).ravel()
-
-
 def orthogonalize(x1, x2, mode: str = "mutual"):
     """Residualize a correlated pair to tame interaction collinearity.
 
     mutual: each series is replaced by its residual from a regression on the
     other (plus intercept). residualize-second: the first series passes
     through untouched, only the second is residualized on the first.
+
+    The residual of y on [1, x] is taken in closed form from the centred
+    series, y~ - (x~.y~ / x~.x~) x~; an identical pair comes back exactly 0.
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x1.shape != x2.shape or x1.ndim != 1:
         raise PanelError("orthogonalize expects two equal-length series")
-    for i, s in enumerate((x1, x2), start=1):
-        if np.std(s) == 0:
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise PanelError("orthogonalize inputs must be finite")
+    c1, c2 = x1 - x1.mean(), x2 - x2.mean()
+    s11, s22, s12 = c1 @ c1, c2 @ c2, c1 @ c2
+    for i, ss in enumerate((s11, s22), start=1):
+        if ss == 0:
             raise PanelError(f"series {i} is constant; cannot orthogonalize")
-
-    def _resid(y, on):
-        a = np.column_stack([np.ones_like(on), on])
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        return y - a @ coef
-
     if mode == "mutual":
-        return _resid(x1, x2), _resid(x2, x1)
+        return c1 - (s12 / s22) * c2, c2 - (s12 / s11) * c1
     if mode == "residualize-second":
-        return x1.copy(), _resid(x2, x1)
+        return x1.copy(), c2 - (s12 / s11) * c1
     raise PanelError(f"unknown orthogonalization mode {mode!r}")
 
 
@@ -342,40 +341,57 @@ def interaction_term(s1, s2) -> np.ndarray:
 
 
 def _build_design(panel: RegionalPanel, spec: RegressionSpec):
-    y_raw = panel.column(spec.dependent)
-    reg_cols = [_raw_column(panel, r.name, r.lag) for r in spec.regressors]
-    inter_inputs = [(_raw_column(panel, i.x1, i.lag1),
-                     _raw_column(panel, i.x2, i.lag2)) for i in spec.interactions]
+    """(y, X, names) over the rows complete in every variable the spec touches.
 
-    stack = [y_raw, *reg_cols]
-    for a, b in inter_inputs:
-        stack.extend((a, b))
-    mask = ~np.isnan(np.column_stack(stack)).any(axis=1)
-    if mask.sum() == 0:
+    One (rows x R x T) array holds X' (the intercept row, the regressors, a
+    slot per interaction), then y and both inputs of each interaction, a lag
+    written as a shifted slice. One mask of complete rows and one gather give
+    the sample; each interaction slot is filled from its gathered inputs.
+    """
+    m, j0 = len(spec.regressors), int(spec.intercept)
+    k = j0 + m + len(spec.interactions)
+    inputs = [v for i in spec.interactions for v in ((i.x1, i.lag1), (i.x2, i.lag2))]
+    terms = [(k, spec.dependent, 0),  # (row, variable, lag), the dependent first
+             *((j0 + j, r.name, r.lag) for j, r in enumerate(spec.regressors)),
+             *((k + 1 + j, nm, lg) for j, (nm, lg) in enumerate(inputs))]
+    raw = np.empty((k + 1 + len(inputs), panel.n_regions, panel.n_years))
+    raw[:j0] = 1.0
+    raw[j0 + m:k] = 0.0
+    for row, name, lg in terms:
+        if lg == 0:
+            raw[row] = panel.matrix(name)
+        else:
+            _check_lag(panel, lg)
+            raw[row, :, :lg] = np.nan
+            raw[row, :, lg:] = panel.matrix(name)[:, :-lg]
+    raw = raw.reshape(len(raw), -1)
+    rows = raw.compress(~np.isnan(raw).any(axis=0), axis=1)
+    if rows.shape[1] == 0:
         raise PanelError(f"spec {spec.label!r} has no complete observations")
-
-    y = y_raw[mask]
-    cols, names = [], []
-    if spec.intercept:
-        cols.append(np.ones(mask.sum()))
-        names.append("const")
-    for r, col in zip(spec.regressors, reg_cols):
-        cols.append(col[mask])
-        names.append(r.label)
-    for i, (a, b) in zip(spec.interactions, inter_inputs):
-        oa, ob = orthogonalize(a[mask], b[mask], mode=i.mode)
-        cols.append(interaction_term(oa, ob))
-        names.append(i.label)
-    return y, np.column_stack(cols), names
+    if k == 0:
+        raise PanelError(f"spec {spec.label!r} has no design columns")
+    for j, i in enumerate(spec.interactions):
+        oa, ob = orthogonalize(rows[k + 1 + 2 * j], rows[k + 2 + 2 * j], mode=i.mode)
+        np.multiply(oa, ob, out=rows[j0 + m + j])
+    names = ["const"] * j0 + [r.label for r in spec.regressors] + \
+        [i.label for i in spec.interactions]
+    return rows[k], rows[:k].T, names
 
 
 def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
                hc: str = "HC1") -> RegressionResult:
-    """Fit one spec by pooled OLS with robust inference.
+    """Fit one spec by pooled OLS with robust inference, from one pivoted QR.
 
     The reported F statistic is a robust Wald test that all non-intercept
     coefficients vanish; stars on coefficients come from robust t statistics
     against the normal approximation (10/5/1%).
+
+    With an intercept, the VIFs come from the same factorization: by
+    Frisch-Waugh-Lovell the slope block of (X'X)^-1 is (Zc'Zc)^-1 for the
+    centred slopes Zc, so VIF_j = [(X'X)^-1]_jj * sum_i (z_ij - mean_j)^2,
+    the sum read off R. Without one, the auxiliary regressions of
+    :func:`vif` add an intercept the fit does not have, so ``vif`` runs on
+    the slope block.
     """
     y, X, names = _build_design(panel, spec)
     n, k = X.shape
@@ -391,19 +407,16 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     cov_classical = sigma2 * xtx_inv
     cov_robust = _sandwich(X, resid, xtx_inv, leverage, hc)
 
-    if spec.intercept:
-        sst = float(np.sum((y - y.mean()) ** 2))
-    else:
-        sst = float(y @ y)
+    yc = y - y.mean() if spec.intercept else y
+    sst = float(yc @ yc)
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
 
-    slope_idx = [i for i, nm in enumerate(names) if nm != "const"]
-    if slope_idx:
-        b = beta[slope_idx]
-        v = cov_robust[np.ix_(slope_idx, slope_idx)]
+    j0 = int(spec.intercept)  # the intercept, when present, is column 0
+    m = k - j0
+    if m:
+        b = beta[j0:]
         try:
-            wald = float(b @ np.linalg.solve(v, b))
-            m = len(slope_idx)
+            wald = float(b @ np.linalg.solve(cov_robust[j0:, j0:], b))
             f_stat = wald / m
             f_p = float(fdtrc(m, n - k, f_stat))
         except np.linalg.LinAlgError:
@@ -411,9 +424,18 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     else:
         f_stat, f_p = math.nan, math.nan
 
-    vif_map, avg = (None, None)
-    if len(slope_idx) >= 2:
-        vif_map, avg = vif(X[:, slope_idx], [names[i] for i in slope_idx])
+    vif_map, avg = None, None
+    if m >= 2 and spec.intercept:
+        # X = Q Rc, Rc being R with its columns back in design order, so each
+        # slope's centred sum of squares is the squared norm of its Rc column
+        # once the intercept's column is projected out: k x k work, not n x k
+        rc = r[:, np.argsort(piv)]
+        one = rc[:, 0]
+        zc = rc[:, 1:] - np.outer(one, one @ rc[:, 1:] / (one @ one))
+        values = np.diag(xtx_inv)[1:] * np.einsum("ij,ij->j", zc, zc)
+        vif_map, avg = dict(zip(names[1:], values.tolist())), float(np.mean(values))
+    elif m >= 2:
+        vif_map, avg = vif(X, names)
 
     return RegressionResult(
         label=spec.label, names=names, beta=beta,

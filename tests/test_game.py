@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -179,6 +180,19 @@ def test_verify_equilibrium_ends_where_xatol_is_below_one_ulp():
     rep = verify_equilibrium(p, equilibrium_at_royalty(p, 1.0))
     assert rep.argmax_follower_gap < 1e-6 * p.a
     assert rep.argmax_leader_gap < 1e-6 * p.a
+
+
+@pytest.mark.parametrize("a", [1.0, 1e3, 1e6])
+def test_verify_equilibrium_is_scaled_to_the_market(a):
+    p = MarketParams(a=a, c=1.0)
+    eq = equilibrium_at_royalty(p, 1.0)
+    rep = verify_equilibrium(p, eq)
+    scale = max(1.0, a, 1.0, abs(eq.q1), abs(eq.q2), eq.r_squared)
+    assert rep.all_ok() and rep.tolerance == 1e-6 * scale
+    for name in ("q1", "q2"):  # off the stage optimum by 1e-4 of the scale
+        for sign in (1.0, -1.0):
+            moved = dataclasses.replace(eq, **{name: getattr(eq, name) + sign * 1e-4 * scale})
+            assert not verify_equilibrium(p, moved).all_ok()
 
 
 def test_verify_equilibrium_non_finite_input():

@@ -243,6 +243,20 @@ def test_panel_data_is_isolated_and_readonly():
         p.matrix("X")[0, 0] = 5.0  # views are write-protected
 
 
+@pytest.mark.parametrize("cell", [np.inf, -np.inf])
+def test_panel_rejects_an_infinite_cell_naming_its_variable(cell):
+    x = np.arange(6, dtype=float).reshape(2, 3)
+    bad = x.copy()
+    bad[1, 2] = cell
+    with pytest.raises(PanelError, match="'B' has an infinite cell"):
+        build_panel({"A": x, "B": bad})
+    p = build_panel({"A": x, "B": x.copy()})
+    with pytest.raises(PanelError, match="'C' has an infinite cell"):
+        p.with_variable("C", bad)
+    x[0, 0] = np.nan  # NaN still means missing
+    assert np.isnan(p.with_variable("C", x).matrix("C")[0, 0])
+
+
 def test_to_csv_roundtrip_with_missing():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(3, 4))

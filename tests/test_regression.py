@@ -100,6 +100,12 @@ def test_collinearity_is_reported():
                                      regressors=[{"name": "A"}, {"name": "B"}]))
 
 
+def test_a_spec_without_design_columns_is_a_panel_error():
+    p = rand_panel(np.random.default_rng(17), ["Y"])
+    with pytest.raises(PanelError, match="'empty' has no design columns"):
+        pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, label="empty"))
+
+
 def test_robust_covariance_variants():
     rng = np.random.default_rng(17)
     n, k = 60, 3
@@ -195,6 +201,15 @@ def test_orthogonalize_residualize_second_keeps_first():
         orthogonalize(x1, np.ones(60))
     with pytest.raises(PanelError):
         orthogonalize(x1, x2[:-1])
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_orthogonalize_rejects_non_finite_input(cell):
+    x = np.array([1.0, 2.0, 4.0, 7.0])
+    with pytest.raises(PanelError, match="must be finite"):
+        orthogonalize(np.array([cell, 2.0, 3.0, 5.0]), x)
+    with pytest.raises(PanelError, match="must be finite"):
+        orthogonalize(x, np.array([1.0, cell, 3.0, 5.0]), mode="residualize-second")
 
 
 def test_orthogonalize_already_orthogonal_pair():
@@ -458,8 +473,19 @@ def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
     for hc in ("HC0", "HC1", "HC2", "HC3"):
         shapes.clear()
         res = pooled_ols(p, spec, hc=hc)
-        assert shapes == [(48, 4), (48, 3)]  # the design, then its slope block
+        assert shapes == [(48, 4)]  # the design; its VIFs come from the same QR
         assert np.isfinite(res.se_robust).all() and res.avg_vif >= 1.0
+    # an interaction adds a column, not a factorization (lstsq is forbidden)
+    shapes.clear()
+    res = pooled_ols(p, RegressionSpec(
+        dependent="Y", regressors=[{"name": "X1"}, {"name": "X2"}],
+        interactions=[{"x1": "X1", "x2": "X3"}]))
+    assert shapes == [(48, 4)] and res.names[-1] == "X1*X3"
+    # without an intercept, vif() keeps its own QR of the slope block
+    shapes.clear()
+    res = pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, regressors=[
+        {"name": "X1"}, {"name": "X2"}, {"name": "X3"}]))
+    assert shapes == [(48, 3), (48, 3)] and res.avg_vif >= 1.0
     shapes.clear()
     robust_covariance(np.column_stack([np.ones(48), p.column("X1")]),
                       rng.normal(size=48), "HC3")
@@ -533,3 +559,53 @@ def test_collinearity_error_names_the_dependent_set():
 def test_spec_from_dict_rejects_bad_keys(spec, match):
     with pytest.raises(PanelError, match=match):
         RegressionSpec.from_dict(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.booleans(),
+       st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       st.floats(0.0, 0.95))
+def test_vifs_from_the_fit_match_vif_on_the_slope_block(seed, k, inter, log_means, rho):
+    """With an intercept, pooled_ols reads the VIFs off its own QR;
+    vif() on the slope block of the same design is the oracle."""
+    rng = np.random.default_rng(seed)
+    shared = rng.normal(size=(5, 7))
+    data = {"Y": rng.normal(size=(5, 7))}
+    for j in range(k):  # correlated columns, means up to 1e3 sd away from 0
+        sd = 10.0 ** rng.uniform(-3, 3)
+        z = np.sqrt(rho) * shared + np.sqrt(1 - rho) * rng.normal(size=(5, 7))
+        data[f"X{j}"] = sd * (z + np.sign(log_means[j]) * 10.0 ** abs(log_means[j]))
+    spec = RegressionSpec(dependent="Y",
+                          regressors=[{"name": f"X{j}"} for j in range(k)],
+                          interactions=[{"x1": "X0", "x2": "X1"}] if inter else [])
+    p = build_panel(data)
+    res = pooled_ols(p, spec)
+    _, X, names = reg._build_design(p, spec)
+    want, avg = vif(X[:, 1:], names[1:])
+    assert list(res.vif) == list(want)
+    np.testing.assert_allclose(list(res.vif.values()), list(want.values()), rtol=1e-9)
+    assert res.avg_vif == pytest.approx(avg, rel=1e-9)
+
+
+def _lstsq_resid(y, on):
+    a = np.column_stack([np.ones_like(on), on])
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    return y - a @ coef
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.integers(3, 40), elements=st.floats(-1e3, 1e3)),
+       st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1),
+       st.sampled_from(["mutual", "residualize-second"]))
+def test_orthogonalize_matches_the_lstsq_residual(x1, slope, seed, mode):
+    x2 = slope * x1 + np.random.default_rng(seed).uniform(-1e3, 1e3, x1.size)
+    scale = max(np.abs(x1).max(), np.abs(x2).max())
+    for x in (x1, x2):  # well away from a constant series
+        assume(np.std(x) > 1e-3 * scale)
+    a, b = orthogonalize(x1, x2, mode=mode)
+    want_a = _lstsq_resid(x1, x2) if mode == "mutual" else x1
+    np.testing.assert_allclose(a, want_a, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(b, _lstsq_resid(x2, x1), rtol=0, atol=1e-10 * scale)
+    # an identical pair leaves no residual at all
+    a, b = orthogonalize(x1, x1.copy(), mode=mode)
+    assert not b.any() and (not a.any() if mode == "mutual" else (a == x1).all())
