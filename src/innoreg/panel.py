@@ -17,9 +17,10 @@ import io
 import json
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -53,18 +54,24 @@ class PanelParseError(PanelError):
         self.line = line
 
 
-def _parse_float(text: str, line: int, what: str) -> float:
-    """``float(text)``, or a PanelParseError naming the line unless finite.
+def _float_fault(text: str, what: str):
+    """Why ``text`` is not a finite number, or None.
 
     ``what`` names the cell in the message, e.g. ``"employment"``.
     """
     try:
         value = float(text)
     except ValueError:
-        raise PanelParseError(line, f"{what} {text!r} is not numeric") from None
-    if not math.isfinite(value):
-        raise PanelParseError(line, f"{what} {text!r} is not finite")
-    return value
+        return f"{what} {text!r} is not numeric"
+    return None if math.isfinite(value) else f"{what} {text!r} is not finite"
+
+
+def _parse_float(text: str, line: int, what: str) -> float:
+    """``float(text)``, or a PanelParseError naming the line unless finite."""
+    fault = _float_fault(text, what)
+    if fault:
+        raise PanelParseError(line, fault)
+    return float(text)
 
 
 class _Table(NamedTuple):
@@ -81,12 +88,9 @@ class _Table(NamedTuple):
     lines: list
     ragged: PanelParseError | None
 
-    def records(self, columns=None):
-        """``(line, cells)`` of each row kept, then raise ``ragged`` if set.
-
-        ``columns``, when given, replaces ``self.columns`` in the cells.
-        """
-        yield from zip(self.lines, zip(*(self.columns if columns is None else columns)))
+    def records(self):
+        """``(line, cells)`` of each row kept, then raise ``ragged`` if set."""
+        yield from zip(self.lines, zip(*self.columns))
         if self.ragged is not None:
             raise self.ragged
 
@@ -154,21 +158,50 @@ def _read_csv(source) -> _Table:
     return _Table(header, columns, lines, ragged)
 
 
-def _float_column(cells) -> np.ndarray:
-    """``float()`` of every cell, NaN where a cell is empty.
-
-    Raises ValueError unless every non-empty cell is a finite number.
-    """
+def _float_column(cells):
+    """``float()`` of every cell, NaN where a cell is empty; None unless every
+    non-empty cell is a finite number."""
     if "" in cells:
         cells = np.array(cells, dtype=object)
         empty = cells == ""
         cells[empty] = "nan"
     else:
         empty = False
-    values = np.fromiter(map(float, cells), float, len(cells))
-    if not (np.isfinite(values) | empty).all():
-        raise ValueError("non-finite cell")
-    return values
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+    return values if (np.isfinite(values) | empty).all() else None
+
+
+def _year_column(cells):
+    """``int()`` of every cell, or None unless every cell is an integer."""
+    try:
+        years = list(map(int, cells))
+    except ValueError:
+        return None
+    try:
+        return np.array(years, dtype=np.int64)
+    except OverflowError:  # an object array keeps a year beyond int64 exact
+        return np.array(years, dtype=object)
+
+
+def _year_fault(text):
+    return _year_column([text]) is None and f"year {text!r} is not an integer"
+
+
+def _first_error(table, checks) -> PanelParseError | None:
+    """The error of the table's first bad line, else its ragged row's, or None.
+
+    A check is ``(ok, fault, *columns)``, ``ok`` telling whether its columns
+    passed their whole-column check. Where one did not, ``fault(*cells)``,
+    the message naming a bad row or a false value, is read row by row. The
+    earliest bad line wins; on one line, the check listed first.
+    """
+    errors = (next(PanelParseError(line, message) for line, *cells in zip(table.lines, *columns)
+                   if (message := fault(*cells)))
+              for ok, fault, *columns in checks if not ok)
+    return min(errors, key=attrgetter("line"), default=table.ragged)
 
 
 def markdown_table(header, body) -> str:
@@ -305,7 +338,8 @@ def load_panel(source, schema=None) -> RegionalPanel:
 
     Rows duplicated by (region, year) merge silently when their values agree
     and raise on conflict. Unbalanced grids raise listing the missing cells.
-    A header naming a column twice raises.
+    A header naming a column twice raises. The first bad line is reported,
+    then a ragged row, then the missing cells.
     """
     table = _read_csv(source)
     header = table.header
@@ -324,95 +358,56 @@ def load_panel(source, schema=None) -> RegionalPanel:
         names = file_vars
     regions, years = table.columns[:2]
     cells = [table.columns[header.index(v)] for v in names]
-    # whole columns at once; any failed check reruns the row loop, which
-    # raises naming the first bad line or merges repeated identical rows
-    try:
-        if "" in regions or table.ragged is not None:
-            raise ValueError("empty region identifier or ragged row")
-        year_values = np.fromiter(map(int, years), np.int64, len(years))
-        values = [_float_column(c) for c in cells]
-    except (ValueError, OverflowError):  # OverflowError: a year beyond int64
-        panel = None
-    else:
-        panel = _panel_grid(names, regions, year_values, values)
-    if panel is None:
-        panel = _panel_grid(names, *_panel_rows(names, table.records([regions, years, *cells])))
-    return panel
+    year_values, values = _year_column(years), [_float_column(c) for c in cells]
+    error = _first_error(table, [
+        ("" not in regions, lambda region: not region and "empty region identifier", regions),
+        (year_values is not None, _year_fault, years),
+        *((v is not None, lambda text, what=f"{name!r} cell": text and _float_fault(text, what), c)
+          for name, v, c in zip(names, values, cells))])
+    if error is not table.ragged:  # a bad cell: go on with the rows above its line
+        n = bisect_left(table.lines, error.line)
+        regions, years, cells = regions[:n], years[:n], [c[:n] for c in cells]
+        year_values, values = _year_column(years), [_float_column(c) for c in cells]
 
-
-def _panel_grid(names, regions, years, values):
-    """The panel holding ``values[k][i]`` at (``regions[i]``, ``years[i]``).
-
-    Regions keep their first-appearance order and years are sorted. Returns
-    None unless every (region, year) pair of the grid occurs exactly once.
-    """
     region_at = {r: i for i, r in enumerate(dict.fromkeys(regions))}
-    year_values, year_index = np.unique(years, return_inverse=True)
-    shape = (len(region_at), len(year_values))
+    year_values, year_index = np.unique(year_values, return_inverse=True)
+    n_years = len(year_values)
     cell = (np.fromiter(map(region_at.__getitem__, regions), np.intp, len(regions))
-            * shape[1] + year_index)
-    if len(cell) != shape[0] * shape[1] or np.unique(cell).size != len(cell):
-        return None
-    data = {}
-    for name, column in zip(names, values):
-        mat = np.empty(len(cell))
-        mat[cell] = column
-        data[name] = mat.reshape(shape)
-    return RegionalPanel(regions=tuple(region_at), years=tuple(year_values.tolist()),
-                         data=data)
-
-
-def _panel_rows(names, records) -> tuple:
-    """``load_panel``'s per-row parse of ``(line, (region, year, *cells))``
-    records: the first bad line raises, naming it.
-
-    Returns the distinct rows as ``_panel_grid`` arguments (regions, years,
-    values), a repeated (region, year) row merged when its values agree.
-    """
-    what = [f"{v!r} cell" for v in names]
-    rows: dict = {}
-    for lineno, (region, year_text, *row) in records:
-        if not region:
-            raise PanelParseError(lineno, "empty region identifier")
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise PanelParseError(
-                lineno, f"year {year_text!r} is not an integer") from None
-        values = [math.nan if cell == "" else _parse_float(cell, lineno, w)
-                  for cell, w in zip(row, what)]
-        key = (region, year)
-        if key in rows:
-            old = rows[key]
-            same = all(
-                (math.isnan(a) and math.isnan(b)) or a == b
-                for a, b in zip(old, values))
-            if not same:
-                raise PanelParseError(lineno, f"conflicting duplicate row for {key}")
-            continue  # idempotent merge
-        rows[key] = values
-
-    region_order = list(dict.fromkeys(r for r, _ in rows))
-    years_sorted = sorted({y for _, y in rows})
-    missing_cells = [(r, y) for r in region_order for y in years_sorted
-                     if (r, y) not in rows]
-    if missing_cells:
+            * n_years + year_index)
+    # a repeated (region, year) row keeps its first values; a repeat that
+    # differs from them (NaN matching NaN) names its own line
+    seen, first, which = np.unique(cell, return_index=True, return_inverse=True)
+    if len(seen) < len(cell):
+        conflict, ref = np.zeros(len(cell), dtype=bool), first[which]
+        for column in values:
+            conflict |= ~((column == column[ref]) | (np.isnan(column) & np.isnan(column[ref])))
+        if conflict.any():
+            i = int(np.argmax(conflict))
+            raise PanelParseError(table.lines[i],
+                                  f"conflicting duplicate row for {(regions[i], int(years[i]))}")
+    if error is not None:
+        raise error
+    region_list, year_list = list(region_at), year_values.tolist()
+    missing = np.setdiff1d(np.arange(len(region_list) * n_years), seen).tolist()
+    if missing:
+        missing_cells = [(region_list[c // n_years], year_list[c % n_years]) for c in missing]
         raise PanelError(f"unbalanced panel; missing cells: {missing_cells}")
-    # object dtype keeps a year beyond int64 an exact Python int
-    return ([r for r, _ in rows], np.array([y for _, y in rows], dtype=object),
-            [np.array(v, dtype=float) for v in zip(*rows.values())])
+    return RegionalPanel(regions=tuple(region_list), years=tuple(year_list),
+                         data={name: column[first].reshape(len(region_list), n_years)
+                               for name, column in zip(names, values)})
 
 
 # ---------------------------------------------------------------------------
 # employment tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmploymentTable:
-    """Long-format employment records with a consistent industry→sector map.
+    """Long-format employment records as columns (``regions``, ``years``,
+    industry ``codes``, ``employed``) with a consistent industry→sector map.
 
     Construction also lays the records out as read-only arrays, so the
-    diversity indices reduce over them without rescanning ``rows``:
+    diversity indices reduce over them without rescanning the records:
 
     - ``keys``: the sorted (region, year) pairs, one per matrix row;
     - ``industries``: the sorted industry codes, one per matrix column;
@@ -424,19 +419,21 @@ class EmploymentTable:
       industry column, the index of its sector.
     """
 
-    rows: tuple  # of (region, year, industry, parent, employment)
+    regions: tuple
+    years: tuple
+    codes: tuple
+    employed: np.ndarray
     parents: dict
-    keys: tuple = field(init=False, repr=False, compare=False)
-    industries: tuple = field(init=False, repr=False, compare=False)
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
-    national_counts: np.ndarray = field(init=False, repr=False, compare=False)
-    sectors: tuple = field(init=False, repr=False, compare=False)
-    sector_index: np.ndarray = field(init=False, repr=False, compare=False)
+    keys: tuple = field(init=False, repr=False)
+    industries: tuple = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    national_counts: np.ndarray = field(init=False, repr=False)
+    sectors: tuple = field(init=False, repr=False)
+    sector_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # one column at a time: zip(*rows) would make an iterator per record
-        regions, years, inds, emp = (list(map(itemgetter(k), self.rows)) for k in (0, 1, 2, 4))
-        emp = np.array(emp, dtype=float)
+        regions, years, inds = tuple(self.regions), tuple(self.years), tuple(self.codes)
+        emp = np.array(self.employed, dtype=float)
 
         def rank(values):  # the sorted distinct values, and each value's index
             distinct = sorted(set(values))
@@ -449,8 +446,7 @@ class EmploymentTable:
         except KeyError as exc:
             raise PanelError(
                 f"industry {exc.args[0]!r} has no parent sector mapping") from None
-        sectors, sector_index = np.unique(np.array(parent_of, dtype=object),
-                                          return_inverse=True)
+        sectors, sector_index = rank(parent_of)
         year_values, year_index = rank(years)
         n_years, m = len(year_values), len(codes)
         _, first, key_index = np.unique(rank(regions)[1] * n_years + year_index,
@@ -468,7 +464,8 @@ class EmploymentTable:
         if not (np.all(emp >= 0) and np.all(np.isfinite(national.sum(axis=1)))):
             raise PanelError("employment must be non-negative with finite totals")
 
-        derived = {"keys": tuple(keys), "industries": tuple(codes),
+        derived = {"regions": regions, "years": years, "codes": inds, "employed": emp,
+                   "keys": tuple(keys), "industries": tuple(codes),
                    "sectors": tuple(sectors), "counts": counts,
                    "national_counts": national[key_year], "sector_index": sector_index}
         for name, value in derived.items():
@@ -476,71 +473,56 @@ class EmploymentTable:
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
 
+    @property
+    def rows(self) -> tuple:
+        """The ``(region, year, industry, parent, employment)`` records, zipped
+        from the columns on each access."""
+        return tuple(zip(self.regions, self.years, self.codes,
+                         map(self.parents.__getitem__, self.codes), self.employed.tolist()))
+
     def region_years(self) -> list:
         return list(self.keys)
 
     def employment(self, region: str, year: int) -> dict:
-        out: dict = {}
-        for r, y, ind, _, e in self.rows:
-            if r == region and y == year:
-                out[ind] = out.get(ind, 0.0) + e
-        return out
+        """The non-zero employment per industry of one region-year."""
+        return self._nonzero(self.counts, [key == (region, year) for key in self.keys])
 
     def national(self, year: int) -> dict:
-        out: dict = {}
-        for _, y, ind, _, e in self.rows:
-            if y == year:
-                out[ind] = out.get(ind, 0.0) + e
-        return out
+        """The non-zero national employment per industry of one year."""
+        return self._nonzero(self.national_counts, [y == year for _, y in self.keys])
+
+    def _nonzero(self, matrix, match) -> dict:
+        row = matrix[np.flatnonzero(match)[:1]].ravel().tolist()  # empty where none match
+        return {code: e for code, e in zip(self.industries, row) if e}
 
 
 def load_employment(source) -> EmploymentTable:
     """Parse the long-schema employment CSV.
 
     Enforces: non-negative employment, numeric cells, and that every industry
-    code maps to exactly one parent sector across the whole file.
+    code maps to exactly one parent sector across the whole file. The first
+    bad line is reported; a ragged row comes after every earlier line.
     """
     table = _read_csv(source)
     expected = ["region", "year", "industry", "parent", "employment"]
     if table.header != expected:
         raise PanelParseError(1, f"header must be {','.join(expected)}")
     regions, year_cells, inds, parent_cells, emp_cells = table.columns
-    # whole columns at once; any failed check reruns the row loop, which
-    # raises naming the first bad line
-    try:
-        years = list(map(int, year_cells))
-        emps = list(map(float, emp_cells))
-    except ValueError:
-        return _employment_rows(table.records())
-    emp = np.array(emps)
-    parents = dict(zip(inds, parent_cells))
-    if not (table.ragged is None and np.isfinite(emp).all() and (emp >= 0).all()
-            and list(map(parents.__getitem__, inds)) == parent_cells):
-        return _employment_rows(table.records())
-    return EmploymentTable(rows=tuple(zip(regions, years, inds, parent_cells, emps)),
+    years, emp = _year_column(year_cells), _float_column(emp_cells)
+    parents, first_parent = dict(zip(inds, parent_cells)), {}
+    error = _first_error(table, [
+        (years is not None, _year_fault, year_cells),
+        (emp is not None and (emp >= 0).all(),  # NaN, from an empty cell, fails too
+         lambda text: _float_fault(text, "employment")
+         or float(text) < 0 and f"negative employment {float(text)}", emp_cells),
+        (list(map(parents.__getitem__, inds)) == parent_cells,
+         lambda ind, parent: first_parent.setdefault(ind, parent) != parent
+         and f"industry {ind!r} mapped to both {first_parent[ind]!r} and {parent!r}",
+         inds, parent_cells)])
+    if error is not None:
+        raise error
+    return EmploymentTable(regions=regions, years=years.tolist(), codes=inds, employed=emp,
                            parents=parents)
-
-
-def _employment_rows(records) -> EmploymentTable:
-    """``load_employment``'s per-row parse of ``(line, cells)`` records: the
-    first bad line raises, naming it."""
-    rows = []
-    parents: dict = {}
-    for lineno, (region, ys, ind, parent, es) in records:
-        try:
-            year = int(ys)
-        except ValueError:
-            raise PanelParseError(lineno, f"year {ys!r} is not an integer") from None
-        emp = _parse_float(es, lineno, "employment")
-        if emp < 0:
-            raise PanelParseError(lineno, f"negative employment {emp}")
-        if ind in parents and parents[ind] != parent:
-            raise PanelParseError(
-                lineno,
-                f"industry {ind!r} mapped to both {parents[ind]!r} and {parent!r}")
-        parents[ind] = parent
-        rows.append((region, year, ind, parent, emp))
-    return EmploymentTable(rows=tuple(rows), parents=parents)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def _collinear_set(r: np.ndarray, piv: np.ndarray, rank: int) -> list:
 
 
 def _factor(X: np.ndarray, names=None):
-    """(Q, R, piv, (X'X)^-1, leverages) of a full-rank design, from one QR.
+    """(Q, R, piv, (X'X)^-1) of a full-rank design, from one QR.
 
     A rank-deficient X raises CollinearityError listing the collinear set by
     ``names``, or by column index when no names are given.
@@ -220,14 +220,15 @@ def _factor(X: np.ndarray, names=None):
         raise CollinearityError(f"rank-deficient design; collinear columns {bad}")
     # X[:, piv] = Q R, so (X'X)^-1 = P R^-1 R^-T P' with P scattering rows back
     rinv = solve_triangular(r, np.eye(k))[np.argsort(piv)]
-    return q, r, piv, rinv @ rinv.T, np.einsum("ij,ij->i", q, q)
+    return q, r, piv, rinv @ rinv.T
 
 
-def _sandwich(X, e, xtx_inv, h, hc: str) -> np.ndarray:
+def _sandwich(X, e, xtx_inv, q, hc: str) -> np.ndarray:
     n, k = X.shape
     hc = hc.upper()
     sw = np.abs(e)  # the square root of each observation's weight
     if hc in ("HC2", "HC3"):
+        h = np.einsum("ij,ij->i", q, q)  # the leverages, read only here
         denom = np.maximum(1.0 - h, 1e-12)
         sw = sw / np.sqrt(denom) if hc == "HC2" else sw / denom
     elif hc not in ("HC0", "HC1"):
@@ -252,8 +253,8 @@ def robust_covariance(X: np.ndarray, residuals: np.ndarray,
     one factorization of X (MacKinnon & White 1985).
     """
     X = np.asarray(X, dtype=float)
-    *_, xtx_inv, h = _factor(X)
-    return _sandwich(X, np.asarray(residuals, dtype=float), xtx_inv, h, hc)
+    q, *_, xtx_inv = _factor(X)
+    return _sandwich(X, np.asarray(residuals, dtype=float), xtx_inv, q, hc)
 
 
 def robust_se(X, residuals, hc: str = "HC1"):
@@ -397,7 +398,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     n, k = X.shape
     if n <= k:
         raise PanelError(f"need N > k; got N={n}, k={k}")
-    q, r, piv, xtx_inv, leverage = _factor(X, names)
+    q, r, piv, xtx_inv = _factor(X, names)
     beta = np.empty(k)
     beta[piv] = solve_triangular(r, q.T @ y)
     resid = y - X @ beta
@@ -405,7 +406,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     ssr = float(resid @ resid)
     sigma2 = ssr / (n - k)
     cov_classical = sigma2 * xtx_inv
-    cov_robust = _sandwich(X, resid, xtx_inv, leverage, hc)
+    cov_robust = _sandwich(X, resid, xtx_inv, q, hc)
 
     yc = y - y.mean() if spec.intercept else y
     sst = float(yc @ yc)

@@ -174,10 +174,13 @@ def test_verify_equilibrium_rejects_bad_knobs(knobs):
         verify_equilibrium(p, equilibrium_at_royalty(p, 1.0), **knobs)
 
 
-def test_verify_equilibrium_ends_where_xatol_is_below_one_ulp():
-    # near q = 1e12 one ulp is 1.2e-4, so a search to xatol = 1e-10 alone never ends
+def test_verify_equilibrium_verifies_a_market_of_size_1e12():
+    # near q = 1e12 one ulp is 1.2e-4, so an absolute tolerance could not pass
     p = MarketParams(a=1e12, c=1.0)
-    rep = verify_equilibrium(p, equilibrium_at_royalty(p, 1.0))
+    eq = equilibrium_at_royalty(p, 1.0)
+    rep = verify_equilibrium(p, eq)
+    scale = max(1.0, p.a, 1.0, abs(eq.q1), abs(eq.q2), eq.r_squared)
+    assert rep.all_ok() and rep.tolerance == 1e-6 * scale
     assert rep.argmax_follower_gap < 1e-6 * p.a
     assert rep.argmax_leader_gap < 1e-6 * p.a
 

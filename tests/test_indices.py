@@ -10,8 +10,7 @@ from innoreg import indices
 from innoreg.indices import (ShareVector, hoover_index, indices_table,
                              related_variety, theil_index, unrelated_variety,
                              variety_decomposition)
-from innoreg.panel import (EmploymentTable, _employment_rows, _read_csv,
-                           load_employment)
+from innoreg.panel import EmploymentTable, load_employment
 
 LN2 = math.log(2.0)
 
@@ -250,16 +249,25 @@ def test_indices_table_matches_the_scalar_functions(table):
 
 @settings(max_examples=100, deadline=None)
 @given(employment_tables())
-def test_columnar_load_matches_the_row_loop(table):
-    lines, _, _ = table
-    text = "\n".join([HEADER, *lines]) + "\n"
-    fast = load_employment(io.StringIO(text))
-    slow = _employment_rows(_read_csv(io.StringIO(text)).records())
-    assert fast.rows == slow.rows and fast.parents == slow.parents
-    assert (fast.keys, fast.industries, fast.sectors) == \
-        (slow.keys, slow.industries, slow.sectors)
-    for name in ("counts", "national_counts", "sector_index"):
-        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes()
+def test_load_employment_matches_a_per_record_oracle(table):
+    lines, records, _ = table
+    got = load_lines(lines)
+    regional, national, parents = {}, {}, {}
+    for region, year, ind, parent, e in records:
+        parents[ind] = parent
+        regional.setdefault((region, year), {}).setdefault(ind, []).append(e)
+        national.setdefault(year, {}).setdefault(ind, []).append(e)
+    keys, codes = sorted(regional), sorted(parents)
+    assert got.keys == tuple(keys) and got.industries == tuple(codes)
+    assert got.parents == parents and got.rows == tuple(records)
+    assert [got.sectors[s] for s in got.sector_index] == [parents[c] for c in codes]
+    assert got.sectors == tuple(sorted(set(parents.values())))
+    counts = np.array([[math.fsum(regional[k].get(c, [0.0])) for c in codes] for k in keys])
+    totals = np.array([[math.fsum(national[y].get(c, [0.0])) for c in codes] for _, y in keys])
+    np.testing.assert_allclose(got.counts, counts, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.national_counts, totals, rtol=1e-12, atol=0)
+    if all(len(v) == 1 for cell in regional.values() for v in cell.values()):
+        assert got.counts.tobytes() == counts.tobytes()
 
 
 def outcome(lines, subset):

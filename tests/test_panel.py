@@ -68,6 +68,11 @@ def test_load_panel_unbalanced():
         load_panel(io.StringIO(text))
 
 
+def test_load_panel_without_data_rows_is_too_small():
+    with pytest.raises(PanelError, match="at least 2 regions and 2 years"):
+        load_panel(io.StringIO("region,year,X\n"))
+
+
 def test_load_panel_duplicate_rows():
     agree = "region,year,X\na,2001,1\na,2001,1\na,2002,2\nb,2001,3\nb,2002,4\n"
     p = load_panel(io.StringIO(agree))  # silent merge when values agree
@@ -136,6 +141,7 @@ def test_clean_inputs_never_reach_the_per_cell_parse(monkeypatch):
     def per_cell(*args):
         raise AssertionError("a clean file takes the columnar path")
     monkeypatch.setattr(panel_mod, "_parse_float", per_cell)
+    monkeypatch.setattr(panel_mod, "_float_fault", per_cell)
     got = load_panel(io.StringIO(text))
     assert got.regions == want_panel.regions and got.years == want_panel.years
     for name in ("A", "B"):
@@ -143,11 +149,6 @@ def test_clean_inputs_never_reach_the_per_cell_parse(monkeypatch):
     got = load_employment(io.StringIO(emp))
     assert got.rows == want_emp.rows and got.parents == want_emp.parents
     assert got.counts.tobytes() == want_emp.counts.tobytes()
-    # a bad cell still goes through it, to name its line
-    lines = text.splitlines()
-    lines[3] = lines[3].rsplit(",", 1)[0] + ",oops"
-    with pytest.raises(AssertionError, match="columnar"):
-        load_panel(io.StringIO("\n".join(lines)))
 
 
 def _padded(text):
@@ -220,6 +221,131 @@ def test_read_csv_reads_what_csv_reader_reads(rows, newline, final_newline, quot
     except PanelParseError as exc:
         got = (table.header, list(zip(table.lines, zip(*table.columns))), str(exc))
     assert got == _csv_module_table(text)
+
+
+def _panel_rows_oracle(text):
+    """The error ``load_panel`` gives on ``text``, or None, by a per-row loop
+    over csv.reader rows: the first bad line, then a ragged row, then the
+    missing cells."""
+    header, rows, ragged = _csv_module_table(text)
+    seen = {}
+    for line, (region, year, *cells) in rows:
+        if not region:
+            return f"line {line}: empty region identifier"
+        try:
+            year = int(year)
+        except ValueError:
+            return f"line {line}: year {year!r} is not an integer"
+        values = []
+        for name, cell in zip(header[2:], cells):
+            if not cell:
+                values.append(math.nan)
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return f"line {line}: {name!r} cell {cell!r} is not numeric"
+            if not math.isfinite(values[-1]):
+                return f"line {line}: {name!r} cell {cell!r} is not finite"
+        first = seen.setdefault((region, year), values)
+        if any(a != b and not (math.isnan(a) and math.isnan(b)) for a, b in zip(first, values)):
+            return f"line {line}: conflicting duplicate row for {(region, year)}"
+    if ragged:
+        return ragged
+    years = sorted({y for _, y in seen})
+    missing = [(r, y) for r in dict.fromkeys(r for r, _ in seen) for y in years
+               if (r, y) not in seen]
+    return f"unbalanced panel; missing cells: {missing}" if missing else None
+
+
+def _employment_rows_oracle(text):
+    """The error ``load_employment`` gives on ``text``, or None, by a per-row
+    loop over csv.reader rows."""
+    _, rows, ragged = _csv_module_table(text)
+    first_parent = {}
+    for line, (_, year, industry, parent, cell) in rows:
+        try:
+            int(year)
+        except ValueError:
+            return f"line {line}: year {year!r} is not an integer"
+        try:
+            value = float(cell)
+        except ValueError:
+            return f"line {line}: employment {cell!r} is not numeric"
+        if not math.isfinite(value):
+            return f"line {line}: employment {cell!r} is not finite"
+        if value < 0:
+            return f"line {line}: negative employment {value}"
+        if first_parent.setdefault(industry, parent) != parent:
+            return (f"line {line}: industry {industry!r} mapped to both "
+                    f"{first_parent[industry]!r} and {parent!r}")
+    return ragged
+
+
+_BAD_CELLS = {"region": [""], "year": ["20x1", "1.5", "", "two"],
+              "cell": ["x", "nan", "inf", "-inf", "1e999", "--1"],
+              "employment": ["x", "nan", "inf", "-inf", "", "-1", "-0.5"]}
+
+
+@st.composite
+def corrupted_csvs(draw):
+    """(text, loader, oracle) of a valid panel or employment CSV with one or
+    two corruptions: a bad cell at a random row and column, a conflicting
+    duplicate row, a second parent for an industry, or a ragged row."""
+    employment = draw(st.booleans())
+    regions = [f"r{i}" for i in range(draw(st.integers(2, 4)))]
+    years = [str(2001 + t) for t in range(draw(st.integers(2, 4)))]
+    if employment:
+        header = ["region", "year", "industry", "parent", "employment"]
+        inds = draw(st.lists(st.sampled_from(["f", "g", "h"]), min_size=1, max_size=3,
+                             unique=True))
+        value = st.sampled_from(["0", "1", "2.5", "30"])
+        rows = [[r, y, i, i.upper(), draw(value)] for r in regions for y in years for i in inds]
+        kinds = ["year", "employment"]
+    else:
+        header = ["region", "year"] + [f"V{k}" for k in range(draw(st.integers(1, 3)))]
+        value = st.sampled_from(["1", "-2.5", "", "0", "3e2"])
+        rows = [[r, y] + [draw(value) for _ in header[2:]] for r in regions for y in years]
+        kinds = ["region", "year", "cell"]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.sampled_from([k for k, row in enumerate(rows) if len(row) == len(header)]))
+        row = list(rows[i])
+        how = draw(st.sampled_from(["bad cell", "ragged"]
+                                   + (["second parent"] if employment else ["duplicate"])))
+        if how == "bad cell":
+            kind = draw(st.sampled_from(kinds))
+            j = {"region": 0, "year": 1, "employment": 4}.get(kind)
+            if j is None:
+                j = draw(st.integers(2, len(row) - 1))
+            row[j] = draw(st.sampled_from(_BAD_CELLS[kind]))
+        elif how == "ragged":
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        elif how == "second parent":
+            row[3] = "Z"
+        else:  # a repeat of row i, one value changed, at a random place
+            j = draw(st.integers(2, len(row) - 1))
+            row[j] = "999"
+            rows.insert(draw(st.integers(0, len(rows))), row)
+            continue
+        rows[i] = row
+    text = "\n".join(",".join(row) for row in [header, *rows]) + "\n"
+    if employment:
+        return text, load_employment, _employment_rows_oracle
+    return text, load_panel, _panel_rows_oracle
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_csvs())
+def test_corrupted_inputs_raise_what_a_per_row_loop_names(case):
+    text, load, oracle = case
+    message = oracle(text)
+    if message is None:
+        load(io.StringIO(text))
+        return
+    with pytest.raises(PanelError) as exc:
+        load(io.StringIO(text))
+    assert str(exc.value) == message
 
 
 def test_ascii_padding_is_what_strip_removes():
@@ -437,11 +563,18 @@ def test_load_employment_builds_the_count_matrix():
     assert t.national_counts.tolist() == [[32.5, 70.0], [5.0, 0.0], [32.5, 70.0]]
     assert t.sectors == ("m", "s") and t.sector_index.tolist() == [0, 1]
     assert not t.counts.flags.writeable
+    # one row of a matrix each, its zero entries left out
+    assert t.employment("n", 2001) == {"food": 12.5, "retail": 30.0}
+    assert t.employment("n", 2002) == {"food": 5.0} and t.national(2002) == {"food": 5.0}
+    assert t.employment("n", 1999) == {} and t.national(1999) == {}
+    assert t.rows[-1] == ("n", 2001, "food", "m", 2.5)
     # the constructor checks what it is handed as well
     with pytest.raises(PanelError, match="non-negative"):
-        EmploymentTable(rows=(("n", 2001, "food", "m", -1.0),), parents={"food": "m"})
+        EmploymentTable(regions=["n"], years=[2001], codes=["food"], employed=[-1.0],
+                        parents={"food": "m"})
     with pytest.raises(PanelError, match="'food' has no parent"):
-        EmploymentTable(rows=(("n", 2001, "food", "m", 1.0),), parents={})
+        EmploymentTable(regions=["n"], years=[2001], codes=["food"], employed=[1.0],
+                        parents={})
 
 
 @pytest.mark.parametrize("variant", [lambda text: "\ufeff" + text,

@@ -492,6 +492,19 @@ def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
     assert shapes == [(48, 2)]
 
 
+def test_only_hc2_and_hc3_compute_leverages(monkeypatch):
+    rng = np.random.default_rng(17)
+    X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+    e = rng.normal(size=30)
+    want = {hc: robust_covariance(X, e, hc) for hc in ("HC0", "HC1")}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("leverages computed for HC0 or HC1")
+    monkeypatch.setattr(np, "einsum", forbidden)
+    for hc, cov in want.items():
+        assert robust_covariance(X, e, hc).tobytes() == cov.tobytes()
+
+
 def test_vif_sentinel_keeps_the_free_column_finite():
     rng = np.random.default_rng(41)
     base = rng.normal(size=50)
