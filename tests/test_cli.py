@@ -258,6 +258,49 @@ def test_game_solve_and_verify(capsys):
     assert row["foc_leader_gap"] <= 1e-6
 
 
+GAPS = ["1.1102230246251565e-12", "0", "6.4233063312713057e-12",
+        "9.3665555311872595e-09", "4.78894914834882e-08", "0", "0"]
+VERIFY_OUT = {
+    "csv": "a,c,r,q1,q2,foc_follower_gap,foc_leader_gap,foc_royalty_gap,"
+           "argmax_follower_gap,argmax_leader_gap,point_follower_gap,point_leader_gap,"
+           "tolerance,check_foc_follower,check_foc_leader,check_foc_royalty,"
+           "check_argmax_follower,check_argmax_leader,check_point_follower,"
+           "check_point_leader,all_ok\n"
+           "10,1,1,6,1," + ",".join(GAPS) + ",9.9999999999999991e-06,1,1,1,1,1,1,1,1\n",
+    "json": '[\n  {\n    "a": 10.0,\n    "c": 1.0,\n    "r": 1.0,\n'
+            '    "q1": 6.0,\n    "q2": 1.0,\n'
+            '    "foc_follower_gap": 1.1102230246251565e-12,\n'
+            '    "foc_leader_gap": 0.0,\n'
+            '    "foc_royalty_gap": 6.423306331271306e-12,\n'
+            '    "argmax_follower_gap": 9.36655553118726e-09,\n'
+            '    "argmax_leader_gap": 4.78894914834882e-08,\n'
+            '    "point_follower_gap": 0.0,\n'
+            '    "point_leader_gap": 0.0,\n'
+            '    "tolerance": 9.999999999999999e-06,\n'
+            '    "check_foc_follower": 1,\n    "check_foc_leader": 1,\n'
+            '    "check_foc_royalty": 1,\n    "check_argmax_follower": 1,\n'
+            '    "check_argmax_leader": 1,\n    "check_point_follower": 1,\n'
+            '    "check_point_leader": 1,\n    "all_ok": 1\n  }\n]\n',
+    "md": "verification at a=10 c=1 r=1 (q1=6.0000, q2=1.0000)\n"
+          "  foc_follower       gap 1.110e-12  [ok]\n"
+          "  foc_leader         gap 0.000e+00  [ok]\n"
+          "  foc_royalty        gap 6.423e-12  [ok]\n"
+          "  argmax_follower    gap 9.367e-09  [ok]\n"
+          "  argmax_leader      gap 4.789e-08  [ok]\n"
+          "  point_follower     gap 0.000e+00  [ok]\n"
+          "  point_leader       gap 0.000e+00  [ok]\n"
+          "all checks passed at tolerance 1e-05\n",
+}
+
+
+@pytest.mark.parametrize("fmt", list(VERIFY_OUT))
+def test_game_verify_layout_is_pinned(capsys, fmt):
+    # column order, check names and markdown lines, byte for byte
+    rc, out, err = run(capsys, "game", "verify", "--a", "10", "--c", "1", "--r", "1",
+                       "--format", fmt)
+    assert (rc, out, err) == (0, VERIFY_OUT[fmt], "")
+
+
 def test_game_region_grid(capsys):
     rc, out, _ = run(capsys, "game", "region", "--a-min", "1", "--a-max", "4",
                      "--a-steps", "2", "--c-min", "1", "--c-max", "4",
