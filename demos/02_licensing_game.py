@@ -25,7 +25,8 @@ def main():
     rep = verify_equilibrium(params, eq)
     for name, passed in rep.checks.items():
         print(f"  {name:<18} {'ok' if passed else 'FAIL'}")
-    print(f"  worst FOC gap {max(rep.foc_follower_gap, rep.foc_leader_gap, rep.foc_royalty_gap):.2e}")
+    worst = max(rep.gaps[k] for k in ("foc_follower", "foc_leader", "foc_royalty"))
+    print(f"  worst FOC gap {worst:.2e}")
 
     print("\n== leader profit is monotone in the royalty (a > c) ==")
     rs = np.linspace(0.0, 2.0, 9)

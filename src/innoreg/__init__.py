@@ -28,9 +28,9 @@ _EXPORTS = {
                    "RegressionSpec", "Regressor", "SuiteEntry",
                    "VarianceDecomposition", "elasticity",
                    "format_decomposition_table", "format_suite_grid",
-                   "interaction_term", "orthogonalize", "pooled_ols",
-                   "robust_covariance", "robust_se", "run_model_suite",
-                   "significance_stars", "variance_decomposition", "vif"),
+                   "orthogonalize", "pooled_ols", "robust_covariance",
+                   "run_model_suite", "significance_stars",
+                   "variance_decomposition", "vif"),
     "synth": ("nearest_psd", "synthesize_panel"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,8 +2,8 @@
 
 Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``game {solve,verify,region}``, ``synth``, ``describe``. Shared flags:
-``--format {csv,json,md}``, ``--out``, ``--seed``, ``--precision``;
-``--jobs`` is still accepted and ignored.
+``--format {csv,json,md}``, ``--out``, ``--precision``; ``--jobs`` is still
+accepted and ignored. Only ``synth`` draws random numbers and takes ``--seed``.
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
@@ -34,8 +34,6 @@ import numpy as np
 from .panel import (DescriptiveStats, PanelError, PanelParseError, _parse_float,
                     _read_csv, descriptive_stats, load_employment, load_panel,
                     render_table)
-
-DEFAULT_SEED = 42  # documented reproducibility constant
 
 __all__ = ["main", "build_parser", "load_correlation_csv"]
 
@@ -264,37 +262,23 @@ def _cmd_game(args) -> int:
         eq = game_mod.equilibrium_at_royalty(params, args.r)
         rep = game_mod.verify_equilibrium(params, eq, grid=args.grid,
                                           fd_step=args.fd_step, tol=args.tol)
-        payload = {
-            "a": args.a, "c": args.c, "r": args.r,
-            "q1": eq.q1, "q2": eq.q2,
-            "foc_follower_gap": rep.foc_follower_gap,
-            "foc_leader_gap": rep.foc_leader_gap,
-            "foc_royalty_gap": rep.foc_royalty_gap,
-            "argmax_follower_gap": rep.argmax_follower_gap,
-            "argmax_leader_gap": rep.argmax_leader_gap,
-            "point_follower_gap": rep.point_follower_gap,
-            "point_leader_gap": rep.point_leader_gap,
-            "tolerance": rep.tolerance,
-            **{f"check_{k}": int(v) for k, v in rep.checks.items()},
-            "all_ok": int(rep.all_ok()),
-        }
+        checks = rep.checks
         if args.format == "md":
             lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
                      f"(q1={eq.q1:.{p}f}, q2={eq.q2:.{p}f})"]
-            for k, gap in (("foc_follower", rep.foc_follower_gap),
-                           ("foc_leader", rep.foc_leader_gap),
-                           ("foc_royalty", rep.foc_royalty_gap),
-                           ("argmax_follower", rep.argmax_follower_gap),
-                           ("argmax_leader", rep.argmax_leader_gap),
-                           ("point_follower", rep.point_follower_gap),
-                           ("point_leader", rep.point_leader_gap)):
-                mark = "ok" if rep.checks[k] else "FAIL"
+            for k, gap in rep.gaps.items():
+                mark = "ok" if checks[k] else "FAIL"
                 lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
             lines.append(f"all checks {'passed' if rep.all_ok() else 'FAILED'} "
                          f"at tolerance {rep.tolerance:g}")
             _write_text("\n".join(lines), args.out)
         else:
-            _emit_rows([payload], list(payload), args)
+            row = {"a": args.a, "c": args.c, "r": args.r, "q1": eq.q1, "q2": eq.q2,
+                   **{f"{k}_gap": gap for k, gap in rep.gaps.items()},
+                   "tolerance": rep.tolerance,
+                   **{f"check_{k}": int(ok) for k, ok in checks.items()},
+                   "all_ok": int(rep.all_ok())}
+            _emit_rows([row], list(row), args)
         return 0
     # region
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
@@ -328,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("csv", "json", "md"), default="csv",
                         help="output rendering (default csv)")
     shared.add_argument("--out", default=None, help="output file (default stdout)")
-    shared.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"random seed (default {DEFAULT_SEED})")
     shared.add_argument("--precision", type=int, default=4,
                         help="decimal places in markdown views (default 4)")
     shared.add_argument("--jobs", type=int, default=1,
@@ -381,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute tolerance for the within_tol flag")
     p.set_defaults(fn=_cmd_elasticities)
 
-    p = sub.add_parser("game", parents=[shared],
-                       help="patent-licensing duopoly solver and oracle")
+    p = sub.add_parser("game", help="patent-licensing duopoly solver and oracle")
     gsub = p.add_subparsers(dest="game_cmd", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=float, required=True, help="demand intercept")
@@ -420,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="correlation CSV (default: bundled matrix)")
     p.add_argument("--regions", type=int, default=13)
     p.add_argument("--years", type=int, default=9)
+    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     p.set_defaults(fn=_cmd_synth)
 
     return ap

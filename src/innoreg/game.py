@@ -19,7 +19,7 @@ and the feasibility region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -280,28 +280,27 @@ def _refine_argmax(f, lo, hi, coarse: int, xatol: float) -> float:
     return (a + b) / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Numeric cross-check of the closed forms at a candidate point.
 
-    FOC gaps compare central finite differences against the stated
-    derivatives; argmax gaps compare the maximizers of the stage objectives,
-    found by a grid search refined by golden-section search, against the
-    closed-form quantities; point gaps compare the candidate quantities
-    against those optima. ``checks`` holds a boolean per item, true when the
-    gap is at most ``tolerance``: the caller's ``tol`` times the market scale
-    ``max(1, |a|, |c|, |q1|, |q2|, r^2)``.
+    ``gaps`` maps each check to its gap, in this order: ``foc_follower``,
+    ``foc_leader`` and ``foc_royalty`` compare central finite differences
+    against the stated derivatives; ``argmax_follower`` and ``argmax_leader``
+    compare the maximizers of the stage objectives, found by a grid search
+    refined by golden-section search, against the closed-form quantities;
+    ``point_follower`` and ``point_leader`` compare the candidate quantities
+    against those optima. ``checks`` maps the same names to a boolean, true
+    when the gap is at most ``tolerance``: the caller's ``tol`` times the
+    market scale ``max(1, |a|, |c|, |q1|, |q2|, r^2)``.
     """
 
-    foc_follower_gap: float
-    foc_leader_gap: float
-    foc_royalty_gap: float
-    argmax_follower_gap: float
-    argmax_leader_gap: float
-    point_follower_gap: float
-    point_leader_gap: float
+    gaps: dict
     tolerance: float
-    checks: dict = field(default_factory=dict)
+
+    @property
+    def checks(self) -> dict:
+        return {k: gap <= self.tolerance for k, gap in self.gaps.items()}
 
     def all_ok(self) -> bool:
         return all(self.checks.values())
@@ -351,57 +350,39 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
     rsq = eq.r_squared
     scale = max(1.0, abs(a), abs(c), abs(eq.q1), abs(eq.q2), abs(rsq))
     h, tol = fd_step * scale, tol * scale
+    gaps = {}
 
     # follower FOC: d(pi2)/dq2 = a - q1 - 2 q2 - r^2 - c
     closed = a - eq.q1 - 2.0 * eq.q2 - rsq - c
     fd = _central_diff(lambda q2: _pi2(rsq, eq.q1, q2, a, c), eq.q2, h)
-    foc_follower_gap = abs(fd - closed)
+    gaps["foc_follower"] = abs(fd - closed)
 
     # leader FOC: d(pi1)/dq1 = a/2 - q1 + 3 r^2 / 2 - c/2
     closed = a / 2.0 - eq.q1 + 1.5 * rsq - c / 2.0
     fd = _central_diff(lambda q1: _pi1(rsq, q1, a, c), eq.q1, h)
-    foc_leader_gap = abs(fd - closed)
+    gaps["foc_leader"] = abs(fd - closed)
 
     # royalty FOC vs finite difference in r (real r only; else identically 3*r*q1 at r = sqrt|rsq|)
     r = eq.r if math.isfinite(eq.r) else 0.0
     fd = _central_diff(lambda rr: _pi1(rr * rr, eq.q1, a, c), r, h)
-    foc_royalty_gap = abs(fd - royalty_foc(r, eq.q1))
+    gaps["foc_royalty"] = abs(fd - royalty_foc(r, eq.q1))
 
     # stage argmax agreement; both objectives are concave quadratics
     br = _reaction(rsq, eq.q1, a, c)
     got = _refine_argmax(lambda q2: _pi2(rsq, eq.q1, q2, a, c),
                          br - scale, br + scale, grid, 1e-10 * scale)
-    argmax_follower_gap = abs(got - br)
+    gaps["argmax_follower"] = abs(got - br)
 
     q1_star = _q1_star(rsq, a, c)
     got = _refine_argmax(lambda q1: _pi1(rsq, q1, a, c),
                          q1_star - scale, q1_star + scale, grid, 1e-10 * scale)
-    argmax_leader_gap = abs(got - q1_star)
+    gaps["argmax_leader"] = abs(got - q1_star)
 
     # and the candidate itself must sit on the stage optima
-    point_follower_gap = abs(eq.q2 - br)
-    point_leader_gap = abs(eq.q1 - q1_star)
+    gaps["point_follower"] = abs(eq.q2 - br)
+    gaps["point_leader"] = abs(eq.q1 - q1_star)
 
-    report = VerificationReport(
-        foc_follower_gap=foc_follower_gap,
-        foc_leader_gap=foc_leader_gap,
-        foc_royalty_gap=foc_royalty_gap,
-        argmax_follower_gap=argmax_follower_gap,
-        argmax_leader_gap=argmax_leader_gap,
-        point_follower_gap=point_follower_gap,
-        point_leader_gap=point_leader_gap,
-        tolerance=tol,
-    )
-    report.checks = {
-        "foc_follower": foc_follower_gap <= tol,
-        "foc_leader": foc_leader_gap <= tol,
-        "foc_royalty": foc_royalty_gap <= tol,
-        "argmax_follower": argmax_follower_gap <= tol,
-        "argmax_leader": argmax_leader_gap <= tol,
-        "point_follower": point_follower_gap <= tol,
-        "point_leader": point_leader_gap <= tol,
-    }
-    return report
+    return VerificationReport(gaps=gaps, tolerance=tol)
 
 
 def feasibility_region(a_values, c_values) -> list:

@@ -32,12 +32,10 @@ __all__ = [
     "VarianceDecomposition",
     "SuiteEntry",
     "pooled_ols",
-    "robust_se",
     "robust_covariance",
     "vif",
     "variance_decomposition",
     "orthogonalize",
-    "interaction_term",
     "elasticity",
     "run_model_suite",
     "format_suite_grid",
@@ -257,12 +255,6 @@ def robust_covariance(X: np.ndarray, residuals: np.ndarray,
     return _sandwich(X, np.asarray(residuals, dtype=float), xtx_inv, q, hc)
 
 
-def robust_se(X, residuals, hc: str = "HC1"):
-    """Robust standard errors plus the full covariance they came from."""
-    cov = robust_covariance(X, residuals, hc=hc)
-    return np.sqrt(np.diag(cov)), cov
-
-
 def vif(X: np.ndarray, names=None):
     """Variance inflation factors for a block of non-intercept regressors.
 
@@ -328,17 +320,6 @@ def orthogonalize(x1, x2, mode: str = "mutual"):
     if mode == "residualize-second":
         return x1.copy(), c2 - (s12 / s11) * c1
     raise PanelError(f"unknown orthogonalization mode {mode!r}")
-
-
-def interaction_term(s1, s2) -> np.ndarray:
-    """Elementwise product of two complete series."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    if s1.shape != s2.shape:
-        raise PanelError("interaction inputs differ in length")
-    if np.isnan(s1).any() or np.isnan(s2).any():
-        raise PanelError("interaction inputs must have no missing values")
-    return s1 * s2
 
 
 def _build_design(panel: RegionalPanel, spec: RegressionSpec):

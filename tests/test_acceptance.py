@@ -108,9 +108,9 @@ def test_criterion_04_game_oracle():
                                  equilibrium_at_royalty(MarketParams(a=a, c=c), r),
                                  tol=1e-6)
         n_ok += rep.all_ok()
-        worst = max(worst, rep.foc_follower_gap, rep.foc_leader_gap,
-                    rep.foc_royalty_gap, rep.argmax_follower_gap,
-                    rep.argmax_leader_gap)
+        worst = max(worst, *(rep.gaps[k] for k in (
+            "foc_follower", "foc_leader", "foc_royalty", "argmax_follower",
+            "argmax_leader")))
     elapsed = time.time() - t0
     ok = n_ok == 50 and worst <= 1e-6 and elapsed < 5.0
     check(4, ok, f"{n_ok}/50 random (a,c,r) verified; max FOC/argmax gap "

@@ -380,6 +380,8 @@ VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
     ({}, VERIFY + ["--grid", "-5"], "grid must be at least 1"),
     ({}, VERIFY + ["--fd-step", "0"], "fd_step must be finite and positive"),
     ({}, VERIFY + ["--tol", "nan"], "tolerance must be finite and non-negative"),
+    ({}, VERIFY + ["--seed", "1"], "unrecognized arguments: --seed 1"),
+    ({}, ["game", "--format", "json"] + VERIFY[1:], "invalid choice: 'json'"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -388,7 +390,8 @@ VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
         "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
         "nan-provenance-beta", "correlation-cell-before-ragged-row",
         "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit",
-        "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan"])
+        "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
+        "seed-outside-synth", "format-before-the-game-command"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
@@ -396,10 +399,14 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     # argv names the files; run with their paths
-    rc, out, err = run(capsys, *[str(tmp_path / a) if a in files else a
-                                 for a in argv])
+    try:
+        rc, out, err = run(capsys, *[str(tmp_path / a) if a in files else a
+                                     for a in argv])
+    except SystemExit as exc:  # a usage error: argparse prints "innoreg ...: error: ..."
+        rc, (out, err) = exc.code, capsys.readouterr()
     assert rc == 2 and out == ""
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    errors = [line for line in err.splitlines()
+              if line.startswith("error:") or line.startswith("innoreg") and ": error: " in line]
     assert len(errors) == 1 and names in errors[0], err
     assert "Traceback" not in err
 
@@ -540,6 +547,6 @@ def test_every_public_name_resolves_through_the_lazy_package():
             "from innoreg import *\n"
             "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
     assert _python(code) == "[]\n[]\n[]\nTrue\n"
-    assert len(innoreg.__all__) == 62
+    assert len(innoreg.__all__) == 60
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         innoreg.nope

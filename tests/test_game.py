@@ -137,9 +137,9 @@ def test_verify_equilibrium_accepts_true_optimum(a, c, r):
     eq = equilibrium_at_royalty(p, r)
     rep = verify_equilibrium(p, eq)
     assert rep.all_ok()
-    assert rep.foc_follower_gap < 1e-8
-    assert rep.argmax_leader_gap < 1e-6
-    assert rep.point_leader_gap == 0.0
+    assert rep.gaps["foc_follower"] < 1e-8
+    assert rep.gaps["argmax_leader"] < 1e-6
+    assert rep.gaps["point_leader"] == 0.0
 
 
 def test_verify_equilibrium_rejects_off_equilibrium_point():
@@ -162,7 +162,7 @@ def test_verify_equilibrium_rejects_off_equilibrium_follower_quantity():
                       follower_payoff=eq.follower_payoff, flags=eq.flags)
     rep = verify_equilibrium(p, bad)
     assert [k for k, ok in rep.checks.items() if not ok] == ["point_follower"]
-    assert rep.point_follower_gap == pytest.approx(0.5)
+    assert rep.gaps["point_follower"] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("knobs", [  # the CLI table has grid 0, -5, fd_step 0, tol nan
@@ -181,8 +181,8 @@ def test_verify_equilibrium_verifies_a_market_of_size_1e12():
     rep = verify_equilibrium(p, eq)
     scale = max(1.0, p.a, 1.0, abs(eq.q1), abs(eq.q2), eq.r_squared)
     assert rep.all_ok() and rep.tolerance == 1e-6 * scale
-    assert rep.argmax_follower_gap < 1e-6 * p.a
-    assert rep.argmax_leader_gap < 1e-6 * p.a
+    assert rep.gaps["argmax_follower"] < 1e-6 * p.a
+    assert rep.gaps["argmax_leader"] < 1e-6 * p.a
 
 
 @pytest.mark.parametrize("a", [1.0, 1e3, 1e6])
@@ -196,6 +196,32 @@ def test_verify_equilibrium_is_scaled_to_the_market(a):
         for sign in (1.0, -1.0):
             moved = dataclasses.replace(eq, **{name: getattr(eq, name) + sign * 1e-4 * scale})
             assert not verify_equilibrium(p, moved).all_ok()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_equilibria_pass_at_500_seeded_points(seed):
+    # the README promise: a, c in [0.1, 1000], r in [-5, 5]
+    points = np.random.default_rng(seed).uniform([0.1, 0.1, -5], [1000, 1000, 5], (500, 3))
+    failed = []
+    for a, c, r in points:
+        p = MarketParams(a=a, c=c)
+        if not verify_equilibrium(p, equilibrium_at_royalty(p, r)).all_ok():
+            failed.append((a, c, r))
+    assert failed == []
+
+
+def test_verification_report_is_one_gap_table():
+    p = MarketParams(a=10.0, c=1.0)
+    eq = equilibrium_at_royalty(p, 1.0)
+    rep = verify_equilibrium(p, dataclasses.replace(eq, q2=eq.q2 + 0.5))
+    assert [f.name for f in dataclasses.fields(rep)] == ["gaps", "tolerance"]
+    assert list(rep.gaps) == ["foc_follower", "foc_leader", "foc_royalty",
+                              "argmax_follower", "argmax_leader",
+                              "point_follower", "point_leader"]
+    assert rep.checks == {k: gap <= rep.tolerance for k, gap in rep.gaps.items()}
+    assert not rep.all_ok()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.tolerance = 1.0
 
 
 def test_verify_equilibrium_non_finite_input():

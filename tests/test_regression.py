@@ -11,8 +11,7 @@ import innoreg.regression as reg
 from innoreg.regression import (CollinearityError, Interaction,
                                 RegressionSpec, Regressor, elasticity,
                                 format_decomposition_table, format_suite_grid,
-                                interaction_term, orthogonalize, pooled_ols,
-                                robust_covariance, robust_se,
+                                orthogonalize, pooled_ols, robust_covariance,
                                 run_model_suite, significance_stars,
                                 variance_decomposition, vif)
 from innoreg.panel import PanelError
@@ -124,8 +123,6 @@ def test_robust_covariance_variants():
                                    xtx_inv @ meat @ xtx_inv, atol=1e-10)
     with pytest.raises(ValueError):
         robust_covariance(X, e, "HC9")
-    se, cov = robust_se(X, e)
-    np.testing.assert_allclose(se, np.sqrt(np.diag(cov)), atol=1e-15)
 
 
 def test_vif_equicorrelated_closed_form():
@@ -322,15 +319,6 @@ def test_coefficients_invariant_to_region_order(perm):
                                       regions=tuple("abcde"[i] for i in perm)), spec)
     np.testing.assert_allclose(shuffled.beta, base.beta, atol=1e-8)
     np.testing.assert_allclose(shuffled.se_robust, base.se_robust, atol=1e-8)
-
-
-def test_interaction_term_guards():
-    with pytest.raises(PanelError):
-        interaction_term([1.0, 2.0], [1.0])
-    with pytest.raises(PanelError):
-        interaction_term([1.0, np.nan], [1.0, 2.0])
-    np.testing.assert_array_equal(interaction_term([2.0, 3.0], [4.0, 5.0]),
-                                  [8.0, 15.0])
 
 
 def test_interaction_spec_orthogonalizes_but_keeps_mains():
