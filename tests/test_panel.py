@@ -394,6 +394,13 @@ def test_to_csv_roundtrip_with_missing():
     np.testing.assert_array_equal(again.matrix("B"), p.matrix("B"))
 
 
+def test_to_csv_text_is_pinned():
+    p = RegionalPanel(regions=("a,b", 'q"x'), years=(2001, 2002),
+                      data={"X": [[np.nan, -0.0], [3.0, 1e-300]]})
+    assert p.to_csv() == ('region,year,X\n"a,b",2001,\n"a,b",2002,-0\n'
+                          '"q""x",2001,3\n"q""x",2002,1e-300\n')
+
+
 def test_with_variable_and_column():
     p = build_panel({"X": np.arange(6, dtype=float).reshape(2, 3)})
     q = p.with_variable("Y", np.ones((2, 3)))
