@@ -14,9 +14,8 @@ import numpy as np
 
 from innoreg import (DescriptiveStats, RegressionSpec, correlation_matrix,
                      descriptive_stats, elasticity, format_decomposition_table,
-                     format_suite_grid, run_model_suite, synthesize_panel,
-                     variance_decomposition)
-from innoreg.cli import load_correlation_csv
+                     format_suite_grid, load_correlation_csv, run_model_suite,
+                     synthesize_panel, variance_decomposition)
 
 
 def bundled(name):

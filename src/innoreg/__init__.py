@@ -23,7 +23,8 @@ _EXPORTS = {
     "panel": ("DescriptiveStats", "EmploymentTable", "ImputationResult",
               "PanelError", "PanelParseError", "RegionalPanel", "VariableStats",
               "correlation_matrix", "descriptive_stats", "impute_by_apportionment",
-              "lag", "load_employment", "load_panel"),
+              "lag", "load_correlation_csv", "load_employment", "load_panel",
+              "load_provenance"),
     "regression": ("CollinearityError", "Interaction", "RegressionResult",
                    "RegressionSpec", "Regressor", "SuiteEntry",
                    "VarianceDecomposition", "elasticity",

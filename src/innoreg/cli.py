@@ -2,8 +2,9 @@
 
 Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``game {solve,verify,region}``, ``synth``, ``describe``. Shared flags:
-``--format {csv,json,md}``, ``--out``, ``--precision``; ``--jobs`` is still
-accepted and ignored. Only ``synth`` draws random numbers and takes ``--seed``.
+``--out`` and, except on ``synth``, ``--format {csv,json,md}`` and
+``--precision``; ``--jobs`` is accepted and ignored. Only ``synth`` takes
+``--seed``. A flag value out of its range is a usage error naming the flag.
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
@@ -13,9 +14,9 @@ writes NaN and ±inf as ``null`` (CSV: ``nan``, ``inf``) so it stays
 standard JSON; ``--precision`` shapes the human-readable markdown views,
 which for ``regress`` and ``decompose`` are the journal-layout grids. Panel
 CSVs emitted by ``synth`` are always full precision so reruns are
-byte-identical. Every input CSV goes through one reader in ``panel``: blank
-lines are skipped, and empty input or a ragged row is an error naming its
-line.
+byte-identical. Every input CSV is read by a loader in ``panel``, all on one
+reader: blank lines are skipped, and empty input or a ragged row is an error
+naming its line.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from importlib.resources import files as _pkg_files
 
 import numpy as np
 
-from .panel import (DescriptiveStats, PanelError, PanelParseError, _parse_float,
-                    _read_csv, descriptive_stats, load_employment, load_panel,
-                    render_table)
+from .panel import (DescriptiveStats, descriptive_stats, load_correlation_csv,
+                    load_employment, load_panel, load_provenance, render_table)
 
-__all__ = ["main", "build_parser", "load_correlation_csv"]
+__all__ = ["main", "build_parser"]
 
 
 # ---------------------------------------------------------------------------
@@ -44,21 +44,6 @@ __all__ = ["main", "build_parser", "load_correlation_csv"]
 
 def _bundled(name: str) -> str:
     return _pkg_files("innoreg").joinpath("data", name).read_text(encoding="utf-8")
-
-
-def load_correlation_csv(source) -> tuple:
-    """(names, matrix) from a named square correlation CSV."""
-    table = _read_csv(source)
-    names = table.header[1:]
-    rows = {}
-    for lineno, (name, *cells) in table.records():
-        if name in rows:
-            raise PanelParseError(lineno, f"duplicate row {name!r}")
-        rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
-    if sorted(rows) != sorted(names):
-        raise PanelError("correlation CSV row names do not match its header")
-    mat = np.array([rows[n] for n in names], dtype=float)
-    return names, mat
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -193,29 +178,18 @@ def _cmd_decompose(args) -> int:
 def _cmd_elasticities(args) -> int:
     from .regression import elasticity
 
-    table = _read_csv(args.provenance)
-    prov = list(table.records())  # a ragged row raises before the stats file is read
-    required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
+    prov = load_provenance(args.provenance)  # its errors come before the stats file's
     stats = DescriptiveStats.from_csv(args.stats) if args.stats else None
     rows = []
-    for lineno, cells in prov:
-        rec = dict(zip(table.header, cells))
-        if not required.issubset({k for k, v in rec.items() if v}):
-            raise PanelError(f"provenance row incomplete: {rec}")
-        what = f"{rec['variable']!r} "
-        beta, x_mean, y_mean = (_parse_float(rec[k], lineno, what + k)
-                                for k in ("beta", "x_mean", "y_mean"))
+    for rec in prov:
+        row = {k: rec[k] for k in ("variable", "beta", "source_column", "x_mean", "y_mean")}
         if stats is not None:  # recompute the means from the stats file
-            x_mean = stats.get(rec["variable"]).mean
-            y_mean = stats.get(args.dependent).mean
-        value = elasticity(beta, x_mean, y_mean)
-        row = {"variable": rec["variable"], "beta": beta,
-               "source_column": rec["source_column"], "x_mean": x_mean,
-               "y_mean": y_mean, "elasticity": value}
-        if rec.get("expected"):
-            expected = _parse_float(rec["expected"], lineno, what + "expected")
-            delta = value - expected
-            row.update(expected=expected, delta=delta,
+            row.update(x_mean=stats.get(rec["variable"]).mean,
+                       y_mean=stats.get(args.dependent).mean)
+        row["elasticity"] = elasticity(row["beta"], row["x_mean"], row["y_mean"])
+        if rec["expected"] is not None:
+            delta = row["elasticity"] - rec["expected"]
+            row.update(expected=rec["expected"], delta=delta,
                        within_tol=int(abs(delta) <= args.tol))
         rows.append(row)
     cols = ["variable", "beta", "source_column", "x_mean", "y_mean",
@@ -246,16 +220,13 @@ def _cmd_game(args) -> int:
         else:
             eq = game_mod.spne(params)
         rows = _eq_rows(eq)
-        if args.format == "md":
-            lines = [f"a={args.a:g} c={args.c:g}"]
-            if not eq.flags.r_real:
-                lines.append(f"royalty not real: radicand {eq.r_squared:.{p}f} < 0")
-            for key, val in rows[0].items():
-                shown = f"{val:.{p}f}" if isinstance(val, float) else str(val)
-                lines.append(f"{key:<16} {shown}")
-            _write_text("\n".join(lines), args.out)
-        else:
-            _emit_rows(rows, list(rows[0]), args)
+        lines = [f"a={args.a:g} c={args.c:g}"]
+        if not eq.flags.r_real:
+            lines.append(f"royalty not real: radicand {eq.r_squared:.{p}f} < 0")
+        for key, val in rows[0].items():
+            shown = f"{val:.{p}f}" if isinstance(val, float) else str(val)
+            lines.append(f"{key:<16} {shown}")
+        _emit_rows(rows, list(rows[0]), args, md=lambda: "\n".join(lines))
         return 0
     if args.game_cmd == "verify":
         params = game_mod.MarketParams(a=args.a, c=args.c)
@@ -263,22 +234,19 @@ def _cmd_game(args) -> int:
         rep = game_mod.verify_equilibrium(params, eq, grid=args.grid,
                                           fd_step=args.fd_step, tol=args.tol)
         checks = rep.checks
-        if args.format == "md":
-            lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
-                     f"(q1={eq.q1:.{p}f}, q2={eq.q2:.{p}f})"]
-            for k, gap in rep.gaps.items():
-                mark = "ok" if checks[k] else "FAIL"
-                lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
-            lines.append(f"all checks {'passed' if rep.all_ok() else 'FAILED'} "
-                         f"at tolerance {rep.tolerance:g}")
-            _write_text("\n".join(lines), args.out)
-        else:
-            row = {"a": args.a, "c": args.c, "r": args.r, "q1": eq.q1, "q2": eq.q2,
-                   **{f"{k}_gap": gap for k, gap in rep.gaps.items()},
-                   "tolerance": rep.tolerance,
-                   **{f"check_{k}": int(ok) for k, ok in checks.items()},
-                   "all_ok": int(rep.all_ok())}
-            _emit_rows([row], list(row), args)
+        lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
+                 f"(q1={eq.q1:.{p}f}, q2={eq.q2:.{p}f})"]
+        for k, gap in rep.gaps.items():
+            mark = "ok" if checks[k] else "FAIL"
+            lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
+        lines.append(f"all checks {'passed' if rep.all_ok() else 'FAILED'} "
+                     f"at tolerance {rep.tolerance:g}")
+        row = {"a": args.a, "c": args.c, "r": args.r, "q1": eq.q1, "q2": eq.q2,
+               **{f"{k}_gap": gap for k, gap in rep.gaps.items()},
+               "tolerance": rep.tolerance,
+               **{f"check_{k}": int(ok) for k, ok in checks.items()},
+               "all_ok": int(rep.all_ok())}
+        _emit_rows([row], list(row), args, md=lambda: "\n".join(lines))
         return 0
     # region
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
@@ -307,37 +275,54 @@ def _cmd_synth(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("csv", "json", "md"), default="csv",
-                        help="output rendering (default csv)")
-    shared.add_argument("--out", default=None, help="output file (default stdout)")
-    shared.add_argument("--precision", type=int, default=4,
-                        help="decimal places in markdown views (default 4)")
-    shared.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility and ignored")
+def _at_least(kind, low, strict=False):
+    """An argparse type: ``kind(text)``, rejected unless finite and at least
+    ``low`` (above it when ``strict``)."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite number {'>' if strict else '>='} {low:g}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
 
+
+# The shared flags. A parent parser is only read when a command copies its
+# flags, so these two serve every build_parser() call.
+_OUTPUT = argparse.ArgumentParser(add_help=False)
+_OUTPUT.add_argument("--out", default=None, help="output file (default stdout)")
+_OUTPUT.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility and ignored")
+_SHARED = argparse.ArgumentParser(add_help=False, parents=[_OUTPUT])
+_SHARED.add_argument("--format", choices=("csv", "json", "md"), default="csv",
+                     help="output rendering (default csv)")
+_SHARED.add_argument("--precision", type=_at_least(int, 0), default=4,
+                     help="decimal places in markdown views (default 4)")
+
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="innoreg",
                                  description="regional innovation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("indices", parents=[shared],
+    p = sub.add_parser("indices", parents=[_SHARED],
                        help="diversity/specialization indices per region-year")
     p.add_argument("employment", help="employment CSV "
                    "(region,year,industry,parent,employment)")
     p.add_argument("--industries", default=None,
                    help="comma-separated industry subset (e.g. manufacturing only)")
-    p.add_argument("--scale", type=float, default=100.0,
+    p.add_argument("--scale", type=_at_least(float, 0, strict=True), default=100.0,
                    help="hoover display multiplier (default 100)")
     p.set_defaults(fn=_cmd_indices)
 
-    p = sub.add_parser("describe", parents=[shared],
+    p = sub.add_parser("describe", parents=[_SHARED],
                        help="descriptive statistics of a panel CSV")
     p.add_argument("panel")
     p.add_argument("--variables", default=None, help="comma-separated subset")
     p.set_defaults(fn=_cmd_describe)
 
-    p = sub.add_parser("regress", parents=[shared],
+    p = sub.add_parser("regress", parents=[_SHARED],
                        help="pooled-OLS model suite from a JSON spec file")
     p.add_argument("panel")
     p.add_argument("--specs", required=True, help="JSON list of model specs")
@@ -345,13 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="robust covariance variant (default 1)")
     p.set_defaults(fn=_cmd_regress)
 
-    p = sub.add_parser("decompose", parents=[shared],
+    p = sub.add_parser("decompose", parents=[_SHARED],
                        help="region/time variance decomposition with F tests")
     p.add_argument("panel")
     p.add_argument("--variables", default=None, help="comma-separated subset")
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("elasticities", parents=[shared],
+    p = sub.add_parser("elasticities", parents=[_SHARED],
                        help="grand-mean elasticities from a provenance file")
     p.add_argument("provenance",
                    help="CSV: variable,beta,source_column,x_mean,y_mean[,expected]")
@@ -359,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stats CSV overriding the provenance means")
     p.add_argument("--dependent", default="PATINT",
                    help="dependent variable for --stats means (default PATINT)")
-    p.add_argument("--tol", type=float, default=0.01,
+    p.add_argument("--tol", type=_at_least(float, 0), default=0.01,
                    help="absolute tolerance for the within_tol flag")
     p.set_defaults(fn=_cmd_elasticities)
 
@@ -368,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=float, required=True, help="demand intercept")
     common.add_argument("--c", type=float, required=True, help="marginal cost")
-    g = gsub.add_parser("solve", parents=[shared, common],
+    g = gsub.add_parser("solve", parents=[_SHARED, common],
                         help="equilibrium (omit --r for the full game)")
     g.add_argument("--r", type=float, default=None,
                    help="evaluate at a fixed royalty instead of solving stage 1")
     g.set_defaults(fn=_cmd_game)
-    g = gsub.add_parser("verify", parents=[shared, common],
+    g = gsub.add_parser("verify", parents=[_SHARED, common],
                         help="finite-difference / grid-search oracle report")
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--grid", type=int, default=4000)
@@ -383,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tol", type=float, default=1e-6,
                    help="gap tolerance, times the market scale s")
     g.set_defaults(fn=_cmd_game)
-    g = gsub.add_parser("region", parents=[shared],
+    g = gsub.add_parser("region", parents=[_SHARED],
                         help="feasibility flags over an (a, c) grid")
     g.add_argument("--a-min", type=float, required=True)
     g.add_argument("--a-max", type=float, required=True)
@@ -393,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--c-steps", type=int, default=25)
     g.set_defaults(fn=_cmd_game, game_cmd="region")
 
-    p = sub.add_parser("synth", parents=[shared],
+    p = sub.add_parser("synth", parents=[_OUTPUT],
                        help="deterministic synthetic panel from stats + correlations")
     p.add_argument("--stats", default=None,
                    help="stats CSV (default: bundled descriptive table)")
@@ -411,7 +396,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (PanelError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

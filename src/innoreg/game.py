@@ -27,6 +27,7 @@ __all__ = [
     "MarketParams",
     "RoyaltySolution",
     "Equilibrium",
+    "EquilibriumFlags",
     "VerificationReport",
     "inverse_demand",
     "follower_profit",

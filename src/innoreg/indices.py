@@ -97,24 +97,23 @@ def theil_index(shares: ShareVector) -> float:
     return math.fsum(p * math.log(1.0 / p) for _, p in items)
 
 
-def _group_sums(shares: ShareVector) -> dict:
+def _sector_shares(shares: ShareVector) -> list:
+    """``(P_g, [p_i of its industries])`` of each sector, over the positive
+    shares only, so every P_g is positive."""
     groups: dict = {}
     for code, p in shares.positive_items():
         parent = shares.parents.get(code)
         if parent is None:
             raise ValueError(f"industry {code!r} has no parent sector mapping")
-        groups.setdefault(parent, []).append((code, p))
-    return groups
+        groups.setdefault(parent, []).append(p)
+    return [(math.fsum(members), members) for members in groups.values()]
 
 
 def unrelated_variety(shares: ShareVector) -> float:
     """Between-sector entropy: ``sum_g P_g ln(1 / P_g)`` over one-digit sums."""
-    groups = _group_sums(shares)
     out = 0.0
-    for members in groups.values():
-        pg = math.fsum(p for _, p in members)
-        if pg > 0:
-            out += pg * math.log(1.0 / pg)
+    for pg, _ in _sector_shares(shares):
+        out += pg * math.log(1.0 / pg)
     return out
 
 
@@ -124,13 +123,9 @@ def related_variety(shares: ShareVector) -> float:
     ``sum_g P_g H_g`` with ``H_g = sum_{i in g} (p_i / P_g) ln(P_g / p_i)``;
     sectors with zero share contribute nothing.
     """
-    groups = _group_sums(shares)
     out = 0.0
-    for members in groups.values():
-        pg = math.fsum(p for _, p in members)
-        if pg <= 0:
-            continue
-        out += math.fsum(p * math.log(pg / p) for _, p in members)
+    for pg, members in _sector_shares(shares):
+        out += math.fsum(p * math.log(pg / p) for p in members)
     return out
 
 

@@ -19,7 +19,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import product, repeat
 from operator import attrgetter
 from typing import Mapping, NamedTuple
 
@@ -35,6 +35,8 @@ __all__ = [
     "ImputationResult",
     "load_panel",
     "load_employment",
+    "load_correlation_csv",
+    "load_provenance",
     "impute_by_apportionment",
     "lag",
     "descriptive_stats",
@@ -241,7 +243,7 @@ class RegionalPanel:
     """Balanced panel of named R x T variable matrices.
 
     NaN marks a missing cell; an infinite cell raises PanelError naming its
-    variable.
+    variable, and so does a variable named like a key column of the CSV.
     """
 
     regions: tuple
@@ -259,6 +261,8 @@ class RegionalPanel:
         shape = (len(self.regions), len(self.years))
         frozen = {}
         for name, mat in self.data.items():
+            if name in ("region", "year"):
+                raise PanelError(f"variable {name!r} has the name of a key column")
             arr = np.asarray(mat, dtype=float)
             if arr.shape != shape:
                 raise PanelError(
@@ -313,18 +317,12 @@ class RegionalPanel:
         A missing cell is written empty, the only missing marker
         ``load_panel`` reads, so the text loads back to an equal panel.
         """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         names = list(self.data)
-        writer.writerow(["region", "year", *names])
-        for i, region in enumerate(self.regions):
-            for j, year in enumerate(self.years):
-                cells = []
-                for name in names:
-                    v = self.data[name][i, j]
-                    cells.append("" if math.isnan(v) else "%.17g" % v)
-                writer.writerow([region, year, *cells])
-        return buf.getvalue()
+        cells = zip(*(m.ravel().tolist() for m in self.data.values()))
+        rows = [{"region": region, "year": year,
+                 **{name: "" if math.isnan(v) else v for name, v in zip(names, values)}}
+                for (region, year), values in zip(product(self.regions, self.years), cells)]
+        return render_table(rows, ["region", "year", *names], "csv")
 
 
 def load_panel(source, schema=None) -> RegionalPanel:
@@ -398,7 +396,7 @@ def load_panel(source, schema=None) -> RegionalPanel:
 
 
 # ---------------------------------------------------------------------------
-# employment tables
+# employment, correlation and provenance tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,6 +523,43 @@ def load_employment(source) -> EmploymentTable:
                            parents=parents)
 
 
+def load_correlation_csv(source) -> tuple:
+    """(names, matrix) from a named square correlation CSV."""
+    table = _read_csv(source)
+    names = table.header[1:]
+    rows = {}
+    for lineno, (name, *cells) in table.records():
+        if name in rows:
+            raise PanelParseError(lineno, f"duplicate row {name!r}")
+        rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
+    if sorted(rows) != sorted(names):
+        raise PanelError("correlation CSV row names do not match its header")
+    mat = np.array([rows[n] for n in names], dtype=float)
+    return names, mat
+
+
+def load_provenance(source) -> list:
+    """One dict per provenance CSV row, keyed by its header.
+
+    Every row fills ``variable,beta,source_column,x_mean,y_mean``; ``beta``,
+    ``x_mean``, ``y_mean`` and ``expected`` come back as finite floats, and
+    ``expected`` as None where it is absent or empty.
+    """
+    table = _read_csv(source)
+    required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
+    rows = []
+    for lineno, cells in list(table.records()):  # a ragged row raises before any check
+        rec = dict(zip(table.header, cells))
+        if not required.issubset({k for k, v in rec.items() if v}):
+            raise PanelError(f"provenance row incomplete: {rec}")
+        what = f"{rec['variable']!r} "
+        rec.setdefault("expected", "")
+        for k in ("beta", "x_mean", "y_mean", "expected"):  # only expected may be empty
+            rec[k] = _parse_float(rec[k], lineno, what + k) if rec[k] else None
+        rows.append(rec)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # imputation
 
@@ -613,20 +648,16 @@ def _apportionment_diagnostic(panel, target, national, proxy) -> float:
 # lags
 
 
-def _check_lag(panel: RegionalPanel, k) -> None:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k <= 0:
-        raise PanelError("lag order must be a positive integer")
-    if k >= panel.n_years:
-        raise PanelError(f"lag {k} >= panel length {panel.n_years}")
-
-
 def lag(panel: RegionalPanel, variable: str, k: int) -> np.ndarray:
     """Shift a variable k years back within each region.
 
     The first k years of every region come back missing; values never cross
     region boundaries. k must be a positive integer below T.
     """
-    _check_lag(panel, k)
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k <= 0:
+        raise PanelError("lag order must be a positive integer")
+    if k >= panel.n_years:
+        raise PanelError(f"lag {k} >= panel length {panel.n_years}")
     src = panel.matrix(variable)
     out = np.full_like(src, np.nan)
     out[:, k:] = src[:, :-k]

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import qr as _qr_pivot, solve_triangular
 from scipy.special import fdtrc
 
-from .panel import PanelError, RegionalPanel, _check_lag, markdown_table
+from .panel import PanelError, RegionalPanel, lag, markdown_table
 
 __all__ = [
     "CollinearityError",
@@ -31,6 +31,7 @@ __all__ = [
     "RegressionResult",
     "VarianceDecomposition",
     "SuiteEntry",
+    "significance_stars",
     "pooled_ols",
     "robust_covariance",
     "vif",
@@ -83,9 +84,8 @@ class Interaction:
 
     @property
     def label(self) -> str:
-        a = self.x1 if self.lag1 == 0 else f"{self.x1}_L{self.lag1}"
-        b = self.x2 if self.lag2 == 0 else f"{self.x2}_L{self.lag2}"
-        return f"{a}*{b}"
+        a, b = Regressor(self.x1, self.lag1), Regressor(self.x2, self.lag2)
+        return f"{a.label}*{b.label}"
 
 
 @dataclass
@@ -161,18 +161,6 @@ class RegressionResult:
 
     def coefficient(self, name: str) -> float:
         return self.beta[self.names.index(name)]
-
-    def summary(self, precision: int = 4) -> str:
-        p = precision
-        lines = [f"model {self.label or '(unnamed)'}  N={self.n}  "
-                 f"R2={self.r_squared:.{p}f}  F={self.f_stat:.2f} "
-                 f"(p={self.f_pvalue:.4g})  [{self.hc}]"]
-        for i, nm in enumerate(self.names):
-            lines.append(f"  {nm:<16} {self.beta[i]: .{p}f}{self.stars()[i]:<3} "
-                         f"({self.se_robust[i]:.{p}f})")
-        if self.avg_vif is not None:
-            lines.append(f"  avg VIF {self.avg_vif:.2f}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +314,9 @@ def _build_design(panel: RegionalPanel, spec: RegressionSpec):
     """(y, X, names) over the rows complete in every variable the spec touches.
 
     One (rows x R x T) array holds X' (the intercept row, the regressors, a
-    slot per interaction), then y and both inputs of each interaction, a lag
-    written as a shifted slice. One mask of complete rows and one gather give
-    the sample; each interaction slot is filled from its gathered inputs.
+    slot per interaction), then y and both inputs of each interaction, lagged
+    by ``panel.lag``. One mask of complete rows and one gather give the sample;
+    each interaction slot is filled from its gathered inputs.
     """
     m, j0 = len(spec.regressors), int(spec.intercept)
     k = j0 + m + len(spec.interactions)
@@ -340,12 +328,7 @@ def _build_design(panel: RegionalPanel, spec: RegressionSpec):
     raw[:j0] = 1.0
     raw[j0 + m:k] = 0.0
     for row, name, lg in terms:
-        if lg == 0:
-            raw[row] = panel.matrix(name)
-        else:
-            _check_lag(panel, lg)
-            raw[row, :, :lg] = np.nan
-            raw[row, :, lg:] = panel.matrix(name)[:, :-lg]
+        raw[row] = panel.matrix(name) if lg == 0 else lag(panel, name, lg)
     raw = raw.reshape(len(raw), -1)
     rows = raw.compress(~np.isnan(raw).any(axis=0), axis=1)
     if rows.shape[1] == 0:

@@ -49,13 +49,11 @@ def nearest_psd(corr: np.ndarray, floor: float = 1e-8) -> np.ndarray:
     w, v = np.linalg.eigh(sym)
     if w.min() >= floor:
         out = sym.copy()
-        np.fill_diagonal(out, 1.0)
-        return out
-    w = np.clip(w, floor, None)
-    out = (v * w) @ v.T
-    d = np.sqrt(np.diag(out))
-    out = out / np.outer(d, d)
-    out = (out + out.T) / 2.0
+    else:
+        out = (v * np.clip(w, floor, None)) @ v.T
+        d = np.sqrt(np.diag(out))
+        out = out / np.outer(d, d)
+        out = (out + out.T) / 2.0
     np.fill_diagonal(out, 1.0)
     return out
 

@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -382,6 +384,18 @@ VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
     ({}, VERIFY + ["--tol", "nan"], "tolerance must be finite and non-negative"),
     ({}, VERIFY + ["--seed", "1"], "unrecognized arguments: --seed 1"),
     ({}, ["game", "--format", "json"] + VERIFY[1:], "invalid choice: 'json'"),
+    ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--tol", "nan"],
+     "argument --tol: 'nan' is not a finite number >= 0"),
+    ({"emp.csv": EMP}, ["indices", "emp.csv", "--scale", "inf"],
+     "argument --scale: 'inf' is not a finite number > 0"),
+    ({}, ["describe", "panel.csv", "--precision", "-3", "--format", "md"],
+     "argument --precision: '-3' is not a finite number >= 0"),
+    ({}, ["synth", "--format", "md"], "unrecognized arguments: --format md"),
+    ({}, ["synth", "--precision", "3"], "unrecognized arguments: --precision 3"),
+    ({"prov.csv": PROV.replace("y_mean\n", "y_mean,expected\n").replace("4.0\n", "4.0,5\n")
+      + "C,1.0,1,2.0,4.0,x\n", "empty.csv": ""},
+     ["elasticities", "prov.csv", "--stats", "empty.csv"],
+     "line 3: 'C' expected 'x' is not numeric"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -391,7 +405,9 @@ VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
         "nan-provenance-beta", "correlation-cell-before-ragged-row",
         "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit",
         "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
-        "seed-outside-synth", "format-before-the-game-command"])
+        "seed-outside-synth", "format-before-the-game-command", "elasticities-tol-nan",
+        "indices-scale-inf", "negative-precision", "format-on-synth", "precision-on-synth",
+        "provenance-fault-before-stats-file"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
@@ -547,6 +563,22 @@ def test_every_public_name_resolves_through_the_lazy_package():
             "from innoreg import *\n"
             "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
     assert _python(code) == "[]\n[]\n[]\nTrue\n"
-    assert len(innoreg.__all__) == 60
+    assert len(innoreg.__all__) == 62
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         innoreg.nope
+
+
+@pytest.mark.parametrize("module", sorted(innoreg._EXPORTS))
+def test_module_all_matches_the_package_exports(module):
+    mod = importlib.import_module(f"innoreg.{module}")
+    assert set(mod.__all__) == set(innoreg._EXPORTS[module])
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = []
+    for path in sorted(Path(innoreg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    assert private == []

@@ -401,6 +401,12 @@ def test_to_csv_text_is_pinned():
                           '"q""x",2001,3\n"q""x",2002,1e-300\n')
 
 
+@pytest.mark.parametrize("name", ["region", "year"])
+def test_a_variable_cannot_take_a_key_column_name(name):
+    with pytest.raises(PanelError, match=f"variable '{name}' has the name of a key column"):
+        RegionalPanel(regions=("a", "b"), years=(2001, 2002), data={name: np.ones((2, 2))})
+
+
 def test_with_variable_and_column():
     p = build_panel({"X": np.arange(6, dtype=float).reshape(2, 3)})
     q = p.with_variable("Y", np.ones((2, 3)))
