@@ -5,6 +5,9 @@ Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``--out`` and, except on ``synth``, ``--format {csv,json,md}`` and
 ``--precision``; ``--jobs`` is accepted and ignored. Only ``synth`` takes
 ``--seed``. A flag value out of its range is a usage error naming the flag.
+A process builds its parser once: ``main`` parses every call with the
+parser it built on its first call, while ``build_parser()`` returns a new
+one each time.
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
@@ -22,6 +25,7 @@ naming its line.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -288,25 +292,23 @@ def _at_least(kind, low, strict=False):
     return parse
 
 
-# The shared flags. A parent parser is only read when a command copies its
-# flags, so these two serve every build_parser() call.
-_OUTPUT = argparse.ArgumentParser(add_help=False)
-_OUTPUT.add_argument("--out", default=None, help="output file (default stdout)")
-_OUTPUT.add_argument("--jobs", type=int, default=1,
-                     help="accepted for compatibility and ignored")
-_SHARED = argparse.ArgumentParser(add_help=False, parents=[_OUTPUT])
-_SHARED.add_argument("--format", choices=("csv", "json", "md"), default="csv",
-                     help="output rendering (default csv)")
-_SHARED.add_argument("--precision", type=_at_least(int, 0), default=4,
-                     help="decimal places in markdown views (default 4)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the whole command tree."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output file (default stdout)")
+    output.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility and ignored")
+    shared = argparse.ArgumentParser(add_help=False, parents=[output])
+    shared.add_argument("--format", choices=("csv", "json", "md"), default="csv",
+                        help="output rendering (default csv)")
+    shared.add_argument("--precision", type=_at_least(int, 0), default=4,
+                        help="decimal places in markdown views (default 4)")
+
     ap = argparse.ArgumentParser(prog="innoreg",
                                  description="regional innovation toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("indices", parents=[_SHARED],
+    p = sub.add_parser("indices", parents=[shared],
                        help="diversity/specialization indices per region-year")
     p.add_argument("employment", help="employment CSV "
                    "(region,year,industry,parent,employment)")
@@ -316,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hoover display multiplier (default 100)")
     p.set_defaults(fn=_cmd_indices)
 
-    p = sub.add_parser("describe", parents=[_SHARED],
+    p = sub.add_parser("describe", parents=[shared],
                        help="descriptive statistics of a panel CSV")
     p.add_argument("panel")
     p.add_argument("--variables", default=None, help="comma-separated subset")
     p.set_defaults(fn=_cmd_describe)
 
-    p = sub.add_parser("regress", parents=[_SHARED],
+    p = sub.add_parser("regress", parents=[shared],
                        help="pooled-OLS model suite from a JSON spec file")
     p.add_argument("panel")
     p.add_argument("--specs", required=True, help="JSON list of model specs")
@@ -330,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="robust covariance variant (default 1)")
     p.set_defaults(fn=_cmd_regress)
 
-    p = sub.add_parser("decompose", parents=[_SHARED],
+    p = sub.add_parser("decompose", parents=[shared],
                        help="region/time variance decomposition with F tests")
     p.add_argument("panel")
     p.add_argument("--variables", default=None, help="comma-separated subset")
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("elasticities", parents=[_SHARED],
+    p = sub.add_parser("elasticities", parents=[shared],
                        help="grand-mean elasticities from a provenance file")
     p.add_argument("provenance",
                    help="CSV: variable,beta,source_column,x_mean,y_mean[,expected]")
@@ -353,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=float, required=True, help="demand intercept")
     common.add_argument("--c", type=float, required=True, help="marginal cost")
-    g = gsub.add_parser("solve", parents=[_SHARED, common],
+    g = gsub.add_parser("solve", parents=[shared, common],
                         help="equilibrium (omit --r for the full game)")
     g.add_argument("--r", type=float, default=None,
                    help="evaluate at a fixed royalty instead of solving stage 1")
     g.set_defaults(fn=_cmd_game)
-    g = gsub.add_parser("verify", parents=[_SHARED, common],
+    g = gsub.add_parser("verify", parents=[shared, common],
                         help="finite-difference / grid-search oracle report")
     g.add_argument("--r", type=float, required=True)
     g.add_argument("--grid", type=int, default=4000)
@@ -368,32 +370,40 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tol", type=float, default=1e-6,
                    help="gap tolerance, times the market scale s")
     g.set_defaults(fn=_cmd_game)
-    g = gsub.add_parser("region", parents=[_SHARED],
+    g = gsub.add_parser("region", parents=[shared],
                         help="feasibility flags over an (a, c) grid")
-    g.add_argument("--a-min", type=float, required=True)
-    g.add_argument("--a-max", type=float, required=True)
-    g.add_argument("--a-steps", type=int, default=25)
-    g.add_argument("--c-min", type=float, required=True)
-    g.add_argument("--c-max", type=float, required=True)
-    g.add_argument("--c-steps", type=int, default=25)
+    positive, count = _at_least(float, 0, strict=True), _at_least(int, 1)
+    g.add_argument("--a-min", type=positive, required=True)
+    g.add_argument("--a-max", type=positive, required=True)
+    g.add_argument("--a-steps", type=count, default=25)
+    g.add_argument("--c-min", type=positive, required=True)
+    g.add_argument("--c-max", type=positive, required=True)
+    g.add_argument("--c-steps", type=count, default=25)
     g.set_defaults(fn=_cmd_game, game_cmd="region")
 
-    p = sub.add_parser("synth", parents=[_OUTPUT],
+    p = sub.add_parser("synth", parents=[output],
                        help="deterministic synthetic panel from stats + correlations")
     p.add_argument("--stats", default=None,
                    help="stats CSV (default: bundled descriptive table)")
     p.add_argument("--corr", default=None,
                    help="correlation CSV (default: bundled matrix)")
-    p.add_argument("--regions", type=int, default=13)
-    p.add_argument("--years", type=int, default=9)
+    p.add_argument("--regions", type=_at_least(int, 1), default=13)
+    p.add_argument("--years", type=_at_least(int, 1), default=9)
     p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     p.set_defaults(fn=_cmd_synth)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call. Parsing leaves it
+    unchanged, so one build serves every call in the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import importlib
 import io
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import innoreg
-from innoreg import synth
+from innoreg import cli, synth
 from innoreg.cli import load_correlation_csv, main
 from innoreg.panel import PanelError
 
@@ -329,6 +330,7 @@ def test_unknown_command_exits_nonzero(capsys):
 
 PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
 VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
+REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c-max", "4"]
 
 
 @pytest.mark.parametrize("files, argv, names", [
@@ -396,6 +398,14 @@ VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
       + "C,1.0,1,2.0,4.0,x\n", "empty.csv": ""},
      ["elasticities", "prov.csv", "--stats", "empty.csv"],
      "line 3: 'C' expected 'x' is not numeric"),
+    ({}, REGION + ["--a-steps", "-1"], "argument --a-steps: '-1' is not a finite number >= 1"),
+    ({}, REGION + ["--a-steps", "0"], "argument --a-steps: '0' is not a finite number >= 1"),
+    ({}, REGION + ["--c-steps", "0"], "argument --c-steps: '0' is not a finite number >= 1"),
+    ({}, REGION[:5] + ["inf"] + REGION[6:],
+     "argument --a-max: 'inf' is not a finite number > 0"),
+    ({}, REGION[:7] + ["0"] + REGION[8:], "argument --c-min: '0' is not a finite number > 0"),
+    ({}, ["synth", "--years", "-1"], "argument --years: '-1' is not a finite number >= 1"),
+    ({}, ["synth", "--regions", "0"], "argument --regions: '0' is not a finite number >= 1"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -407,7 +417,9 @@ VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
         "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
         "seed-outside-synth", "format-before-the-game-command", "elasticities-tol-nan",
         "indices-scale-inf", "negative-precision", "format-on-synth", "precision-on-synth",
-        "provenance-fault-before-stats-file"])
+        "provenance-fault-before-stats-file", "region-a-steps-negative", "region-a-steps-0",
+        "region-c-steps-0", "region-a-max-inf", "region-c-min-0", "synth-years-negative",
+        "synth-regions-0"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
@@ -539,7 +551,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 @pytest.mark.parametrize("argv", [
     VERIFY,
-    ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c-max", "4"],
+    REGION,
     ["indices", "EMP"],
 ], ids=["game-verify", "game-region", "indices"])
 def test_numpy_only_commands_import_no_scipy(tmp_path, argv):
@@ -582,3 +594,59 @@ def test_no_module_imports_another_modules_private_names():
                 private += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
                             if a.name.startswith("_")]
     assert private == []
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    builds, build = [], cli.build_parser
+
+    def counting_build():
+        builds.append(build())
+        return builds[-1]
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert run(capsys, *VERIFY)[0] == 0
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert run(capsys, *REGION)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+# one CLI call, its output captured; the same text runs in-process and alone
+_CALL = ("def call(argv):\n"
+         "    out, err = io.StringIO(), io.StringIO()\n"
+         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+         "        try:\n"
+         "            code = cli.main(argv)\n"
+         "        except SystemExit as exc:\n"
+         "            code = exc.code\n"
+         "    return [code, out.getvalue(), err.getvalue()]\n")
+
+
+def test_one_parser_serves_a_sequence_as_fresh_runs_do(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # the help width, in both processes
+    scope = {"cli": cli, "contextlib": contextlib, "io": io}
+    exec(_CALL, scope)
+    sequence = [["game", "solve", "--a", "10", "--c", "1", "--r", "1"],
+                ["game", "solve", "--a", "10", "--c", "1"],
+                ["game", "verify", "--a", "10", "--c", "1"],
+                VERIFY + ["--format", "md"],
+                VERIFY,
+                REGION,
+                ["describe", "--help"]]
+    in_process = [scope["call"](argv) for argv in sequence]
+    alone = [json.loads(_python("import contextlib, io, json\nfrom innoreg import cli\n"
+                                + _CALL + f"print(json.dumps(call({argv!r})))\n"))
+             for argv in sequence]
+    assert in_process == alone
+    assert [c for c, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 0]
+    assert "the following arguments are required: --r" in in_process[2][2]
+    assert cli._parser().parse_args(sequence[1]).r is None
