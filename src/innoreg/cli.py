@@ -50,20 +50,18 @@ def _bundled(name: str) -> str:
     return _pkg_files("innoreg").joinpath("data", name).read_text(encoding="utf-8")
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        _write_files({out: text})
-
-
 def _write_files(files: dict) -> None:
-    """Write each path's text, newline-terminated, through a temp file.
+    """Write each path's text, newline-terminated: the ``None`` path to
+    standard output, every other one through a temp file.
 
     Every temp file is written before any target is replaced, so a failed
     write replaces nothing. A failure between two replaces still leaves the
     earlier targets new and the later ones old.
     """
+    files = {out: text if text.endswith("\n") else text + "\n"
+             for out, text in files.items()}
+    if None in files:
+        sys.stdout.write(files.pop(None))
     mask = os.umask(0)
     os.umask(mask)
     temps = {}
@@ -75,7 +73,7 @@ def _write_files(files: dict) -> None:
                                               suffix=".tmp")
             os.fchmod(fd, 0o666 & ~mask)  # the mode a plain open() would give
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         for out in files:
             os.replace(temps[out], out)  # atomic per file
             del temps[out]
@@ -85,15 +83,17 @@ def _write_files(files: dict) -> None:
         raise
 
 
-def _table_text(rows, columns, args, md=None) -> str:
-    """``rows`` in ``args.format``; ``md()``, when given, is the md view."""
+def _emit_rows(rows, columns, args, md=None, companion=False) -> None:
+    """Write ``rows`` in ``args.format`` to ``args.out``; ``md()``, when given,
+    is the md view. With ``companion`` and ``--out``, ``<out>.json`` holds the
+    rows as JSON, replaced together with ``<out>``."""
     if args.format == "md" and md is not None:
-        return md()
-    return render_table(rows, columns, args.format, args.precision)
-
-
-def _emit_rows(rows, columns, args, md=None) -> None:
-    _write_text(_table_text(rows, columns, args, md), args.out)
+        files = {args.out: md()}
+    else:
+        files = {args.out: render_table(rows, columns, args.format, args.precision)}
+    if companion and args.out:
+        files[args.out + ".json"] = render_table(rows, columns, "json")
+    _write_files(files)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +155,8 @@ def _cmd_regress(args) -> int:
     rows = _result_rows(entries)
     cols = ["label", "variable", "coef", "se_robust", "se_classical",
             "stars", "r_squared", "f_stat", "avg_vif", "n"]
-    text = _table_text(rows, cols, args,
-                       md=lambda: format_suite_grid(entries, precision=args.precision))
-    if args.out:  # the grid and its machine-readable companion, replaced together
-        _write_files({args.out: text, args.out + ".json": render_table(rows, cols, "json")})
-    else:
-        _write_text(text, None)
+    _emit_rows(rows, cols, args, companion=True,
+               md=lambda: format_suite_grid(entries, precision=args.precision))
     if specs and all(not e.ok for e in entries):
         return 3
     return 0
@@ -271,7 +267,7 @@ def _cmd_synth(args) -> int:
     panel = synthesize_panel(stats, corr, seed=args.seed, regions=args.regions,
                              years=args.years, corr_names=names)
     print(json.dumps(panel.meta), file=sys.stderr)  # provenance diagnostics
-    _write_text(panel.to_csv(), args.out)
+    _write_files({args.out: panel.to_csv()})
     return 0
 
 
@@ -279,14 +275,15 @@ def _cmd_synth(args) -> int:
 # parser
 
 
-def _at_least(kind, low, strict=False):
+def _at_least(kind, low=-math.inf, strict=False):
     """An argparse type: ``kind(text)``, rejected unless finite and at least
-    ``low`` (above it when ``strict``)."""
+    ``low`` (above it when ``strict``); with no ``low``, any finite value."""
+    bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+
     def parse(text):
         value = kind(text)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a finite number {'>' if strict else '>='} {low:g}")
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number{bound}")
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
     return parse
@@ -352,34 +349,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", help="patent-licensing duopoly solver and oracle")
     gsub = p.add_subparsers(dest="game_cmd", required=True)
+    positive, count = _at_least(float, 0, strict=True), _at_least(int, 1)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--a", type=float, required=True, help="demand intercept")
-    common.add_argument("--c", type=float, required=True, help="marginal cost")
+    common.add_argument("--a", type=positive, required=True, help="demand intercept")
+    common.add_argument("--c", type=positive, required=True, help="marginal cost")
     g = gsub.add_parser("solve", parents=[shared, common],
                         help="equilibrium (omit --r for the full game)")
-    g.add_argument("--r", type=float, default=None,
+    g.add_argument("--r", type=_at_least(float), default=None,
                    help="evaluate at a fixed royalty instead of solving stage 1")
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("verify", parents=[shared, common],
                         help="finite-difference / grid-search oracle report")
-    g.add_argument("--r", type=float, required=True)
-    g.add_argument("--grid", type=int, default=4000)
-    g.add_argument("--fd-step", type=float, default=1e-5,
+    g.add_argument("--r", type=_at_least(float), required=True)
+    g.add_argument("--grid", type=count, default=4000)
+    g.add_argument("--fd-step", type=positive, default=1e-5,
                    help="finite-difference step, times the market scale "
                         "s = max(1, |a|, |c|, |q1|, |q2|, r^2)")
-    g.add_argument("--tol", type=float, default=1e-6,
+    g.add_argument("--tol", type=_at_least(float, 0), default=1e-6,
                    help="gap tolerance, times the market scale s")
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("region", parents=[shared],
                         help="feasibility flags over an (a, c) grid")
-    positive, count = _at_least(float, 0, strict=True), _at_least(int, 1)
     g.add_argument("--a-min", type=positive, required=True)
     g.add_argument("--a-max", type=positive, required=True)
     g.add_argument("--a-steps", type=count, default=25)
     g.add_argument("--c-min", type=positive, required=True)
     g.add_argument("--c-max", type=positive, required=True)
     g.add_argument("--c-steps", type=count, default=25)
-    g.set_defaults(fn=_cmd_game, game_cmd="region")
+    g.set_defaults(fn=_cmd_game)
 
     p = sub.add_parser("synth", parents=[output],
                        help="deterministic synthetic panel from stats + correlations")

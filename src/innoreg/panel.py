@@ -19,7 +19,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import attrgetter
 from typing import Mapping, NamedTuple
 
@@ -570,7 +570,9 @@ class ImputationResult:
 
     ``correlation`` relates apportionment predictions to observed values over
     fully observed years (1.0 by convention when nothing needed imputation);
-    a fully missing year reproduces the national total exactly.
+    a fully missing year reproduces the national total exactly. In a partly
+    missing year the observed cells are kept and each fill takes its proxy
+    share of the full national total, so that year's sum can exceed the total.
     """
 
     panel: "RegionalPanel"
@@ -584,64 +586,42 @@ def impute_by_apportionment(panel: RegionalPanel, target: str,
                             proxy: str) -> ImputationResult:
     """Fill missing target cells by splitting national totals along a proxy.
 
-    For each year with missing target values, the missing cell (r, t) gets
-    ``national[t] * proxy[r, t] / sum_r proxy[r, t]``. Observed cells are
-    never touched. Raises when the proxy is itself missing where needed, the
-    national total is absent, or the proxy column sums to zero.
+    In a year whose proxy column is complete with a nonzero sum S[t], cell
+    (r, t) is predicted as ``level[t] * proxy[r, t] / S[t]``, ``level[t]``
+    being ``national[t]``, else the observed year total. Missing cells take
+    their prediction and observed cells are kept, so a partly missing year
+    can sum above its national total. Raises for the first year with a
+    missing target cell whose proxy is missing, whose national total is
+    absent, or whose proxy sums to zero.
     """
-    tgt = panel.matrix(target).copy()
-    prx = panel.matrix(proxy)
-    filled_years = []
-    filled_cells = 0
-    for j, year in enumerate(panel.years):
-        miss = np.isnan(tgt[:, j])
-        if not miss.any():
-            continue
-        col = prx[:, j]
-        if np.isnan(col).any():
+    # year-major copies, so each year's sum is the np.sum of one contiguous row
+    tgt = np.ascontiguousarray(panel.matrix(target).T)
+    prx = np.ascontiguousarray(panel.matrix(proxy).T)
+    missing, complete = np.isnan(tgt), ~np.isnan(prx).any(axis=1)
+    gap, total = missing.any(axis=1), prx.sum(axis=1)
+    for t in np.flatnonzero(gap):
+        year = panel.years[t]
+        if not complete[t]:
             raise PanelError(
                 f"proxy {proxy!r} has missing cells in year {year} needed for imputation")
         if year not in national:
             raise PanelError(f"national total for year {year} is absent")
-        total = float(np.sum(col))
-        if total == 0:
+        if total[t] == 0:
             raise PanelError(f"proxy {proxy!r} sums to zero in year {year}")
-        fills = national[year] * col / total
-        tgt[miss, j] = fills[miss]
-        filled_years.append(year)
-        filled_cells += int(miss.sum())
-
-    if filled_cells == 0:
-        corr = 1.0  # vacuous: nothing imputed, agreement is perfect
-    else:
-        corr = _apportionment_diagnostic(panel, target, national, proxy)
-    out = panel.with_variable(target, tgt)
-    return ImputationResult(panel=out, correlation=corr,
-                            filled_years=tuple(filled_years),
-                            filled_cells=filled_cells)
-
-
-def _apportionment_diagnostic(panel, target, national, proxy) -> float:
-    # correlate what apportionment would predict with what was observed,
-    # over years where the target is fully observed; the observed year total
-    # stands in when no national figure is supplied for such a year
-    tgt = panel.matrix(target)
-    prx = panel.matrix(proxy)
-    pred, obs = [], []
-    for j, year in enumerate(panel.years):
-        col = tgt[:, j]
-        if np.isnan(col).any():
-            continue
-        pcol = prx[:, j]
-        if np.isnan(pcol).any() or np.sum(pcol) == 0:
-            continue
-        total = national.get(year, float(np.sum(col)))
-        share = pcol / np.sum(pcol)
-        pred.extend(total * share)
-        obs.extend(col)
-    if len(obs) < 2 or np.std(pred) == 0 or np.std(obs) == 0:
-        return math.nan
-    return float(np.corrcoef(pred, obs)[0, 1])
+    usable = complete & (total != 0)
+    level = np.fromiter(map(national.get, panel.years, tgt.sum(axis=1)), float)
+    pred = np.full_like(tgt, np.nan)
+    pred[usable] = level[usable, None] * prx[usable] / total[usable, None]
+    tgt[missing] = pred[missing]
+    # the diagnostic: predictions against observations in usable full years
+    p, o = pred[usable & ~gap].ravel(), tgt[usable & ~gap].ravel()
+    corr = 1.0  # vacuous when nothing is imputed: agreement is perfect
+    if gap.any():
+        corr = (float(np.corrcoef(p, o)[0, 1]) if o.size > 1 and np.std(p) and np.std(o)
+                else math.nan)
+    return ImputationResult(panel=panel.with_variable(target, tgt.T), correlation=corr,
+                            filled_years=tuple(compress(panel.years, gap)),
+                            filled_cells=int(missing.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,15 @@ VERIFY_OUT = {
 }
 
 
+def test_game_flags_admit_their_bounds(capsys):
+    # --r takes any finite royalty, --grid 1 and --tol 0 are the edges of their ranges
+    rc, out, _ = run(capsys, "game", "solve", "--a", "10", "--c", "1", "--r", "-1")
+    assert rc == 0 and next(csv.DictReader(io.StringIO(out)))["r"] == "-1"
+    rc, out, _ = run(capsys, "game", "verify", "--a", "3", "--c", "2", "--r", "0.5",
+                     "--grid", "1", "--tol", "0", "--fd-step", "1e-300")
+    assert rc == 0 and next(csv.DictReader(io.StringIO(out)))["tolerance"] == "0"
+
+
 @pytest.mark.parametrize("fmt", list(VERIFY_OUT))
 def test_game_verify_layout_is_pinned(capsys, fmt):
     # column order, check names and markdown lines, byte for byte
@@ -374,16 +383,19 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      ["elasticities", "prov.csv"], "line 2: 'B' beta 'x' is not numeric"),
     ({"prov.csv": PROV.replace("B,2.0", "B,nan")},
      ["elasticities", "prov.csv"], "line 2: 'B' beta 'nan' is not finite"),
+    ({"prov.csv": PROV.replace("1,10.0", "1,")},
+     ["elasticities", "prov.csv"], "provenance row incomplete: {'variable': 'B', 'beta': '2.0', "
+                                   "'source_column': '1', 'x_mean': '', 'y_mean': '4.0'}"),
     ({"corr.csv": "name,A,B\nA,1,x\nB,0.4\n"},
      ["synth", "--corr", "corr.csv"], "line 2: 'A' correlation 'x' is not numeric"),
     ({"prov.csv": PROV + "C,1\n", "stats.csv": "name\n"},
      ["elasticities", "prov.csv", "--stats", "stats.csv"], "line 3: expected 5 cells, got 2"),
     ({"long.csv": 'region,year,A\n"r1",2001,' + "1" * 131073 + "\n"},
      ["describe", "long.csv"], "line 2: field larger than field limit (131072)"),
-    ({}, VERIFY + ["--grid", "0"], "grid must be at least 1"),
-    ({}, VERIFY + ["--grid", "-5"], "grid must be at least 1"),
-    ({}, VERIFY + ["--fd-step", "0"], "fd_step must be finite and positive"),
-    ({}, VERIFY + ["--tol", "nan"], "tolerance must be finite and non-negative"),
+    ({}, VERIFY + ["--grid", "0"], "argument --grid: '0' is not a finite number >= 1"),
+    ({}, VERIFY + ["--grid", "-5"], "argument --grid: '-5' is not a finite number >= 1"),
+    ({}, VERIFY + ["--fd-step", "0"], "argument --fd-step: '0' is not a finite number > 0"),
+    ({}, VERIFY + ["--tol", "nan"], "argument --tol: 'nan' is not a finite number >= 0"),
     ({}, VERIFY + ["--seed", "1"], "unrecognized arguments: --seed 1"),
     ({}, ["game", "--format", "json"] + VERIFY[1:], "invalid choice: 'json'"),
     ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--tol", "nan"],
@@ -406,20 +418,35 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({}, REGION[:7] + ["0"] + REGION[8:], "argument --c-min: '0' is not a finite number > 0"),
     ({}, ["synth", "--years", "-1"], "argument --years: '-1' is not a finite number >= 1"),
     ({}, ["synth", "--regions", "0"], "argument --regions: '0' is not a finite number >= 1"),
+    ({}, VERIFY + ["--tol", "-1"], "argument --tol: '-1' is not a finite number >= 0"),
+    ({}, VERIFY + ["--fd-step", "nan"], "argument --fd-step: 'nan' is not a finite number > 0"),
+    ({}, ["game", "solve", "--a", "-1", "--c", "1"],
+     "argument --a: '-1' is not a finite number > 0"),
+    ({}, ["game", "solve", "--a", "10", "--c", "inf"],
+     "argument --c: 'inf' is not a finite number > 0"),
+    ({}, ["game", "verify", "--a", "10", "--c", "0", "--r", "1"],
+     "argument --c: '0' is not a finite number > 0"),
+    ({}, ["game", "verify", "--a", "nan", "--c", "1", "--r", "1"],
+     "argument --a: 'nan' is not a finite number > 0"),
+    ({}, ["game", "solve", "--a", "10", "--c", "1", "--r", "inf"],
+     "argument --r: 'inf' is not a finite number"),
+    ({}, ["game", "verify", "--a", "10", "--c", "1", "--r", "nan"],
+     "argument --r: 'nan' is not a finite number"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
         "nan-correlation-cell", "short-correlation-row",
         "empty-region-year-after-industry-subset", "duplicate-panel-column",
         "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
-        "nan-provenance-beta", "correlation-cell-before-ragged-row",
+        "nan-provenance-beta", "incomplete-provenance-row", "correlation-cell-before-ragged-row",
         "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit",
         "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
         "seed-outside-synth", "format-before-the-game-command", "elasticities-tol-nan",
         "indices-scale-inf", "negative-precision", "format-on-synth", "precision-on-synth",
         "provenance-fault-before-stats-file", "region-a-steps-negative", "region-a-steps-0",
         "region-c-steps-0", "region-a-max-inf", "region-c-min-0", "synth-years-negative",
-        "synth-regions-0"])
+        "synth-regions-0", "verify-tol-negative", "verify-fd-step-nan", "solve-a-negative",
+        "solve-c-inf", "verify-c-0", "verify-a-nan", "solve-r-inf", "verify-r-nan"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"

@@ -407,6 +407,18 @@ def test_a_variable_cannot_take_a_key_column_name(name):
         RegionalPanel(regions=("a", "b"), years=(2001, 2002), data={name: np.ones((2, 2))})
 
 
+@pytest.mark.parametrize("regions, years, matrix, message", [
+    (("a", "a"), (2001, 2002), np.ones((2, 2)), "duplicate region identifiers"),
+    (("a", "b"), (2002, 2001), np.ones((2, 2)), "years must be strictly increasing"),
+    (("a", "b"), (2001, 2001), np.ones((2, 2)), "years must be strictly increasing"),
+    (("a", "b"), (2001, 2002), np.ones((2, 3)),
+     r"variable 'X' has shape \(2, 3\), expected \(2, 2\)"),
+], ids=["duplicate-region", "decreasing-years", "repeated-year", "wrong-shape"])
+def test_panel_construction_guards(regions, years, matrix, message):
+    with pytest.raises(PanelError, match=message):
+        RegionalPanel(regions=regions, years=years, data={"X": matrix})
+
+
 def test_with_variable_and_column():
     p = build_panel({"X": np.arange(6, dtype=float).reshape(2, 3)})
     q = p.with_variable("Y", np.ones((2, 3)))
@@ -475,6 +487,11 @@ def test_correlation_matrix_listwise_and_errors():
     q = build_panel({"A": a, "C": np.ones((3, 5))})
     with pytest.raises(PanelError, match="C"):
         correlation_matrix(q, ["A", "C"])
+    sparse = np.full((3, 5), np.nan)
+    sparse[0, 0] = 1.0  # one complete row for (A, S)
+    r = build_panel({"A": a, "S": sparse})
+    with pytest.raises(PanelError, match="fewer than 2 complete observations"):
+        correlation_matrix(r, ["A", "S"])
 
 
 # --- apportionment -----------------------------------------------------------
@@ -537,6 +554,101 @@ def test_imputation_error_cases():
     p3 = build_panel({"T": TARGET, "P": zeros})
     with pytest.raises(PanelError, match="zero"):
         impute_by_apportionment(p3, "T", NATIONAL, "P")
+
+
+def _reference_apportionment(panel, target, national, proxy):
+    """The per-year loops that imputation ran before its single array pass:
+    (filled matrix, filled years, filled cells, correlation, predictions)."""
+    tgt = panel.matrix(target).copy()
+    prx = panel.matrix(proxy)
+    filled_years = []
+    filled_cells = 0
+    for j, year in enumerate(panel.years):
+        miss = np.isnan(tgt[:, j])
+        if not miss.any():
+            continue
+        col = prx[:, j]
+        if np.isnan(col).any():
+            raise PanelError(
+                f"proxy {proxy!r} has missing cells in year {year} needed for imputation")
+        if year not in national:
+            raise PanelError(f"national total for year {year} is absent")
+        total = float(np.sum(col))
+        if total == 0:
+            raise PanelError(f"proxy {proxy!r} sums to zero in year {year}")
+        fills = national[year] * col / total
+        tgt[miss, j] = fills[miss]
+        filled_years.append(year)
+        filled_cells += int(miss.sum())
+    observed = panel.matrix(target)
+    pred, obs = [], []
+    for j, year in enumerate(panel.years):
+        col = observed[:, j]
+        if np.isnan(col).any():
+            continue
+        pcol = prx[:, j]
+        if np.isnan(pcol).any() or np.sum(pcol) == 0:
+            continue
+        total = national.get(year, float(np.sum(col)))
+        share = pcol / np.sum(pcol)
+        pred.extend(total * share)
+        obs.extend(col)
+    if filled_cells == 0:
+        corr = 1.0
+    elif len(obs) < 2 or np.std(pred) == 0 or np.std(obs) == 0:
+        corr = math.nan
+    else:
+        corr = float(np.corrcoef(pred, obs)[0, 1])
+    return tgt, tuple(filled_years), filled_cells, corr, np.array(pred)
+
+
+@st.composite
+def apportionment_cases(draw):
+    """(panel, national): gaps, whole missing years, proxy holes, zero and
+    constant proxy columns, negative proxies, absent national totals."""
+    r, t = draw(st.integers(2, 12)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = rng.uniform(0.0, 1e3, (r, t)).round(draw(st.sampled_from([0, 3, 17])))
+    target[rng.random((r, t)) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = np.nan
+    target[:, rng.random(t) < draw(st.sampled_from([0.0, 0.3]))] = np.nan
+    proxy = rng.uniform(draw(st.sampled_from([0.0, -50.0])), 100.0, (r, t))
+    proxy = proxy.round(draw(st.sampled_from([0, 17])))
+    proxy[rng.random((r, t)) < draw(st.sampled_from([0.0, 0.02, 0.2]))] = np.nan
+    proxy[:, rng.random(t) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
+    proxy[:, rng.random(t) < draw(st.sampled_from([0.0, 0.2]))] = 7.0
+    years = tuple(range(2002, 2002 + t))
+    absent = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    digits = draw(st.sampled_from([0, 17]))
+    national = {y: round(rng.uniform(0.0, 1e4), digits) for y in years
+                if rng.random() >= absent}
+    return build_panel({"T": target, "P": proxy}, years=years), national
+
+
+@settings(max_examples=400, deadline=None)
+@given(apportionment_cases())
+def test_imputation_matches_the_per_year_reference(case):
+    panel, national = case
+    try:
+        ref = _reference_apportionment(panel, "T", national, "P")
+    except PanelError as exc:
+        with pytest.raises(PanelError) as got:
+            impute_by_apportionment(panel, "T", national, "P")
+        assert str(got.value) == str(exc)
+        return
+    filled, years, cells, corr, pred = ref
+    res = impute_by_apportionment(panel, "T", national, "P")
+    assert res.panel.matrix("T").tobytes() == filled.tobytes()
+    assert (res.filled_years, res.filled_cells) == (years, cells)
+    # the reference predicts N * (p / S), the pass (N * p) / S: a rounding
+    # apart, so r moves by ulps, more as the predictions cluster (max |pred|
+    # over their sd); constant ones up to rounding leave r noise on both sides
+    sd, top = (np.std(pred), np.abs(pred).max()) if pred.size else (1.0, 1.0)
+    if sd <= 1e-9 * top:
+        return
+    if math.isnan(corr):
+        assert math.isnan(res.correlation)
+    else:
+        assert abs(res.correlation - corr) <= 1e-15 * max(1.0, top / (4 * sd))
 
 
 # --- employment tables -------------------------------------------------------

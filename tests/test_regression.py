@@ -105,6 +105,29 @@ def test_a_spec_without_design_columns_is_a_panel_error():
         pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, label="empty"))
 
 
+def test_a_spec_without_complete_rows_is_a_panel_error():
+    rng = np.random.default_rng(19)
+    p = rand_panel(rng, ["Y", "X"], r=2, t=3, missing={"Y": [(0, 0), (0, 1), (0, 2)],
+                                                       "X": [(1, 0), (1, 1), (1, 2)]})
+    with pytest.raises(PanelError, match="spec 'm' has no complete observations"):
+        pooled_ols(p, RegressionSpec(dependent="Y", regressors=[{"name": "X"}], label="m"))
+
+
+def test_fit_needs_more_rows_than_columns():
+    p = rand_panel(np.random.default_rng(23), ["Y", "A", "B", "C"], r=2, t=2)
+    spec = RegressionSpec(dependent="Y", regressors=[{"name": n} for n in "ABC"])
+    with pytest.raises(PanelError, match="need N > k; got N=4, k=4"):
+        pooled_ols(p, spec)
+
+
+def test_intercept_only_fit_has_no_f_statistic():
+    p = rand_panel(np.random.default_rng(29), ["Y"])
+    res = pooled_ols(p, RegressionSpec(dependent="Y"))
+    assert res.names == ["const"] and res.k == 1
+    assert res.coefficient("const") == pytest.approx(p.column("Y").mean(), abs=1e-12)
+    assert math.isnan(res.f_stat) and math.isnan(res.f_pvalue)
+
+
 def test_robust_covariance_variants():
     rng = np.random.default_rng(17)
     n, k = 60, 3

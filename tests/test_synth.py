@@ -122,6 +122,14 @@ def test_validation_errors():
         SMALL_STATS + "D,40,0.0,1.0,-4.0,4.0\n"))
     with pytest.raises(PanelError, match="observations"):
         synthesize_panel(four, np.eye(4), seed=0, regions=2, years=2)
+    with pytest.raises(PanelError, match="no variables in stats"):
+        synthesize_panel(DescriptiveStats(variables={}), np.empty((0, 0)), seed=0)
+    # from_csv refuses a mean below the minimum; a DescriptiveStats built in code
+    # reaches synthesize_panel with one
+    bad = {**stats.variables, "B": VariableStats(count=40, mean=10.0, sd=2.0, min=11.0,
+                                                 max=18.0)}
+    with pytest.raises(PanelError, match="inconsistent stats for 'B'"):
+        synthesize_panel(DescriptiveStats(variables=bad), small_corr(), seed=0)
 
 
 def test_unrepairable_correlation_rejected():
