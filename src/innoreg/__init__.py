@@ -3,7 +3,7 @@ and a patent-licensing duopoly solver.
 
 The public names below are loaded on first use (PEP 562), so importing the
 package, or running a command that needs one module, loads only that
-module: ``game`` and ``indices`` need numpy only, ``regression`` scipy.
+module. numpy is the only numeric dependency.
 """
 
 import importlib

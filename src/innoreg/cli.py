@@ -98,7 +98,7 @@ def _emit_rows(rows, columns, args, md=None, companion=False) -> None:
 
 # ---------------------------------------------------------------------------
 # commands; each imports the modules it runs, so that a command loads no
-# library it does not use (regression alone needs scipy)
+# module it does not use
 
 
 def _cmd_indices(args) -> int:
@@ -289,10 +289,17 @@ def _at_least(kind, low=-math.inf, strict=False):
     return parse
 
 
+def _path(text):
+    """An argparse type for ``--out``: any path but the empty one."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the whole command tree."""
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", default=None, help="output file (default stdout)")
+    output.add_argument("--out", type=_path, default=None, help="output file (default stdout)")
     output.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility and ignored")
     shared = argparse.ArgumentParser(add_help=False, parents=[output])

@@ -569,8 +569,9 @@ class ImputationResult:
     """Filled panel plus the footnote-style proxy-quality diagnostic.
 
     ``correlation`` relates apportionment predictions to observed values over
-    fully observed years (1.0 by convention when nothing needed imputation);
-    a fully missing year reproduces the national total exactly. In a partly
+    fully observed years (1.0 by convention when nothing needed imputation, NaN
+    when fewer than 2 cells compare or either side is exactly constant); a fully
+    missing year reproduces the national total exactly. In a partly
     missing year the observed cells are kept and each fill takes its proxy
     share of the full national total, so that year's sum can exceed the total.
     """
@@ -617,7 +618,7 @@ def impute_by_apportionment(panel: RegionalPanel, target: str,
     p, o = pred[usable & ~gap].ravel(), tgt[usable & ~gap].ravel()
     corr = 1.0  # vacuous when nothing is imputed: agreement is perfect
     if gap.any():
-        corr = (float(np.corrcoef(p, o)[0, 1]) if o.size > 1 and np.std(p) and np.std(o)
+        corr = (float(np.corrcoef(p, o)[0, 1]) if o.size > 1 and np.ptp(p) and np.ptp(o)
                 else math.nan)
     return ImputationResult(panel=panel.with_variable(target, tgt.T), correlation=corr,
                             filled_years=tuple(compress(panel.years, gap)),

@@ -18,8 +18,6 @@ import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.linalg import qr as _qr_pivot, solve_triangular
-from scipy.special import fdtrc
 
 from .panel import PanelError, RegionalPanel, lag, markdown_table
 
@@ -167,46 +165,67 @@ class RegressionResult:
 # core fitting
 
 
-def _pivoted_qr(X: np.ndarray, mode: str = "economic"):
-    """(Q or None, R, piv, rank); pivot i counts when |R_ii| > |R_00| max(n, k) eps."""
-    n, k = X.shape
-    *q, r, piv = _qr_pivot(X, mode=mode, pivoting=True)
-    d = np.abs(np.diag(r))
-    rank = int(np.sum(d > d[0] * max(n, k) * np.finfo(float).eps))
-    return (q[0] if q else None), r[:k], piv, rank
+def _qr_svd(X: np.ndarray):
+    """(Q, R, U, s, V', rank, collinear set) of X = QR and R = U diag(s) V'.
 
-
-def _collinear_set(r: np.ndarray, piv: np.ndarray, rank: int) -> list:
-    """Sorted column indices in an exact dependency of a rank-deficient QR.
-
-    The columns past the rank, plus those in the support of R11^-1 R12 once
-    every coefficient is rescaled to unit-norm columns: a real dependency has
-    O(1) coefficients, while columns outside it keep only rounding-level ones.
-    """
-    norm = np.sqrt(np.sum(r * r, axis=0))  # column norms of X[:, piv]
-    coef = solve_triangular(r[:rank, :rank], r[:rank, rank:])
-    null = np.abs(coef) * norm[:rank, None] / np.where(norm[rank:] > 0, norm[rank:], 1.0)
-    involved = np.any(null > np.sqrt(np.finfo(float).eps)
-                      * null.max(axis=0, initial=0.0), axis=1)
-    return sorted(piv[rank:].tolist() + piv[:rank][involved].tolist())
+    The rank counts s_i > s_0 max(n, k) eps (Golub & Van Loan 5.4). The
+    collinear set is the support of the null right singular vectors, each
+    entry times its column's norm: a real dependency has O(1) entries, and
+    columns outside it only rounding-level ones."""
+    q, r = np.linalg.qr(X)
+    u, s, vt = np.linalg.svd(r)
+    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    norm = np.sqrt(np.sum(r * r, axis=0))
+    null = np.abs(vt[rank:]) * np.where(norm > 0, norm, 1.0)
+    cut = np.sqrt(np.finfo(float).eps) * null.max(axis=1, keepdims=True, initial=0.0)
+    return q, r, u, s, vt, rank, np.flatnonzero((null > cut).any(axis=0)).tolist()
 
 
 def _factor(X: np.ndarray, names=None):
-    """(Q, R, piv, (X'X)^-1) of a full-rank design, from one QR.
+    """(Q, R, R^-1, (X'X)^-1) of a full-rank design, from one QR and the SVD
+    of its R = U S V': R^-1 = V S^-1 U', and (X'X)^-1 = V S^-2 V'.
 
     A rank-deficient X raises CollinearityError listing the collinear set by
     ``names``, or by column index when no names are given.
     """
-    k = X.shape[1]
-    q, r, piv, rank = _pivoted_qr(X)
-    if rank < k:
-        bad = _collinear_set(r, piv, rank)
+    q, r, u, s, vt, rank, bad = _qr_svd(X)
+    if rank < X.shape[1]:
         if names is not None:
             bad = [names[j] for j in bad]
         raise CollinearityError(f"rank-deficient design; collinear columns {bad}")
-    # X[:, piv] = Q R, so (X'X)^-1 = P R^-1 R^-T P' with P scattering rows back
-    rinv = solve_triangular(r, np.eye(k))[np.argsort(piv)]
-    return q, r, piv, rinv @ rinv.T
+    w = vt.T / s
+    return q, r, w @ u.T, w @ w.T
+
+
+def _f_sf(d1, d2, f) -> float:
+    """P(F > f) for F(d1, d2), 1 at f <= 0, 0 at f = +inf and NaN at NaN: the
+    regularized incomplete beta I_x(d2/2, d1/2) at x = d2/(d2 + d1 f), by Lentz's
+    continued fraction where that converges fast, x < (a+1)/(a+b+2), else as
+    1 - I_(1-x)(d1/2, d2/2) (Numerical Recipes 6.4)."""
+    if not 0 < d1 * f / d2 < math.inf:  # f <= 0, +inf or NaN, or d1 f / d2 out of range
+        return math.nan if math.isnan(f) else float(f < 1)
+    a, b, x, y = d2 / 2, d1 / 2, d2 / (d2 + d1 * f), d1 * f / (d2 + d1 * f)
+    if flip := x >= (a + 1) / (a + b + 2):
+        a, b, x, y = b, a, y, x
+    tiny = 1e-300  # keeps a partial denominator off zero
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d, c = 1.0 + num * d, 1.0 + num / c
+            d, c = 1.0 / (d if abs(d) > tiny else tiny), (c if abs(c) > tiny else tiny)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    # log B(a, b); past 1000, lgamma(hi) - lgamma(lo + hi) is taken from
+    # Stirling's series, where lgamma's own rounding would show in it
+    lo, hi = min(a, b), max(a, b)
+    gap = (math.lgamma(hi) - math.lgamma(lo + hi) if hi < 1000 else
+           lo - (hi - 0.5) * math.log1p(lo / hi) - lo * math.log(lo + hi)
+           + (1 / hi - 1 / (lo + hi)) / 12)
+    p = math.exp(a * math.log(x) + b * math.log(y) - math.lgamma(lo) - gap) * h / a
+    return 1.0 - p if flip else p
 
 
 def _sandwich(X, e, xtx_inv, q, hc: str) -> np.ndarray:
@@ -247,9 +266,9 @@ def vif(X: np.ndarray, names=None):
     """Variance inflation factors for a block of non-intercept regressors.
 
     Each auxiliary regression includes an intercept; VIF_j = 1/(1 - R_j^2),
-    the squared row norm of R^-1 for the centred, unit-norm block Z P = Q R.
-    Columns caught in an exactly collinear set (past the rank, or in the
-    support of R11^-1 R12) come back +inf with a warning. :func:`pooled_ols`
+    the squared norm of row j of V S^-1 over the kept singular values of R,
+    for the centred, unit-norm block Z = Q R = Q U S V'. Columns caught in an
+    exactly collinear set come back +inf with a warning. :func:`pooled_ols`
     calls this only for a spec without an intercept; with one, it reads the
     same values off the (X'X)^-1 of its own factorization.
 
@@ -266,16 +285,12 @@ def vif(X: np.ndarray, names=None):
     if np.any(norm == 0):
         j = int(np.argmax(norm == 0))
         raise PanelError(f"constant column {names[j]!r} in VIF input")
-    _, r, piv, rank = _pivoted_qr(z / norm, mode="r")
-    r11inv = solve_triangular(r[:rank, :rank], np.eye(rank))
-    values = np.full(k, np.inf)
-    values[piv[:rank]] = np.einsum("ij,ij->i", r11inv, r11inv)
-    if rank < k:
-        values[_collinear_set(r, piv, rank)] = np.inf
-        for j in np.flatnonzero(np.isinf(values)):
-            warnings.warn(f"perfect collinearity at {names[j]!r}; VIF = inf")
-    out = {nm: float(v) for nm, v in zip(names, values)}
-    return out, float(np.mean(values))
+    *_, s, vt, rank, bad = _qr_svd(z / norm)
+    values = np.sum((vt[:rank] / s[:rank, None]) ** 2, axis=0)
+    values[bad] = np.inf
+    for j in bad:
+        warnings.warn(f"perfect collinearity at {names[j]!r}; VIF = inf")
+    return {nm: float(v) for nm, v in zip(names, values)}, float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +360,7 @@ def _build_design(panel: RegionalPanel, spec: RegressionSpec):
 
 def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
                hc: str = "HC1") -> RegressionResult:
-    """Fit one spec by pooled OLS with robust inference, from one pivoted QR.
+    """Fit one spec by pooled OLS with robust inference: one QR, one SVD of R.
 
     The reported F statistic is a robust Wald test that all non-intercept
     coefficients vanish; stars on coefficients come from robust t statistics
@@ -362,9 +377,10 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     n, k = X.shape
     if n <= k:
         raise PanelError(f"need N > k; got N={n}, k={k}")
-    q, r, piv, xtx_inv = _factor(X, names)
-    beta = np.empty(k)
-    beta[piv] = solve_triangular(r, q.T @ y)
+    q, r, rinv, xtx_inv = _factor(X, names)
+    # R^-1 Q'y alone loses digits in small coefficients; one refinement restores them
+    beta = rinv @ (q.T @ y)
+    beta += rinv @ (q.T @ (y - X @ beta))
     resid = y - X @ beta
 
     ssr = float(resid @ resid)
@@ -383,7 +399,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
         try:
             wald = float(b @ np.linalg.solve(cov_robust[j0:, j0:], b))
             f_stat = wald / m
-            f_p = float(fdtrc(m, n - k, f_stat))
+            f_p = _f_sf(m, n - k, f_stat)
         except np.linalg.LinAlgError:
             f_stat, f_p = math.nan, math.nan
     else:
@@ -391,13 +407,9 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
 
     vif_map, avg = None, None
     if m >= 2 and spec.intercept:
-        # X = Q Rc, Rc being R with its columns back in design order, so each
-        # slope's centred sum of squares is the squared norm of its Rc column
-        # once the intercept's column is projected out: k x k work, not n x k
-        rc = r[:, np.argsort(piv)]
-        one = rc[:, 0]
-        zc = rc[:, 1:] - np.outer(one, one @ rc[:, 1:] / (one @ one))
-        values = np.diag(xtx_inv)[1:] * np.einsum("ij,ij->j", zc, zc)
+        # X = Q R with R's first column r_00 e_0, so each slope's centred sum of
+        # squares is the squared norm of its R column below row 0: k x k work
+        values = np.diag(xtx_inv)[1:] * np.einsum("ij,ij->j", r[1:, 1:], r[1:, 1:])
         vif_map, avg = dict(zip(names[1:], values.tolist())), float(np.mean(values))
     elif m >= 2:
         vif_map, avg = vif(X, names)
@@ -470,8 +482,8 @@ def variance_decomposition(panel: RegionalPanel,
         share_time=ss_time / ss_total,
         share_residual=ss_resid / ss_total,
         systematic=1.0 - ss_resid / ss_total,
-        f_region=f_region, p_region=float(fdtrc(df_r, df_e, f_region)),
-        f_time=f_time, p_time=float(fdtrc(df_t, df_e, f_time)),
+        f_region=f_region, p_region=_f_sf(df_r, df_e, f_region),
+        f_time=f_time, p_time=_f_sf(df_t, df_e, f_time),
         df_region=df_r, df_time=df_t, df_residual=df_e)
 
 

@@ -432,6 +432,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "argument --r: 'inf' is not a finite number"),
     ({}, ["game", "verify", "--a", "10", "--c", "1", "--r", "nan"],
      "argument --r: 'nan' is not a finite number"),
+    ({}, ["describe", "panel.csv", "--out", ""], "argument --out: expected a file path, got ''"),
+    ({}, ["synth", "--out", ""], "argument --out: expected a file path, got ''"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -446,7 +448,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "provenance-fault-before-stats-file", "region-a-steps-negative", "region-a-steps-0",
         "region-c-steps-0", "region-a-max-inf", "region-c-min-0", "synth-years-negative",
         "synth-regions-0", "verify-tol-negative", "verify-fd-step-nan", "solve-a-negative",
-        "solve-c-inf", "verify-c-0", "verify-a-nan", "solve-r-inf", "verify-r-nan"])
+        "solve-c-inf", "verify-c-0", "verify-a-nan", "solve-r-inf", "verify-r-nan",
+        "describe-out-empty", "synth-out-empty"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
@@ -571,26 +574,49 @@ def _python(code):
                           check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import innoreg.cli, sys; print('scipy.stats' in sys.modules)"
-    assert _python(code) == "False\n"
-
-
 @pytest.mark.parametrize("argv", [
     VERIFY,
     REGION,
     ["indices", "EMP"],
-], ids=["game-verify", "game-region", "indices"])
+    ["regress", "PANEL", "--specs", "SPECS"],
+    ["decompose", "PANEL"],
+    ["elasticities", "PROV"],
+    ["describe", "PANEL"],
+    ["synth"],
+    ["game", "solve", "--a", "10", "--c", "1"],
+], ids=["game-verify", "game-region", "indices", "regress", "decompose", "elasticities",
+        "describe", "synth", "game-solve"])
 def test_numpy_only_commands_import_no_scipy(tmp_path, argv):
-    emp = tmp_path / "emp.csv"
-    emp.write_text(EMP)
-    argv = [str(emp) if a == "EMP" else a for a in argv]
+    # the package's only numeric dependency is numpy: neither importing the CLI
+    # nor running any command loads a scipy module
+    files = {"EMP": EMP, "PROV": PROV,
+             "PANEL": "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\n"
+                      "r2,2002,1,1\nr3,2001,2,2\nr3,2002,4,1\n",
+             "SPECS": '[{"label": "m", "dependent": "A", "regressors": [{"name": "B"}]}]'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code = ("import contextlib, io, sys\n"
             "from innoreg import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
             f"    code = cli.main({argv!r})\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert _python(code) == "0 []\n"
+
+
+def test_no_module_imports_scipy():
+    sources = sorted(Path(innoreg.__file__).parent.rglob("*.py"))
+    assert {p.name for p in sources} >= {"cli.py", "regression.py", "synth.py"}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            assert "scipy" not in roots, f"{path.name}:{node.lineno} imports scipy"
 
 
 def test_every_public_name_resolves_through_the_lazy_package():

@@ -540,6 +540,15 @@ def test_imputation_nothing_to_do_is_vacuous():
     np.testing.assert_array_equal(res.panel.matrix("T"), PROXY)
 
 
+def test_imputation_constant_predictions_give_a_nan_correlation():
+    # a proxy constant across regions predicts 2698.597 * 3 / 21 for every cell
+    # of the observed year; np.std of those equal values is 5.7e-14, not 0
+    target = np.column_stack([[5.0, 1, 4, 9, 2, 6, 3], np.full(7, np.nan)])
+    p = build_panel({"T": target, "P": np.full((7, 2), 3.0)})
+    res = impute_by_apportionment(p, "T", {2001: 2698.597, 2002: 700.0}, "P")
+    assert res.filled_cells == 7 and math.isnan(res.correlation)
+
+
 def test_imputation_error_cases():
     p = apportion_fixture()
     with pytest.raises(PanelError, match="2004"):
@@ -595,7 +604,7 @@ def _reference_apportionment(panel, target, national, proxy):
         obs.extend(col)
     if filled_cells == 0:
         corr = 1.0
-    elif len(obs) < 2 or np.std(pred) == 0 or np.std(obs) == 0:
+    elif len(obs) < 2 or np.ptp(pred) == 0 or np.ptp(obs) == 0:
         corr = math.nan
     else:
         corr = float(np.corrcoef(pred, obs)[0, 1])
@@ -641,12 +650,16 @@ def test_imputation_matches_the_per_year_reference(case):
     assert (res.filled_years, res.filled_cells) == (years, cells)
     # the reference predicts N * (p / S), the pass (N * p) / S: a rounding
     # apart, so r moves by ulps, more as the predictions cluster (max |pred|
-    # over their sd); constant ones up to rounding leave r noise on both sides
-    sd, top = (np.std(pred), np.abs(pred).max()) if pred.size else (1.0, 1.0)
-    if sd <= 1e-9 * top:
+    # over their sd); ones constant up to rounding, but not exactly, leave r
+    # noise on both sides
+    sd, top, spread = ((np.std(pred), np.abs(pred).max(), np.ptp(pred)) if pred.size
+                       else (1.0, 1.0, 1.0))
+    if spread and sd <= 1e-9 * top:
         return
     if math.isnan(corr):
         assert math.isnan(res.correlation)
+    elif not spread:  # nothing filled: 1.0 by convention
+        assert res.correlation == corr
     else:
         assert abs(res.correlation - corr) <= 1e-15 * max(1.0, top / (4 * sd))
 

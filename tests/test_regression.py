@@ -120,6 +120,23 @@ def test_fit_needs_more_rows_than_columns():
         pooled_ols(p, spec)
 
 
+def test_small_coefficients_keep_their_digits():
+    # Y = X b exactly in doubles, so b is the least-squares solution. A regressor
+    # with mean 1e4 and a range of 18 leaves the intercept ill-determined; the
+    # fit must still return every coefficient, the 2^-10 one too, to 1e-9
+    b = np.array([3.0, 2.0, -0.5, 2.0 ** -10])
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = {"A": 50.0 + rng.integers(-9, 10, (5, 8)), "B": 1e4 + rng.integers(-9, 10, (5, 8)),
+             "C": rng.integers(-9, 10, (5, 8)).astype(float)}
+        y = b[0] + b[1] * x["A"] + b[2] * x["B"] + b[3] * x["C"]
+        res = pooled_ols(build_panel({"Y": y, **x}), RegressionSpec(
+            dependent="Y", regressors=[{"name": n} for n in "ABC"]))
+        worst = max(worst, float(np.max(np.abs(res.beta - b) / np.abs(b))))
+    assert worst < 1e-9
+
+
 def test_intercept_only_fit_has_no_f_statistic():
     p = rand_panel(np.random.default_rng(29), ["Y"])
     res = pooled_ols(p, RegressionSpec(dependent="Y"))
@@ -410,6 +427,37 @@ def test_variance_decomposition_guards():
         variance_decomposition(q, "X")
 
 
+@pytest.mark.parametrize("d2", [1, 2, 5, 30, 117, 1000, 9000])
+def test_f_tail_matches_the_closed_form_at_two_numerator_df(d2):
+    # at d1 = 2, P(F > f) = (1 + 2 f / d2)^(-d2 / 2)
+    for f in (1e-3, 0.05, 0.5, 1.0, 2.0, 7.0, 31.0, 100.0):
+        assert reg._f_sf(2, d2, f) == pytest.approx((1 + 2 * f / d2) ** (-d2 / 2), rel=1e-11)
+
+
+def test_f_tail_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    grid = [(d1, d2, f) for d1 in (1, 2, 3, 5, 12, 32, 40)
+            for d2 in (1, 2, 7, 30, 117, 1000, 4657, 9000)
+            for f in (1e-3, 0.05, 0.5, 1.0, 1.3, 2.0, 7.0, 31.0, 55.1, 100.0)]
+    with mpmath.workdps(30):
+        for d1, d2, f in grid:
+            x = mpmath.mpf(d2) / (d2 + mpmath.mpf(d1) * mpmath.mpf(f))
+            want = mpmath.betainc(mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, 0, x,
+                                  regularized=True)
+            got = reg._f_sf(d1, d2, f)
+            assert abs(got - float(want)) <= 2e-12, (d1, d2, f)
+            if want >= mpmath.mpf("1e-250"):  # relative, where a double holds it
+                assert abs(got - want) <= 1e-11 * want, (d1, d2, f)
+
+
+def test_f_tail_edge_cases():
+    assert reg._f_sf(3, 10, 0.0) == 1.0 and reg._f_sf(3, 10, -1.0) == 1.0
+    assert reg._f_sf(3, 10, math.inf) == 0.0
+    assert math.isnan(reg._f_sf(3, 10, math.nan))
+    # d1 f / d2 past the double range at either end is the limit, not an error
+    assert reg._f_sf(40, 10, 1e307) == 0.0 and reg._f_sf(1, 9000, 5e-324) == 1.0
+
+
 def test_elasticity():
     assert elasticity(2.0, 3.0, 4.0) == pytest.approx(1.5)
     with pytest.raises(PanelError):
@@ -463,18 +511,23 @@ def test_format_decomposition_table_layout():
 
 
 def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
-    shapes = []
-    qr = reg._qr_pivot
+    # one n x k QR per fit or VIF block, and an SVD only of its k x k R
+    calls = []
 
-    def counting_qr(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return qr(a, *args, **kwargs)
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return counted
 
     def forbidden(*args, **kwargs):
         raise AssertionError("second factorization path used")
 
-    monkeypatch.setattr(reg, "_qr_pivot", counting_qr)
-    for name in ("qr", "matrix_rank", "inv", "lstsq", "svd"):
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    for name in ("matrix_rank", "inv", "lstsq"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     monkeypatch.setattr(np, "corrcoef", forbidden)
     rng = np.random.default_rng(103)
@@ -482,25 +535,26 @@ def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
     spec = RegressionSpec(dependent="Y", regressors=[
         {"name": "X1"}, {"name": "X2"}, {"name": "X3"}])
     for hc in ("HC0", "HC1", "HC2", "HC3"):
-        shapes.clear()
+        calls.clear()
         res = pooled_ols(p, spec, hc=hc)
-        assert shapes == [(48, 4)]  # the design; its VIFs come from the same QR
+        # the design; its VIFs come from the same factorization
+        assert calls == [("qr", (48, 4)), ("svd", (4, 4))]
         assert np.isfinite(res.se_robust).all() and res.avg_vif >= 1.0
     # an interaction adds a column, not a factorization (lstsq is forbidden)
-    shapes.clear()
+    calls.clear()
     res = pooled_ols(p, RegressionSpec(
         dependent="Y", regressors=[{"name": "X1"}, {"name": "X2"}],
         interactions=[{"x1": "X1", "x2": "X3"}]))
-    assert shapes == [(48, 4)] and res.names[-1] == "X1*X3"
-    # without an intercept, vif() keeps its own QR of the slope block
-    shapes.clear()
+    assert calls == [("qr", (48, 4)), ("svd", (4, 4))] and res.names[-1] == "X1*X3"
+    # without an intercept, vif() keeps its own factorization of the slope block
+    calls.clear()
     res = pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, regressors=[
         {"name": "X1"}, {"name": "X2"}, {"name": "X3"}]))
-    assert shapes == [(48, 3), (48, 3)] and res.avg_vif >= 1.0
-    shapes.clear()
+    assert calls == [("qr", (48, 3)), ("svd", (3, 3))] * 2 and res.avg_vif >= 1.0
+    calls.clear()
     robust_covariance(np.column_stack([np.ones(48), p.column("X1")]),
                       rng.normal(size=48), "HC3")
-    assert shapes == [(48, 2)]
+    assert calls == [("qr", (48, 2)), ("svd", (2, 2))]
 
 
 def test_only_hc2_and_hc3_compute_leverages(monkeypatch):
@@ -568,6 +622,16 @@ def test_collinearity_error_names_the_dependent_set():
     assert str(err.value) == "rank-deficient design; collinear columns [1, 3]"
     with pytest.raises(CollinearityError, match=r"columns \[0, 1\]$"):
         robust_covariance(np.zeros((40, 2)), rng.normal(size=40))  # rank 0
+
+
+def test_collinear_set_is_read_at_the_columns_scale():
+    # x and 1e9 x are one dependency: its null vector is (1, -1e-9) in raw
+    # units, and only the columns' norms put both entries on one scale
+    rng = np.random.default_rng(127)
+    x = rng.normal(size=40)
+    X = np.column_stack([np.ones(40), x, rng.normal(size=40), 1e9 * x])
+    with pytest.raises(CollinearityError, match=r"columns \[1, 3\]$"):
+        robust_covariance(X, rng.normal(size=40))
 
 
 @pytest.mark.parametrize("spec, match", [
