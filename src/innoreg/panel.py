@@ -12,6 +12,7 @@ missing values — no sentinel numbers. Employment tables use the long schema
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -19,7 +20,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import compress, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import attrgetter
 from typing import Mapping, NamedTuple
 
@@ -77,12 +78,13 @@ def _parse_float(text: str, line: int, what: str) -> float:
 
 
 class _Table(NamedTuple):
-    """A parsed CSV: ``columns[j]`` lists the cells of column j and ``lines``
-    the 1-based line number of each row kept (its last line, where a quoted
-    cell spans lines).
+    """A block of parsed CSV rows: ``columns[j]`` lists the cells of column j
+    and ``lines`` the 1-based line number of each row kept (its last line,
+    where a quoted cell spans lines).
 
-    ``ragged`` is the error for the first row whose cell count differs from
-    the header's, or None; that row and every later one are left out.
+    ``ragged`` is the error that ends the stream, or None: a row whose cell
+    count differs from the header's, or that ``csv.reader`` rejects. That row
+    and every later one are left out.
     """
 
     header: list
@@ -90,63 +92,85 @@ class _Table(NamedTuple):
     lines: list
     ragged: PanelParseError | None
 
-    def records(self):
-        """``(line, cells)`` of each row kept, then raise ``ragged`` if set."""
-        yield from zip(self.lines, zip(*self.columns))
-        if self.ragged is not None:
-            raise self.ragged
+
+def _records(blocks):
+    """``(line, cells)`` of each row of ``_read_csv`` blocks, then raise any ``ragged``."""
+    for table in blocks:
+        yield from zip(table.lines, zip(*table.columns))
+        if table.ragged is not None:
+            raise table.ragged
 
 
 # the ASCII characters str.strip() removes, "\n" aside
 _ASCII_PADDING = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+# the lines of a block; a loader holds the cells of one block at a time
+_BLOCK_ROWS = 1024
 
 
-def _read_csv(source) -> _Table:
-    """The ``_Table`` of a CSV path or text stream, every cell stripped.
-
-    The first line is the header; blank and whitespace-only lines are
-    skipped, and one leading byte-order mark is dropped. Empty input, or text
-    that ``csv.reader`` rejects (a field over its size limit), raises
-    PanelParseError. A ragged row is kept as the table's pending error, so
-    that a caller still reports a bad header, or a bad cell on an earlier
-    line, first.
+def _read_csv(source):
+    """The ``_Table`` blocks of a CSV path or text stream, read line by line,
+    ``_BLOCK_ROWS`` lines to a block: the header alone, then its rows, every
+    cell stripped, blank and whitespace-only lines skipped and one leading
+    byte-order mark dropped. Empty input, or a header that ``csv.reader``
+    rejects, raises PanelParseError. A ragged row, or a later row that
+    ``csv.reader`` rejects (a field over its size limit), ends the stream as
+    the last block's pending error, so that a caller still reports a bad
+    header, or a bad cell on an earlier line, first.
     """
-    if isinstance(source, str):
-        with open(source, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
-    text = text.removeprefix("\ufeff")
-    if not text:
-        raise PanelParseError(1, "empty input")
-    # without quotes or a lone carriage return, every line is one record and
-    # every comma a separator, so str.split reads what csv.reader does
-    lf_text = text.replace("\r\n", "\n") if "\r" in text else text
-    split = '"' not in text and "\r" not in lf_text
-    if split:
-        header, *body = lf_text.removesuffix("\n").split("\n")
-        header = header.split(",") if header else []
-        counts = [n + 1 for n in map(str.count, body, repeat(","))]
-        lines = list(range(2, len(body) + 2))
-    else:
-        reader = csv.reader(io.StringIO(text, newline=""))  # any line end, a lone "\r" too
+    with (open(source, newline="", encoding="utf-8") if isinstance(source, str)
+          else contextlib.nullcontext(source)) as fh:
+        first = next(fh, "").removeprefix("\ufeff")
+        rest = chain([first] if first else [], fh)
+        if not isinstance(source, str):  # split at any line end, as open(newline="") does
+            rest = chain.from_iterable(io.StringIO(line, newline="") for line in rest)
+        reader = csv.reader(rest)
         try:
-            (_, header), *numbered = [(reader.line_num, row) for row in reader]
+            header = [c.strip() for c in next(reader)]
         except csv.Error as exc:
             raise PanelParseError(reader.line_num, str(exc)) from None
-        lines = [n for n, _ in numbered]
-        body = [row for _, row in numbered]
-        counts = list(map(len, body))
-    header = [c.strip() for c in header]
+        except StopIteration:
+            raise PanelParseError(1, "empty input") from None
+        yield _block(header, [], [])
+        done = reader.line_num
+        while chunk := list(islice(rest, _BLOCK_ROWS)):
+            # without quotes, a lone carriage return or a field over the csv
+            # size limit, every line is a record and every comma a separator
+            text = "".join(chunk)
+            lf_text = text.replace("\r\n", "\n") if "\r" in text else text
+            if '"' in text or "\r" in lf_text or max(map(len, chunk)) > csv.field_size_limit():
+                break
+            lines, done = list(range(done + 1, done + len(chunk) + 1)), done + len(chunk)
+            yield (table := _block(header, lf_text.removesuffix("\n").split("\n"), lines, text))
+            if table.ragged:
+                return
+        # from the first block that needs it, if any, the rest goes through csv.reader
+        reader, body, lines, error = csv.reader(chain(chunk, rest)), [], [], None
+        try:
+            for row in reader:
+                body.append(row)
+                lines.append(done + reader.line_num)
+                if len(body) == _BLOCK_ROWS:
+                    yield (table := _block(header, body, lines))
+                    if table.ragged:
+                        return
+                    body, lines = [], []
+        except csv.Error as exc:
+            error = PanelParseError(done + reader.line_num, str(exc))
+        yield _block(header, body, lines, None, error)
+
+
+def _block(header, body, lines, text=None, ragged=None) -> _Table:
+    """The ``_Table`` of the ``body`` lines of ``text`` or, without ``text``,
+    of ``csv.reader`` rows; ``ragged`` is a pending error past its last row."""
     width = len(header)
-    ragged = None
+    counts = [n + 1 for n in map(str.count, body, repeat(","))] if text else list(map(len, body))
     for i in [i for i, n in enumerate(counts) if n != width]:
-        if any(map(str.strip, body[i].split(",") if split else body[i])):
+        if any(map(str.strip, body[i].split(",") if text else body[i])):
             ragged = PanelParseError(lines[i], f"expected {width} cells, got {counts[i]}")
             del body[i:], lines[i:]
             break
-        body[i] = "," * (width - 1) if split else [""] * width  # a blank line, dropped below
-    if split:
+        body[i] = "," * (width - 1) if text else [""] * width  # a blank line, dropped below
+    if text:
         cells = ",".join(body).split(",") if body else []
         columns = [cells[j::width] for j in range(width)]
         if not text.isascii() or any(c in text for c in _ASCII_PADDING):
@@ -337,41 +361,47 @@ def load_panel(source, schema=None) -> RegionalPanel:
     Rows duplicated by (region, year) merge silently when their values agree
     and raise on conflict. Unbalanced grids raise listing the missing cells.
     A header naming a column twice raises. The first bad line is reported,
-    then a ragged row, then the missing cells.
+    then a ragged row, then the missing cells. Each block of rows is
+    converted as it is read, and none is read past the first bad line.
     """
-    table = _read_csv(source)
-    header = table.header
-    if header[:2] != ["region", "year"]:
-        raise PanelParseError(1, "header must start with 'region,year'")
-    repeated = [c for c in header if header.count(c) > 1]
-    if repeated:
-        raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
-    file_vars = header[2:]
-    if schema is not None:
-        missing = [v for v in schema if v not in file_vars]
+    with contextlib.closing(_read_csv(source)) as blocks:
+        header = next(blocks).header
+        if header[:2] != ["region", "year"]:
+            raise PanelParseError(1, "header must start with 'region,year'")
+        repeated = [c for c in header if header.count(c) > 1]
+        if repeated:
+            raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
+        names = header[2:] if schema is None else list(schema)
+        missing = [v for v in names if v not in header[2:]]
         if missing:
             raise PanelError(f"schema variables absent from header: {missing}")
-        names = list(schema)
-    else:
-        names = file_vars
-    regions, years = table.columns[:2]
-    cells = [table.columns[header.index(v)] for v in names]
-    year_values, values = _year_column(years), [_float_column(c) for c in cells]
-    error = _first_error(table, [
-        ("" not in regions, lambda region: not region and "empty region identifier", regions),
-        (year_values is not None, _year_fault, years),
-        *((v is not None, lambda text, what=f"{name!r} cell": text and _float_fault(text, what), c)
-          for name, v, c in zip(names, values, cells))])
-    if error is not table.ragged:  # a bad cell: go on with the rows above its line
-        n = bisect_left(table.lines, error.line)
-        regions, years, cells = regions[:n], years[:n], [c[:n] for c in cells]
-        year_values, values = _year_column(years), [_float_column(c) for c in cells]
-
-    region_at = {r: i for i, r in enumerate(dict.fromkeys(regions))}
-    year_values, year_index = np.unique(year_values, return_inverse=True)
+        # convert each block as it arrives, up to the first bad or ragged line
+        at, region_at = [0, 1, *map(header.index, names)], {}
+        lines, region_index, parts = [], [], []
+        # per column: the message for a bad cell, read where the whole column fails
+        faults = [lambda region: not region and "empty region identifier", _year_fault,
+                  *(lambda text, what=f"{nm!r} cell": text and _float_fault(text, what)
+                    for nm in names)]
+        for table in blocks:
+            regions, years, *cells = map(table.columns.__getitem__, at)
+            year_values, values = _year_column(years), [_float_column(c) for c in cells]
+            passed = ["" not in regions, year_values is not None, *(v is not None for v in values)]
+            error = _first_error(table, zip(passed, faults, [regions, years, *cells]))
+            if error is not table.ragged:  # a bad cell: go on with the rows above its line
+                n = bisect_left(table.lines, error.line)
+                regions, years, cells = regions[:n], years[:n], [c[:n] for c in cells]
+                year_values, values = _year_column(years), [_float_column(c) for c in cells]
+            lines += table.lines[:len(regions)]
+            region_index += [region_at.setdefault(r, len(region_at)) for r in regions]
+            parts.append((year_values, *values))
+            if error is not None:
+                break
+    year_cells, *values = map(np.concatenate, zip(*parts))
+    del parts  # one copy of the cells at a time
+    year_values, year_index = np.unique(year_cells, return_inverse=True)
     n_years = len(year_values)
-    cell = (np.fromiter(map(region_at.__getitem__, regions), np.intp, len(regions))
-            * n_years + year_index)
+    cell = np.array(region_index, dtype=np.intp) * n_years + year_index
+    region_list, year_list = list(region_at), year_values.tolist()
     # a repeated (region, year) row keeps its first values; a repeat that
     # differs from them (NaN matching NaN) names its own line
     seen, first, which = np.unique(cell, return_index=True, return_inverse=True)
@@ -381,11 +411,10 @@ def load_panel(source, schema=None) -> RegionalPanel:
             conflict |= ~((column == column[ref]) | (np.isnan(column) & np.isnan(column[ref])))
         if conflict.any():
             i = int(np.argmax(conflict))
-            raise PanelParseError(table.lines[i],
-                                  f"conflicting duplicate row for {(regions[i], int(years[i]))}")
+            key = (region_list[region_index[i]], int(year_cells[i]))
+            raise PanelParseError(lines[i], f"conflicting duplicate row for {key}")
     if error is not None:
         raise error
-    region_list, year_list = list(region_at), year_values.tolist()
     missing = np.setdiff1d(np.arange(len(region_list) * n_years), seen).tolist()
     if missing:
         missing_cells = [(region_list[c // n_years], year_list[c % n_years]) for c in missing]
@@ -499,39 +528,45 @@ def load_employment(source) -> EmploymentTable:
 
     Enforces: non-negative employment, numeric cells, and that every industry
     code maps to exactly one parent sector across the whole file. The first
-    bad line is reported; a ragged row comes after every earlier line.
+    bad line is reported; a ragged row comes after every earlier line. Each
+    block of rows is converted as it is read, and the table holds one string
+    per distinct region, industry or parent.
     """
-    table = _read_csv(source)
     expected = ["region", "year", "industry", "parent", "employment"]
-    if table.header != expected:
-        raise PanelParseError(1, f"header must be {','.join(expected)}")
-    regions, year_cells, inds, parent_cells, emp_cells = table.columns
-    years, emp = _year_column(year_cells), _float_column(emp_cells)
-    parents, first_parent = dict(zip(inds, parent_cells)), {}
-    error = _first_error(table, [
-        (years is not None, _year_fault, year_cells),
-        (emp is not None and (emp >= 0).all(),  # NaN, from an empty cell, fails too
-         lambda text: _float_fault(text, "employment")
-         or float(text) < 0 and f"negative employment {float(text)}", emp_cells),
-        (list(map(parents.__getitem__, inds)) == parent_cells,
-         lambda ind, parent: first_parent.setdefault(ind, parent) != parent
-         and f"industry {ind!r} mapped to both {first_parent[ind]!r} and {parent!r}",
-         inds, parent_cells)])
-    if error is not None:
-        raise error
-    return EmploymentTable(regions=regions, years=years.tolist(), codes=inds, employed=emp,
-                           parents=parents)
+    with contextlib.closing(_read_csv(source)) as blocks:
+        if next(blocks).header != expected:
+            raise PanelParseError(1, f"header must be {','.join(expected)}")
+        distinct, parents, columns, employed = {}, {}, ([], [], []), []
+        for table in blocks:
+            region_cells, year_cells, inds, parent_cells, emp_cells = table.columns
+            years, emp = _year_column(year_cells), _float_column(emp_cells)
+            # an industry's parent is the one on its first line
+            first_parent = list(map(parents.setdefault, inds, parent_cells))
+            error = _first_error(table, [
+                (years is not None, _year_fault, year_cells),
+                (emp is not None and (emp >= 0).all(),  # NaN, from an empty cell, fails too
+                 lambda text: _float_fault(text, "employment")
+                 or float(text) < 0 and f"negative employment {float(text)}", emp_cells),
+                (first_parent == parent_cells,
+                 lambda ind, parent: parents[ind] != parent
+                 and f"industry {ind!r} mapped to both {parents[ind]!r} and {parent!r}",
+                 inds, parent_cells)])
+            if error is not None:
+                raise error
+            for column, cells in zip(columns, (region_cells, years.tolist(), inds)):
+                column += map(distinct.setdefault, cells, cells)  # one object per distinct key
+            employed.append(emp)
+    return EmploymentTable(*columns, employed=np.concatenate(employed), parents=parents)
 
 
 def load_correlation_csv(source) -> tuple:
     """(names, matrix) from a named square correlation CSV."""
-    table = _read_csv(source)
-    names = table.header[1:]
-    rows = {}
-    for lineno, (name, *cells) in table.records():
-        if name in rows:
-            raise PanelParseError(lineno, f"duplicate row {name!r}")
-        rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
+    with contextlib.closing(_read_csv(source)) as blocks:
+        names, rows = next(blocks).header[1:], {}
+        for lineno, (name, *cells) in _records(blocks):
+            if name in rows:
+                raise PanelParseError(lineno, f"duplicate row {name!r}")
+            rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
     if sorted(rows) != sorted(names):
         raise PanelError("correlation CSV row names do not match its header")
     mat = np.array([rows[n] for n in names], dtype=float)
@@ -545,11 +580,13 @@ def load_provenance(source) -> list:
     ``x_mean``, ``y_mean`` and ``expected`` come back as finite floats, and
     ``expected`` as None where it is absent or empty.
     """
-    table = _read_csv(source)
+    with contextlib.closing(_read_csv(source)) as blocks:
+        header = next(blocks).header
+        records = list(_records(blocks))  # a ragged row raises before any check
     required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
     rows = []
-    for lineno, cells in list(table.records()):  # a ragged row raises before any check
-        rec = dict(zip(table.header, cells))
+    for lineno, cells in records:
+        rec = dict(zip(header, cells))
         if not required.issubset({k for k, v in rec.items() if v}):
             raise PanelError(f"provenance row incomplete: {rec}")
         what = f"{rec['variable']!r} "
@@ -684,24 +721,24 @@ class DescriptiveStats:
 
     @classmethod
     def from_csv(cls, source) -> "DescriptiveStats":
-        table = _read_csv(source)
-        if table.header != list(cls.columns):
-            raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
-        out = {}
-        for lineno, (name, count, *values) in table.records():
-            if name in out:
-                raise PanelParseError(lineno, f"duplicate row {name!r}")
-            try:
-                count = int(count)
-            except ValueError:
-                raise PanelParseError(
-                    lineno, f"{name!r} count {count!r} is not an integer") from None
-            mean, sd, lo, hi = (_parse_float(c, lineno, f"{name!r} {k}")
-                                for k, c in zip(cls.columns[2:], values))
-            st = VariableStats(count=count, mean=mean, sd=sd, min=lo, max=hi)
-            if not (st.min <= st.mean <= st.max) or st.sd < 0:
-                raise PanelError(f"inconsistent stats for {name!r}")
-            out[name] = st
+        with contextlib.closing(_read_csv(source)) as blocks:
+            if next(blocks).header != list(cls.columns):
+                raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
+            out = {}
+            for lineno, (name, count, *values) in _records(blocks):
+                if name in out:
+                    raise PanelParseError(lineno, f"duplicate row {name!r}")
+                try:
+                    count = int(count)
+                except ValueError:
+                    raise PanelParseError(
+                        lineno, f"{name!r} count {count!r} is not an integer") from None
+                mean, sd, lo, hi = (_parse_float(c, lineno, f"{name!r} {k}")
+                                    for k, c in zip(cls.columns[2:], values))
+                st = VariableStats(count=count, mean=mean, sd=sd, min=lo, max=hi)
+                if not (st.min <= st.mean <= st.max) or st.sd < 0:
+                    raise PanelError(f"inconsistent stats for {name!r}")
+                out[name] = st
         return cls(variables=out)
 
 

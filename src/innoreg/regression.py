@@ -165,36 +165,37 @@ class RegressionResult:
 # core fitting
 
 
-def _qr_svd(X: np.ndarray):
-    """(Q, R, U, s, V', rank, collinear set) of X = QR and R = U diag(s) V'.
-
+def _qr_svd(X: np.ndarray, y=None):
+    """(R, Q'y, U, s, V', rank, collinear set) of X = QR and R = U diag(s) V',
+    R and Q'y read off the R of [X y] without forming Q (Q'y None without y).
     The rank counts s_i > s_0 max(n, k) eps (Golub & Van Loan 5.4). The
     collinear set is the support of the null right singular vectors, each
     entry times its column's norm: a real dependency has O(1) entries, and
     columns outside it only rounding-level ones."""
-    q, r = np.linalg.qr(X)
+    r = np.linalg.qr(X if y is None else np.column_stack([X, y]), mode="r")
+    qty, r = None if y is None else r[:-1, -1], r[:X.shape[1], :X.shape[1]]
     u, s, vt = np.linalg.svd(r)
     rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
     norm = np.sqrt(np.sum(r * r, axis=0))
     null = np.abs(vt[rank:]) * np.where(norm > 0, norm, 1.0)
     cut = np.sqrt(np.finfo(float).eps) * null.max(axis=1, keepdims=True, initial=0.0)
-    return q, r, u, s, vt, rank, np.flatnonzero((null > cut).any(axis=0)).tolist()
+    return r, qty, u, s, vt, rank, np.flatnonzero((null > cut).any(axis=0)).tolist()
 
 
-def _factor(X: np.ndarray, names=None):
-    """(Q, R, R^-1, (X'X)^-1) of a full-rank design, from one QR and the SVD
-    of its R = U S V': R^-1 = V S^-1 U', and (X'X)^-1 = V S^-2 V'.
+def _factor(X: np.ndarray, names=None, y=None):
+    """(R, Q'y, R^-1, (X'X)^-1) of a full-rank design, from one QR and the
+    SVD of its R = U S V': R^-1 = V S^-1 U', and (X'X)^-1 = V S^-2 V'.
 
     A rank-deficient X raises CollinearityError listing the collinear set by
     ``names``, or by column index when no names are given.
     """
-    q, r, u, s, vt, rank, bad = _qr_svd(X)
+    r, qty, u, s, vt, rank, bad = _qr_svd(X, y)
     if rank < X.shape[1]:
         if names is not None:
             bad = [names[j] for j in bad]
         raise CollinearityError(f"rank-deficient design; collinear columns {bad}")
     w = vt.T / s
-    return q, r, w @ u.T, w @ w.T
+    return r, qty, w @ u.T, w @ w.T
 
 
 def _f_sf(d1, d2, f) -> float:
@@ -228,13 +229,14 @@ def _f_sf(d1, d2, f) -> float:
     return 1.0 - p if flip else p
 
 
-def _sandwich(X, e, xtx_inv, q, hc: str) -> np.ndarray:
+def _sandwich(X, e, rinv, xtx_inv, hc: str) -> np.ndarray:
     n, k = X.shape
     hc = hc.upper()
     sw = np.abs(e)  # the square root of each observation's weight
     if hc in ("HC2", "HC3"):
-        h = np.einsum("ij,ij->i", q, q)  # the leverages, read only here
-        denom = np.maximum(1.0 - h, 1e-12)
+        xr = X @ rinv  # X R^-1 = Q: the leverages are its squared row norms
+        denom = 1.0 - np.einsum("ij,ij->i", xr, xr)
+        denom[denom <= 1e-12] = np.inf  # leverage 1: its residual is 0 in exact arithmetic
         sw = sw / np.sqrt(denom) if hc == "HC2" else sw / denom
     elif hc not in ("HC0", "HC1"):
         raise ValueError(f"unknown robust variant {hc!r}")
@@ -254,12 +256,13 @@ def robust_covariance(X: np.ndarray, residuals: np.ndarray,
     """Sandwich covariance of the OLS coefficients for a fitted design.
 
     HC0 is the plain White estimator; HC1 rescales by N/(N-k); HC2 and HC3
-    deflate squared residuals by (1 - h) and (1 - h)^2. All four come from
-    one factorization of X (MacKinnon & White 1985).
+    deflate squared residuals by (1 - h) and (1 - h)^2, and give weight 0 to a
+    cell with 1 - h <= 1e-12, whose residual is 0 in exact arithmetic. All
+    four come from one factorization of X (MacKinnon & White 1985).
     """
     X = np.asarray(X, dtype=float)
-    q, *_, xtx_inv = _factor(X)
-    return _sandwich(X, np.asarray(residuals, dtype=float), xtx_inv, q, hc)
+    *_, rinv, xtx_inv = _factor(X)
+    return _sandwich(X, np.asarray(residuals, dtype=float), rinv, xtx_inv, hc)
 
 
 def vif(X: np.ndarray, names=None):
@@ -377,16 +380,16 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     n, k = X.shape
     if n <= k:
         raise PanelError(f"need N > k; got N={n}, k={k}")
-    q, r, rinv, xtx_inv = _factor(X, names)
+    r, qty, rinv, xtx_inv = _factor(X, names, y)
     # R^-1 Q'y alone loses digits in small coefficients; one refinement restores them
-    beta = rinv @ (q.T @ y)
-    beta += rinv @ (q.T @ (y - X @ beta))
+    beta = rinv @ qty
+    beta += rinv @ (qty - r @ beta)
     resid = y - X @ beta
 
     ssr = float(resid @ resid)
     sigma2 = ssr / (n - k)
     cov_classical = sigma2 * xtx_inv
-    cov_robust = _sandwich(X, resid, xtx_inv, q, hc)
+    cov_robust = _sandwich(X, resid, rinv, xtx_inv, hc)
 
     yc = y - y.mean() if spec.intercept else y
     sst = float(yc @ yc)

@@ -1,17 +1,20 @@
 import csv
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from innoreg import panel as panel_mod
 from innoreg.panel import (DescriptiveStats, EmploymentTable, PanelError,
                            PanelParseError, RegionalPanel, correlation_matrix,
                            descriptive_stats, impute_by_apportionment, lag,
-                           load_employment, load_panel)
+                           load_correlation_csv, load_employment, load_panel,
+                           load_provenance)
 
 from conftest import build_panel
 
@@ -209,17 +212,22 @@ _rows = st.lists(st.lists(_cells, min_size=1, max_size=4), min_size=1, max_size=
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rows, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
-def test_read_csv_reads_what_csv_reader_reads(rows, newline, final_newline, quoted):
+@given(_rows, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans(),
+       st.sampled_from([1, 2, 3, 1024]))
+def test_read_csv_reads_what_csv_reader_reads(rows, newline, final_newline, quoted, block):
     if quoted:
         rows[-1][0] = f'"{rows[-1][0]}"'
     text = newline.join(",".join(row) for row in rows) + (newline if final_newline else "")
     assume(text)  # empty input is an error of its own
-    table = panel_mod._read_csv(io.StringIO(text))
-    try:
-        got = (table.header, list(table.records()), None)
-    except PanelParseError as exc:
-        got = (table.header, list(zip(table.lines, zip(*table.columns))), str(exc))
+    with mock.patch.object(panel_mod, "_BLOCK_ROWS", block):
+        blocks = list(panel_mod._read_csv(io.StringIO(text)))
+    # every block carries the header, and only the last one an error
+    assert all(b.header == blocks[0].header for b in blocks)
+    assert all(b.ragged is None for b in blocks[:-1])
+    assert all(len(b.lines) <= block for b in blocks)
+    ragged = blocks[-1].ragged
+    got = (blocks[0].header, [r for b in blocks for r in zip(b.lines, zip(*b.columns))],
+           ragged and str(ragged))
     assert got == _csv_module_table(text)
 
 
@@ -739,3 +747,117 @@ def test_non_finite_cells_are_rejected_at_parse(cell):
     stats = f"name,count,mean,sd,min,max\nA,10,1,{cell},0,2\n"
     with pytest.raises(PanelParseError, match=f"line 2: 'A' sd '{cell}' is not finite"):
         DescriptiveStats.from_csv(io.StringIO(stats))
+
+
+# --- block reading -----------------------------------------------------------
+
+# each reader and a valid text for it, every data line a list of cells
+_BLOCK_READERS = {
+    "panel": (load_panel, "region,year,A,B",
+              [[r, str(y), str(i % 5), str(i % 3 - 1)]
+               for i, (r, y) in enumerate((r, y) for r in "abc" for y in (2001, 2002, 2003))]),
+    "employment": (load_employment, "region,year,industry,parent,employment",
+                   [[r, str(y), ind, par, str(len(r + ind) + y % 7)]
+                    for r in ("n", "s") for y in (2001, 2002)
+                    for ind, par in (("food", "m"), ("retail", "s"))]),
+    "stats": (DescriptiveStats.from_csv, "name,count,mean,sd,min,max",
+              [["A", "10", "1", "0.5", "0", "2"], ["B", "10", "3", "1", "0", "9"],
+               ["C", "4", "0", "0", "0", "0"]]),
+    "correlation": (load_correlation_csv, "name,A,B,C",
+                    [["A", "1", "0.4", "0"], ["B", "0.4", "1", "0.2"], ["C", "0", "0.2", "1"]]),
+    "provenance": (load_provenance, "variable,beta,source_column,x_mean,y_mean,expected",
+                   [["A", "2.0", "1", "10.0", "4.0", ""], ["B", "-1", "2", "3", "5", "0.5"],
+                    ["C", "0.5", "3", "1", "2", "0.25"]]),
+}
+
+
+def _outcome(load, source):
+    """What a reader returns, arrays as bytes, or its error's type and text."""
+    try:
+        got = load(source)
+    except PanelError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, RegionalPanel):
+        return got.regions, got.years, {k: v.tobytes() for k, v in got.data.items()}
+    if isinstance(got, EmploymentTable):
+        return got.rows, got.parents, got.counts.tobytes(), got.national_counts.tobytes()
+    if isinstance(got, tuple):  # a correlation matrix and its names
+        return got[0], got[1].tobytes()
+    return got
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_block_size_changes_no_result_and_no_error(tmp_path, data):
+    # quoted cells over several lines, blank lines, a ragged row, a bad cell or
+    # a repeat of an earlier row (a conflicting duplicate, an industry mapped
+    # to a second parent) anywhere, read one to seven lines to a block
+    reader = data.draw(st.sampled_from(sorted(_BLOCK_READERS)))
+    load, header, rows = _BLOCK_READERS[reader]
+    rows = [header.split(","), *map(list, rows)]  # the header may be edited too
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        edit = data.draw(st.sampled_from(["repeat", "cell", "quote", "ragged", "blank"]))
+        if edit == "repeat":
+            rows.append(list(rows[i]))
+            i = len(rows) - 1
+        if edit in ("repeat", "cell"):
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = data.draw(st.sampled_from(["x", "", "-1", "9", "OTHER", rows[i][j]]))
+        elif edit == "quote":
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            inner = data.draw(st.sampled_from(["\n", "\r\n", ",", ""]))
+            rows[i][j] = f'"{rows[i][j][:1]}{inner}{rows[i][j][1:]}"'
+        elif edit == "ragged":
+            rows[i] = rows[i][:-1] if rows[i][1:] and data.draw(st.booleans()) else rows[i] + ["1"]
+        else:
+            rows.insert(i, [data.draw(st.sampled_from(["", " \t", " , ", "\x0c"]))])
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(",".join(row) for row in rows)
+    text = ("\ufeff" if data.draw(st.booleans()) else "") + text + newline * data.draw(
+        st.integers(0, 2))
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with mock.patch.object(panel_mod, "_BLOCK_ROWS", 10 ** 6):
+        want = _outcome(load, io.StringIO(text))
+        assert _outcome(load, str(path)) == want
+    for block in (1, 2, 3, 7):
+        with mock.patch.object(panel_mod, "_BLOCK_ROWS", block):
+            assert _outcome(load, io.StringIO(text)) == want
+            assert _outcome(load, str(path)) == want
+
+
+def test_loaders_hold_one_block_of_cells_at_a_time(tmp_path):
+    # a 300 regions x 30 years x 20 variables panel at 17 digits (3.6 MB): a
+    # whole-file read peaked at 7.4 times the file; one block at a time, under 3
+    rng = np.random.default_rng(11)
+    want = RegionalPanel(regions=tuple(f"R{r:03d}" for r in range(300)),
+                         years=tuple(range(1991, 2021)),
+                         data={f"V{j}": rng.normal(size=(300, 30)) * 100 for j in range(20)})
+    path = tmp_path / "panel.csv"
+    path.write_text(want.to_csv(), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        got = load_panel(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.to_csv() == want.to_csv()
+    assert peak <= 3 * path.stat().st_size
+    # a 50 regions x 10 years x 60 industries employment table (0.64 MB): a
+    # whole-file read peaked at 14.8 MB, 23 times the file; with one block at a
+    # time and one string per distinct key, under 10 times (6.4 MB)
+    lines = ["region,year,industry,parent,employment"]
+    lines += [f"R{r:02d},{2001 + t},C{i:02d},S{i * 9 // 60},{float(v)!r}"
+              for (r, t, i), v in np.ndenumerate(np.round(rng.lognormal(4, 1.5, (50, 10, 60)), 1))]
+    path = tmp_path / "employment.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        table = load_employment(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 30_000 and len(set(map(id, table.codes))) == 60
+    assert peak <= 10 * path.stat().st_size

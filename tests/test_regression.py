@@ -330,6 +330,17 @@ def test_leverage_one_cell_gets_a_finite_robust_se(hc):
     assert np.all(np.isfinite(res.se_robust))
 
 
+@pytest.mark.parametrize("hc", ["HC2", "HC3"])
+def test_leverage_one_cell_rounding_residual_gets_weight_0(hc):
+    # the design above, with a rounding-level residual on its leverage-1 cell
+    # (the second observation, the lone 0 in X1): 1 - h sits at the 1e-12
+    # floor, so dividing by it would turn 4.4e-16 into an HC3 se near 4e-4
+    X = np.column_stack([np.ones(9), [3.0, 0, 3, 3, 3, 3, 3, 3, 3]])
+    e = np.array([-1.75, 4.4e-16, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25])
+    cov = robust_covariance(X, e, hc)
+    assert np.all(np.isfinite(cov)) and 0.0 <= np.sqrt(cov[0, 0]) < 1e-6
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1),
        st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
@@ -511,7 +522,8 @@ def test_format_decomposition_table_layout():
 
 
 def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
-    # one n x k QR per fit or VIF block, and an SVD only of its k x k R
+    # one QR per fit (of [X y], n x (k + 1)) or VIF block (n x k), and an SVD
+    # only of the k x k R of X
     calls = []
 
     def counting(name):
@@ -538,19 +550,20 @@ def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
         calls.clear()
         res = pooled_ols(p, spec, hc=hc)
         # the design; its VIFs come from the same factorization
-        assert calls == [("qr", (48, 4)), ("svd", (4, 4))]
+        assert calls == [("qr", (48, 5)), ("svd", (4, 4))]
         assert np.isfinite(res.se_robust).all() and res.avg_vif >= 1.0
     # an interaction adds a column, not a factorization (lstsq is forbidden)
     calls.clear()
     res = pooled_ols(p, RegressionSpec(
         dependent="Y", regressors=[{"name": "X1"}, {"name": "X2"}],
         interactions=[{"x1": "X1", "x2": "X3"}]))
-    assert calls == [("qr", (48, 4)), ("svd", (4, 4))] and res.names[-1] == "X1*X3"
+    assert calls == [("qr", (48, 5)), ("svd", (4, 4))] and res.names[-1] == "X1*X3"
     # without an intercept, vif() keeps its own factorization of the slope block
     calls.clear()
     res = pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, regressors=[
         {"name": "X1"}, {"name": "X2"}, {"name": "X3"}]))
-    assert calls == [("qr", (48, 3)), ("svd", (3, 3))] * 2 and res.avg_vif >= 1.0
+    assert calls == [("qr", (48, 4)), ("svd", (3, 3)), ("qr", (48, 3)), ("svd", (3, 3))]
+    assert res.avg_vif >= 1.0
     calls.clear()
     robust_covariance(np.column_stack([np.ones(48), p.column("X1")]),
                       rng.normal(size=48), "HC3")
