@@ -9,8 +9,8 @@ demand is strong enough to make production worthwhile.
 import numpy as np
 
 from innoreg import (MarketParams, equilibrium_at_royalty, feasibility_region,
-                     leader_optimal_quantity, optimal_royalty,
-                     royalty_profit_profile, spne, verify_equilibrium)
+                     optimal_royalty, royalty_profit_profile, spne,
+                     verify_equilibrium)
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     rs = np.linspace(0.0, 2.0, 9)
     profile = royalty_profit_profile(params, rs)
     for r, pi in zip(rs, profile):
-        print(f"  r = {r:.2f}  q1* = {leader_optimal_quantity(r, params):6.3f}  "
+        print(f"  r = {r:.2f}  q1* = {equilibrium_at_royalty(params, r).q1:6.3f}  "
               f"profit = {pi:8.3f}")
     print("  -> no interior royalty optimum exists on this side")
 

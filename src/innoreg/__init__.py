@@ -13,13 +13,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "game": ("Equilibrium", "EquilibriumFlags", "MarketParams", "RoyaltySolution",
              "VerificationReport", "equilibrium_at_royalty", "feasibility_region",
-             "follower_best_response", "follower_equilibrium_quantity",
-             "follower_profit", "inverse_demand", "leader_optimal_quantity",
-             "leader_profit", "leader_profit_at", "optimal_royalty", "royalty_foc",
-             "royalty_profit_profile", "spne", "verify_equilibrium"),
+             "optimal_royalty", "royalty_profit_profile", "spne", "verify_equilibrium"),
     "indices": ("HooverResult", "ShareVector", "VarietyResult", "hoover_index",
-                "indices_table", "related_variety", "theil_index",
-                "unrelated_variety", "variety_decomposition"),
+                "indices_table", "theil_index", "variety_decomposition"),
     "panel": ("DescriptiveStats", "EmploymentTable", "ImputationResult",
               "PanelError", "PanelParseError", "RegionalPanel", "VariableStats",
               "correlation_matrix", "descriptive_stats", "impute_by_apportionment",

@@ -220,13 +220,16 @@ def _cmd_game(args) -> int:
         else:
             eq = game_mod.spne(params)
         rows = _eq_rows(eq)
-        lines = [f"a={args.a:g} c={args.c:g}"]
-        if not eq.flags.r_real:
-            lines.append(f"royalty not real: radicand {eq.r_squared:.{p}f} < 0")
-        for key, val in rows[0].items():
-            shown = f"{val:.{p}f}" if isinstance(val, float) else str(val)
-            lines.append(f"{key:<16} {shown}")
-        _emit_rows(rows, list(rows[0]), args, md=lambda: "\n".join(lines))
+
+        def md():
+            lines = [f"a={args.a:g} c={args.c:g}"]
+            if not eq.flags.r_real:
+                lines.append(f"royalty not real: radicand {eq.r_squared:.{p}f} < 0")
+            for key, val in rows[0].items():
+                shown = f"{val:.{p}f}" if isinstance(val, float) else str(val)
+                lines.append(f"{key:<16} {shown}")
+            return "\n".join(lines)
+        _emit_rows(rows, list(rows[0]), args, md=md)
         return 0
     if args.game_cmd == "verify":
         params = game_mod.MarketParams(a=args.a, c=args.c)
@@ -234,19 +237,22 @@ def _cmd_game(args) -> int:
         rep = game_mod.verify_equilibrium(params, eq, grid=args.grid,
                                           fd_step=args.fd_step, tol=args.tol)
         checks = rep.checks
-        lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
-                 f"(q1={eq.q1:.{p}f}, q2={eq.q2:.{p}f})"]
-        for k, gap in rep.gaps.items():
-            mark = "ok" if checks[k] else "FAIL"
-            lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
-        lines.append(f"all checks {'passed' if rep.all_ok() else 'FAILED'} "
-                     f"at tolerance {rep.tolerance:g}")
+
+        def md():
+            lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
+                     f"(q1={eq.q1:.{p}f}, q2={eq.q2:.{p}f})"]
+            for k, gap in rep.gaps.items():
+                mark = "ok" if checks[k] else "FAIL"
+                lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
+            lines.append(f"all checks {'passed' if rep.all_ok() else 'FAILED'} "
+                         f"at tolerance {rep.tolerance:g}")
+            return "\n".join(lines)
         row = {"a": args.a, "c": args.c, "r": args.r, "q1": eq.q1, "q2": eq.q2,
                **{f"{k}_gap": gap for k, gap in rep.gaps.items()},
                "tolerance": rep.tolerance,
                **{f"check_{k}": int(ok) for k, ok in checks.items()},
                "all_ok": int(rep.all_ok())}
-        _emit_rows([row], list(row), args, md=lambda: "\n".join(lines))
+        _emit_rows([row], list(row), args, md=md)
         return 0
     # region
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)

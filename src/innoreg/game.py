@@ -29,14 +29,6 @@ __all__ = [
     "Equilibrium",
     "EquilibriumFlags",
     "VerificationReport",
-    "inverse_demand",
-    "follower_profit",
-    "follower_best_response",
-    "leader_profit",
-    "leader_profit_at",
-    "leader_optimal_quantity",
-    "follower_equilibrium_quantity",
-    "royalty_foc",
     "optimal_royalty",
     "equilibrium_at_royalty",
     "spne",
@@ -105,83 +97,37 @@ class Equilibrium:
     flags: EquilibriumFlags
 
 
-def inverse_demand(q1: float, q2: float, params: MarketParams) -> float:
-    """Market price ``a - (q1 + q2)``; may be negative (flagged, never clamped)."""
-    return params.a - (q1 + q2)
-
-
 # The closed forms in r**2 space, on scalars or numpy arrays. Taking r**2
 # keeps them defined at a negative radicand (non-real royalty), and taking
 # a, c rather than MarketParams lets them run over a grid of markets.
 
 
 def _pi2(rsq, q1, q2, a, c):
+    # follower profit (a - q1 - q2) q2 - r^2 q2 - c q2
     return (a - q1 - q2) * q2 - rsq * q2 - c * q2
 
 
 def _reaction(rsq, q1, a, c):
+    # follower best response (a - q1 - r^2 - c) / 2, negative values as they are
     return (a - q1 - rsq - c) / 2.0
 
 
 def _pi1(rsq, q1, a, c):
+    # leader profit p q1 + r^2 q1 - c q1, the follower's reaction substituted
+    # in and expanded; with the follower's -r^2 q2 payment the two payoffs
+    # account to p Q + r^2 (q1 - q2) - c Q
     return (a * q1 - q1 * q1 - q1 * a / 2.0 + q1 * q1 / 2.0
             + rsq * q1 / 2.0 + c * q1 / 2.0 + rsq * q1 - c * q1)
 
 
 def _q1_star(rsq, a, c):
+    # stage-1 leader quantity (a + 3 r^2 - c) / 2, a global max (curvature -1)
     return (a + 3.0 * rsq - c) / 2.0
 
 
 def _q2_star(rsq, a, c):
+    # follower quantity on the equilibrium path, (a - 5 r^2 - c) / 4
     return (a - 5.0 * rsq - c) / 4.0
-
-
-def follower_profit(r: float, q1: float, q2: float, params: MarketParams) -> float:
-    """Follower profit ``(a - q1 - q2) q2 - r^2 q2 - c q2``."""
-    return _pi2(r * r, q1, q2, params.a, params.c)
-
-
-def follower_best_response(q1: float, r: float, params: MarketParams) -> float:
-    """Follower reaction ``(a - q1 - r^2 - c) / 2``; negative values are returned as-is."""
-    return _reaction(r * r, q1, params.a, params.c)
-
-
-def leader_profit(r: float, q1: float, params: MarketParams) -> float:
-    """Leader profit with the follower's reaction substituted in.
-
-    Expanded polynomial form (the follower stage is already solved):
-
-        a q1 - q1^2 - q1 a/2 + q1^2/2 + r^2 q1/2 + c q1/2 + r^2 q1 - c q1
-
-    Identical to ``leader_profit_at(r, q1, follower_best_response(q1, r))``.
-    """
-    return _pi1(r * r, q1, params.a, params.c)
-
-
-def leader_profit_at(r: float, q1: float, q2: float, params: MarketParams) -> float:
-    """Leader profit at an arbitrary state: ``p q1 + r^2 q1 - c q1``.
-
-    The royalty revenue term scales with the leader's own quantity; together
-    with the follower's ``-r^2 q2`` payment the two payoffs account to
-    ``p Q + r^2 (q1 - q2) - c Q``.
-    """
-    p = inverse_demand(q1, q2, params)
-    return p * q1 + (r * r) * q1 - params.c * q1
-
-
-def leader_optimal_quantity(r: float, params: MarketParams) -> float:
-    """Stage-1 quantity ``(a + 3 r^2 - c) / 2`` (global max; curvature is -1)."""
-    return _q1_star(r * r, params.a, params.c)
-
-
-def follower_equilibrium_quantity(r: float, params: MarketParams) -> float:
-    """Follower quantity on the equilibrium path: ``(a - 5 r^2 - c) / 4``."""
-    return _q2_star(r * r, params.a, params.c)
-
-
-def royalty_foc(r: float, q1: float) -> float:
-    """Partial derivative of the reduced leader profit in ``r`` at fixed ``q1``: ``3 r q1``."""
-    return 3.0 * r * q1
 
 
 def _radicand(a, c):
@@ -207,7 +153,7 @@ def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams,
     if q1 is None:
         q1 = _q1_star(rsq, a, c)
     q2 = _q2_star(rsq, a, c)
-    p = inverse_demand(q1, q2, params)
+    p = a - (q1 + q2)  # inverse demand; may be negative (flagged, never clamped)
     flags = EquilibriumFlags(
         r_real=r_real,
         q1_nonneg=q1 >= 0,
@@ -363,10 +309,10 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
     fd = _central_diff(lambda q1: _pi1(rsq, q1, a, c), eq.q1, h)
     gaps["foc_leader"] = abs(fd - closed)
 
-    # royalty FOC vs finite difference in r (real r only; else identically 3*r*q1 at r = sqrt|rsq|)
+    # royalty FOC d(pi1)/dr = 3 r q1 vs finite difference in r (at r = 0 when r is not real)
     r = eq.r if math.isfinite(eq.r) else 0.0
     fd = _central_diff(lambda rr: _pi1(rr * rr, eq.q1, a, c), r, h)
-    gaps["foc_royalty"] = abs(fd - royalty_foc(r, eq.q1))
+    gaps["foc_royalty"] = abs(fd - 3.0 * r * eq.q1)
 
     # stage argmax agreement; both objectives are concave quadratics
     br = _reaction(rsq, eq.q1, a, c)

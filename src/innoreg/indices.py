@@ -7,7 +7,8 @@ logarithms throughout: the decomposition identity ``theil = related +
 unrelated`` only holds with a single base.
 
 Zero shares follow the standard entropy continuity convention
-``p * log(p) -> 0`` and therefore never change any index value.
+``p * log(p) -> 0`` and therefore never change any index value. One array
+kernel computes all four measures, for a whole table or one share vector.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ __all__ = [
     "VarietyResult",
     "HooverResult",
     "theil_index",
-    "unrelated_variety",
-    "related_variety",
     "variety_decomposition",
     "hoover_index",
     "indices_table",
@@ -65,9 +64,6 @@ class ShareVector:
         shares = {code: e / total for code, e in counts.items()}
         return cls(shares=shares, parents=dict(parents or {}))
 
-    def positive_items(self):
-        return [(code, p) for code, p in self.shares.items() if p > 0]
-
 
 @dataclass(frozen=True)
 class VarietyResult:
@@ -86,56 +82,53 @@ class HooverResult:
     display: float
 
 
-def theil_index(shares: ShareVector) -> float:
-    """Entropy of the share vector: ``sum_i p_i ln(1 / p_i)``.
+def _kernel(p, national, sector, n_sectors: int):
+    """(theil, related, unrelated, hoover) of each row of the share rows ``p``:
+    ``sum_i p_i ln(1 / p_i)``; ``sum_g P_g H_g`` with ``H_g = sum_{i in g}
+    (p_i / P_g) ln(P_g / p_i)`` and ``sum_g P_g ln(1 / P_g)``, over the sector
+    sums P_g (industry j is in sector ``sector[j]`` < n_sectors); and the raw
+    half L1 distance to the ``national`` share rows, in [0, 1]."""
+    p_safe = np.where(p > 0, p, 1.0)  # zero shares then add 0 * ln(1) = 0
+    theil = np.sum(p * np.log(1.0 / p_safe), axis=1)
 
-    0 when a single industry holds everything; ln(n) for n uniform shares.
-    """
-    items = shares.positive_items()
+    groups = np.zeros((n_sectors, len(p)))
+    np.add.at(groups, sector, p.T)
+    groups = groups.T  # row x sector share P_g
+    g_safe = np.where(groups > 0, groups, 1.0)
+    unrelated = np.sum(groups * np.log(1.0 / g_safe), axis=1)
+    related = np.sum(p * np.log(g_safe[:, sector] / p_safe), axis=1)
+
+    hoover = 0.5 * np.sum(np.abs(p - national), axis=1)
+    return theil, related, unrelated, hoover
+
+
+def _one_row(shares: ShareVector, by_sector: bool) -> VarietyResult:
+    """The kernel on one vector's positive shares, in code order so that no sum
+    depends on the key order; all in one sector unless ``by_sector``."""
+    items = [(code, p) for code, p in shares.shares.items() if p > 0]
     if not items:
         raise ValueError("share vector has no positive entries")
-    return math.fsum(p * math.log(1.0 / p) for _, p in items)
+    missing = [code for code, _ in items if by_sector and code not in shares.parents]
+    if missing:
+        raise ValueError(f"industry {missing[0]!r} has no parent sector mapping")
+    codes, values = zip(*sorted(items))
+    sectors, sector = np.unique([shares.parents[c] if by_sector else "" for c in codes],
+                                return_inverse=True)
+    row = np.array([values])
+    *measures, _ = (float(v[0]) for v in _kernel(row, row, sector, len(sectors)))
+    return VarietyResult(*measures)  # theil, related, unrelated
 
 
-def _sector_shares(shares: ShareVector) -> list:
-    """``(P_g, [p_i of its industries])`` of each sector, over the positive
-    shares only, so every P_g is positive."""
-    groups: dict = {}
-    for code, p in shares.positive_items():
-        parent = shares.parents.get(code)
-        if parent is None:
-            raise ValueError(f"industry {code!r} has no parent sector mapping")
-        groups.setdefault(parent, []).append(p)
-    return [(math.fsum(members), members) for members in groups.values()]
-
-
-def unrelated_variety(shares: ShareVector) -> float:
-    """Between-sector entropy: ``sum_g P_g ln(1 / P_g)`` over one-digit sums."""
-    out = 0.0
-    for pg, _ in _sector_shares(shares):
-        out += pg * math.log(1.0 / pg)
-    return out
-
-
-def related_variety(shares: ShareVector) -> float:
-    """Within-sector entropy, weighted by sector shares.
-
-    ``sum_g P_g H_g`` with ``H_g = sum_{i in g} (p_i / P_g) ln(P_g / p_i)``;
-    sectors with zero share contribute nothing.
-    """
-    out = 0.0
-    for pg, members in _sector_shares(shares):
-        out += math.fsum(p * math.log(pg / p) for p in members)
-    return out
+def theil_index(shares: ShareVector) -> float:
+    """Entropy of the share vector, ``sum_i p_i ln(1 / p_i)``: 0 when a single
+    industry holds everything, ln(n) for n uniform shares. Needs no parents."""
+    return _one_row(shares, by_sector=False).theil
 
 
 def variety_decomposition(shares: ShareVector) -> VarietyResult:
-    """All three measures at once; the identity is the caller's to assert."""
-    return VarietyResult(
-        theil=theil_index(shares),
-        related=related_variety(shares),
-        unrelated=unrelated_variety(shares),
-    )
+    """Theil entropy with its related (within-sector) and unrelated (between)
+    parts; every industry with a positive share needs a parent sector."""
+    return _one_row(shares, by_sector=True)
 
 
 def hoover_index(regional: Mapping[str, float], national: Mapping[str, float],
@@ -150,10 +143,10 @@ def hoover_index(regional: Mapping[str, float], national: Mapping[str, float],
     tot_n = math.fsum(national.values())
     if tot_r <= 0 or tot_n <= 0:
         raise ValueError("total employment must be strictly positive on both sides")
-    codes = set(regional) | set(national)
-    value = 0.5 * math.fsum(
-        abs(regional.get(code, 0.0) / tot_r - national.get(code, 0.0) / tot_n)
-        for code in codes)
+    codes = sorted(set(regional) | set(national))
+    p = np.array([[regional.get(code, 0.0) for code in codes]]) / tot_r
+    nat = np.array([[national.get(code, 0.0) for code in codes]]) / tot_n
+    value = float(_kernel(p, nat, np.zeros(len(codes), dtype=int), 1)[3][0])
     return HooverResult(value=value, display=value * scale)
 
 
@@ -189,23 +182,12 @@ def indices_table(employment, industries=None, scale: float = 100.0) -> list:
         where = "" if industries is None else " in the selected industries"
         raise ValueError(f"region {region!r} year {year} has no employment{where}")
     p = counts / total[:, None]
-    p_safe = np.where(p > 0, p, 1.0)  # zero shares then add 0 * ln(1) = 0
-    theil = np.sum(p * np.log(1.0 / p_safe), axis=1)
-
-    groups = np.zeros((len(employment.sectors), len(p)))
-    np.add.at(groups, sector, p.T)
-    groups = groups.T  # region-year x sector share P_g
-    g_safe = np.where(groups > 0, groups, 1.0)
-    unrelated = np.sum(groups * np.log(1.0 / g_safe), axis=1)
-    related = np.sum(p * np.log(g_safe[:, sector] / p_safe), axis=1)
-
-    national_shares = national / national.sum(axis=1)[:, None]
-    hoover = 0.5 * np.sum(np.abs(p - national_shares), axis=1) * scale
-
+    theil, related, unrelated, hoover = _kernel(
+        p, national / national.sum(axis=1)[:, None], sector, len(employment.sectors))
     return [
         {"region": region, "year": year, "theil": th, "related": rel,
          "unrelated": unr, "hoover": hv}
         for (region, year), th, rel, unr, hv in zip(
             employment.keys, theil.tolist(), related.tolist(),
-            unrelated.tolist(), hoover.tolist())
+            unrelated.tolist(), (hoover * scale).tolist())
     ]

@@ -165,32 +165,33 @@ class RegressionResult:
 # core fitting
 
 
-def _qr_svd(X: np.ndarray, y=None):
+def _qr_svd(a: np.ndarray, k=None):
     """(R, Q'y, U, s, V', rank, collinear set) of X = QR and R = U diag(s) V',
-    R and Q'y read off the R of [X y] without forming Q (Q'y None without y).
-    The rank counts s_i > s_0 max(n, k) eps (Golub & Van Loan 5.4). The
-    collinear set is the support of the null right singular vectors, each
-    entry times its column's norm: a real dependency has O(1) entries, and
-    columns outside it only rounding-level ones."""
-    r = np.linalg.qr(X if y is None else np.column_stack([X, y]), mode="r")
-    qty, r = None if y is None else r[:-1, -1], r[:X.shape[1], :X.shape[1]]
+    ``a`` being X, or [X y] with X its first ``k`` columns: R and Q'y are read
+    off the R of [X y] without forming Q (Q'y is None for X alone). The rank
+    counts s_i > s_0 max(n, k) eps (Golub & Van Loan 5.4). The collinear set is
+    the support of the null right singular vectors, each entry times its
+    column's norm: a real dependency has O(1) entries, others rounding-level."""
+    r = np.linalg.qr(a, mode="r")
+    qty, r = (None, r) if k is None else (r[:k, k], r[:k, :k])
     u, s, vt = np.linalg.svd(r)
-    rank = int(np.sum(s > s[0] * max(X.shape) * np.finfo(float).eps))
+    rank = int(np.sum(s > s[0] * max(len(a), r.shape[1]) * np.finfo(float).eps))
     norm = np.sqrt(np.sum(r * r, axis=0))
     null = np.abs(vt[rank:]) * np.where(norm > 0, norm, 1.0)
     cut = np.sqrt(np.finfo(float).eps) * null.max(axis=1, keepdims=True, initial=0.0)
     return r, qty, u, s, vt, rank, np.flatnonzero((null > cut).any(axis=0)).tolist()
 
 
-def _factor(X: np.ndarray, names=None, y=None):
-    """(R, Q'y, R^-1, (X'X)^-1) of a full-rank design, from one QR and the
-    SVD of its R = U S V': R^-1 = V S^-1 U', and (X'X)^-1 = V S^-2 V'.
+def _factor(a: np.ndarray, names=None, k=None):
+    """(R, Q'y, R^-1, (X'X)^-1) of a full-rank design, ``a`` and ``k`` as in
+    :func:`_qr_svd`: one QR and the SVD of its R = U S V' give R^-1 = V S^-1 U'
+    and (X'X)^-1 = V S^-2 V'.
 
     A rank-deficient X raises CollinearityError listing the collinear set by
     ``names``, or by column index when no names are given.
     """
-    r, qty, u, s, vt, rank, bad = _qr_svd(X, y)
-    if rank < X.shape[1]:
+    r, qty, u, s, vt, rank, bad = _qr_svd(a, k)
+    if rank < r.shape[1]:
         if names is not None:
             bad = [names[j] for j in bad]
         raise CollinearityError(f"rank-deficient design; collinear columns {bad}")
@@ -329,7 +330,8 @@ def orthogonalize(x1, x2, mode: str = "mutual"):
 
 
 def _build_design(panel: RegionalPanel, spec: RegressionSpec):
-    """(y, X, names) over the rows complete in every variable the spec touches.
+    """([X y], names) over the rows complete in every variable the spec
+    touches: an n x (k + 1) view whose last column is y.
 
     One (rows x R x T) array holds X' (the intercept row, the regressors, a
     slot per interaction), then y and both inputs of each interaction, lagged
@@ -358,7 +360,7 @@ def _build_design(panel: RegionalPanel, spec: RegressionSpec):
         np.multiply(oa, ob, out=rows[j0 + m + j])
     names = ["const"] * j0 + [r.label for r in spec.regressors] + \
         [i.label for i in spec.interactions]
-    return rows[k], rows[:k].T, names
+    return rows[:k + 1].T, names
 
 
 def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
@@ -376,11 +378,12 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     :func:`vif` add an intercept the fit does not have, so ``vif`` runs on
     the slope block.
     """
-    y, X, names = _build_design(panel, spec)
+    xy, names = _build_design(panel, spec)
+    X, y = xy[:, :-1], xy[:, -1]
     n, k = X.shape
     if n <= k:
         raise PanelError(f"need N > k; got N={n}, k={k}")
-    r, qty, rinv, xtx_inv = _factor(X, names, y)
+    r, qty, rinv, xtx_inv = _factor(xy, names, k)
     # R^-1 Q'y alone loses digits in small coefficients; one refinement restores them
     beta = rinv @ qty
     beta += rinv @ (qty - r @ beta)

@@ -6,13 +6,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from innoreg import game
 from innoreg.game import (Equilibrium, MarketParams, equilibrium_at_royalty,
-                          feasibility_region, follower_best_response,
-                          follower_equilibrium_quantity, follower_profit,
-                          inverse_demand, leader_optimal_quantity,
-                          leader_profit, leader_profit_at, optimal_royalty,
-                          royalty_foc, royalty_profit_profile, spne,
-                          verify_equilibrium)
+                          feasibility_region, optimal_royalty,
+                          royalty_profit_profile, spne, verify_equilibrium)
+
+
+# The model's equations, written out here as the oracle for game.py's private
+# closed forms in r**2 space (_pi2, _reaction, _pi1, _q1_star, _q2_star).
+
+
+def price(q1, q2, a):
+    return a - (q1 + q2)
+
+
+def follower_profit(r, q1, q2, a, c):
+    return (price(q1, q2, a) - r * r - c) * q2
+
+
+def leader_profit(r, q1, q2, a, c):
+    return price(q1, q2, a) * q1 + r * r * q1 - c * q1
+
+
+def reaction(q1, r, a, c):
+    return (a - q1 - r * r - c) / 2
 
 
 def test_market_params_validation():
@@ -27,41 +44,55 @@ def test_market_params_validation():
 
 
 def test_inverse_demand_and_follower_profit():
-    p = MarketParams(a=10.0, c=1.0)
-    assert inverse_demand(3.0, 2.0, p) == 5.0
     # (p - r^2 - c) * q2 = (10 - 3 - 2 - 1 - 1) * 2
-    assert follower_profit(1.0, 3.0, 2.0, p) == pytest.approx(6.0)
+    assert game._pi2(1.0, 3.0, 2.0, 10.0, 1.0) == pytest.approx(6.0)
+    rng = np.random.default_rng(29)
+    for a, c, r, q1, q2 in rng.uniform([1, 0.1, -2, 0, 0], [20, 5, 2, 8, 8], (50, 5)):
+        assert game._pi2(r * r, q1, q2, a, c) == pytest.approx(
+            follower_profit(r, q1, q2, a, c), rel=1e-12, abs=1e-12)
+        eq = equilibrium_at_royalty(MarketParams(a=a, c=c), r)
+        assert eq.price == price(eq.q1, eq.q2, a)
 
 
 def test_follower_best_response_is_argmax():
-    p = MarketParams(a=8.0, c=0.5)
+    a, c = 8.0, 0.5
     rng = np.random.default_rng(11)
     for _ in range(20):
         q1 = rng.uniform(0, 4)
         r = rng.uniform(0, 1.2)
-        br = follower_best_response(q1, r, p)
+        br = game._reaction(r * r, q1, a, c)
+        assert br == pytest.approx(reaction(q1, r, a, c), abs=1e-12)
         grid = np.linspace(br - 2, br + 2, 2001)
-        profits = [follower_profit(r, q1, q, p) for q in grid]
+        profits = follower_profit(r, q1, grid, a, c)
         assert abs(grid[int(np.argmax(profits))] - br) < 2e-3
 
 
 def test_leader_profit_matches_market_accounting():
-    # reduced-form leader payoff == price*q1 + r^2*q1 - c*q1 once the
-    # follower best-responds
-    p = MarketParams(a=10.0, c=1.0)
+    # the expanded reduced-form leader payoff == price*q1 + r^2*q1 - c*q1 once
+    # the follower best-responds
+    a, c = 10.0, 1.0
     rng = np.random.default_rng(3)
     for _ in range(50):
         q1 = rng.uniform(0, 5)
         r = rng.uniform(0, 1.5)
-        q2 = follower_best_response(q1, r, p)
-        assert leader_profit(r, q1, p) == pytest.approx(
-            leader_profit_at(r, q1, q2, p), abs=1e-12)
+        q2 = reaction(q1, r, a, c)
+        assert game._pi1(r * r, q1, a, c) == pytest.approx(
+            leader_profit(r, q1, q2, a, c), abs=1e-12)
 
 
 def test_stage_quantities_closed_form():
-    p = MarketParams(a=10.0, c=1.0)
-    assert leader_optimal_quantity(1.0, p) == pytest.approx((10 + 3 - 1) / 2)
-    assert follower_equilibrium_quantity(1.0, p) == pytest.approx((10 - 5 - 1) / 4)
+    assert game._q1_star(1.0, 10.0, 1.0) == pytest.approx((10 + 3 - 1) / 2)
+    assert game._q2_star(1.0, 10.0, 1.0) == pytest.approx((10 - 5 - 1) / 4)
+    # q1* maximizes the leader's payoff against the reaction, and q2* is the
+    # reaction to it
+    rng = np.random.default_rng(17)
+    for a, c, r in rng.uniform([1, 0.1, -2], [20, 5, 2], (30, 3)):
+        q1 = game._q1_star(r * r, a, c)
+        grid = np.linspace(q1 - 2, q1 + 2, 4001)
+        payoff = leader_profit(r, grid, reaction(grid, r, a, c), a, c)
+        assert abs(grid[int(np.argmax(payoff))] - q1) < 2e-3
+        assert game._q2_star(r * r, a, c) == pytest.approx(
+            reaction(q1, r, a, c), rel=1e-12, abs=1e-12)
 
 
 def test_worked_instance():
@@ -76,10 +107,19 @@ def test_worked_instance():
 
 
 def test_royalty_foc_form():
-    p = MarketParams(a=6.0, c=2.0)
+    # at a fixed q1 the reduced leader payoff moves in r as 3 r q1, the
+    # derivative verify_equilibrium checks
+    a, c, h = 6.0, 2.0, 1e-5
+    p = MarketParams(a=a, c=c)
     for r in (0.0, 0.3, 1.1):
-        q1 = leader_optimal_quantity(r, p)
-        assert royalty_foc(r, q1) == pytest.approx(3 * r * q1)
+        q1 = game._q1_star(r * r, a, c)
+
+        def payoff(rr):
+            return leader_profit(rr, q1, reaction(q1, rr, a, c), a, c)
+        fd = (payoff(r + h) - payoff(r - h)) / (2 * h)
+        assert fd == pytest.approx(3 * r * q1, abs=1e-6)
+        eq = equilibrium_at_royalty(p, r)
+        assert verify_equilibrium(p, eq).gaps["foc_royalty"] < 1e-6
 
 
 def test_optimal_royalty_negative_radicand_never_throws():
@@ -125,8 +165,9 @@ def test_profit_profile_monotone_when_a_exceeds_c():
     profits = royalty_profit_profile(p, np.linspace(0.0, 2.0, 40))
     assert len(profits) == 40
     assert np.all(np.diff(profits) > 0)
-    q1_0 = leader_optimal_quantity(0.0, p)
-    assert profits[0] == pytest.approx(leader_profit(0.0, q1_0, p))
+    q1_0 = (9.0 - 2.0) / 2  # (a + 3 r^2 - c) / 2 at r = 0
+    assert profits[0] == pytest.approx(
+        leader_profit(0.0, q1_0, reaction(q1_0, 0.0, 9.0, 2.0), 9.0, 2.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,11 +8,50 @@ from hypothesis import strategies as st
 
 from innoreg import indices
 from innoreg.indices import (ShareVector, hoover_index, indices_table,
-                             related_variety, theil_index, unrelated_variety,
-                             variety_decomposition)
+                             theil_index, variety_decomposition)
 from innoreg.panel import EmploymentTable, load_employment
 
 LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the reference: every index by math.fsum over plain dicts, written
+# independently of innoreg, with the same checks and messages
+
+
+def ref_variety(shares, parents=None):
+    """(theil, related, unrelated) of a code -> share dict; related and
+    unrelated are None without ``parents``."""
+    items = [(code, p) for code, p in shares.items() if p > 0]
+    if not items:
+        raise ValueError("share vector has no positive entries")
+    theil = math.fsum(p * math.log(1.0 / p) for _, p in items)
+    if parents is None:
+        return theil, None, None
+    groups = {}  # sector -> positive shares of its industries
+    for code, p in items:
+        if code not in parents:
+            raise ValueError(f"industry {code!r} has no parent sector mapping")
+        groups.setdefault(parents[code], []).append(p)
+    sums = [(math.fsum(members), members) for members in groups.values()]
+    unrelated = math.fsum(pg * math.log(1.0 / pg) for pg, _ in sums)
+    related = math.fsum(p * math.log(pg / p) for pg, members in sums for p in members)
+    return theil, related, unrelated
+
+
+def ref_hoover(regional, national):
+    """The raw Hoover index of two code -> employment dicts."""
+    tot_r = math.fsum(regional.values())
+    tot_n = math.fsum(national.values())
+    if tot_r <= 0 or tot_n <= 0:
+        raise ValueError("total employment must be strictly positive on both sides")
+    return 0.5 * math.fsum(
+        abs(regional.get(code, 0.0) / tot_r - national.get(code, 0.0) / tot_n)
+        for code in set(regional) | set(national))
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def sv(values, parents=None):
@@ -54,17 +93,14 @@ def test_variety_decomposition_worked_example():
     # two parents: m = {a: .4, b: .1}, s = {c: .3, d: .2}
     v = sv({"a": 0.4, "b": 0.1, "c": 0.3, "d": 0.2},
            parents={"a": "m", "b": "m", "c": "s", "d": "s"})
-    uv = unrelated_variety(v)
-    rv = related_variety(v)
-    th = theil_index(v)
-    assert uv == pytest.approx(LN2, abs=1e-12)  # P_m = P_s = 0.5
+    res = variety_decomposition(v)
+    assert res.unrelated == pytest.approx(LN2, abs=1e-12)  # P_m = P_s = 0.5
     # sum_g sum_i p_i ln(P_g / p_i)
     expected_rv = (0.4 * math.log(0.5 / 0.4) + 0.1 * math.log(0.5 / 0.1)
                    + 0.3 * math.log(0.5 / 0.3) + 0.2 * math.log(0.5 / 0.2))
-    assert rv == pytest.approx(expected_rv, abs=1e-12)
-    assert th == pytest.approx(uv + rv, abs=1e-12)
-    res = variety_decomposition(v)
-    assert (res.theil, res.related, res.unrelated) == (th, rv, uv)
+    assert res.related == pytest.approx(expected_rv, abs=1e-12)
+    assert res.theil == pytest.approx(res.unrelated + res.related, abs=1e-12)
+    assert res.theil == theil_index(v)
 
 
 def test_decomposition_identity_random():
@@ -83,16 +119,28 @@ def test_decomposition_identity_random():
 def test_missing_parent_raises():
     v = sv({"a": 0.7, "b": 0.3}, parents={"a": "m"})
     with pytest.raises(ValueError, match="'b'"):
-        unrelated_variety(v)
+        variety_decomposition(v)
+    assert theil_index(v) > 0  # the entropy alone needs no parents
     # zero-share industries never need a parent
     v2 = sv({"a": 1.0, "b": 0.0}, parents={"a": "m"})
-    assert unrelated_variety(v2) == 0.0
+    assert variety_decomposition(v2).unrelated == 0.0
 
 
 def test_single_parent_means_no_unrelated_variety():
     v = sv({"a": 0.6, "b": 0.4}, parents={"a": "m", "b": "m"})
-    assert unrelated_variety(v) == pytest.approx(0.0, abs=1e-12)
-    assert related_variety(v) == pytest.approx(theil_index(v), abs=1e-12)
+    res = variety_decomposition(v)
+    assert res.unrelated == pytest.approx(0.0, abs=1e-12)
+    assert res.related == pytest.approx(theil_index(v), abs=1e-12)
+
+
+def test_no_positive_share_raises():
+    # ShareVector's own checks forbid this, so build one around them
+    v = object.__new__(ShareVector)
+    object.__setattr__(v, "shares", {"a": 0.0})
+    object.__setattr__(v, "parents", {"a": "m"})
+    for fn in (theil_index, variety_decomposition):
+        with pytest.raises(ValueError, match="no positive entries"):
+            fn(v)
 
 
 def test_hoover_known_value():
@@ -203,7 +251,7 @@ def employment_tables(draw):
 
 
 def scalar_indices(records, industries, scale=100.0):
-    """indices_table rebuilt from per-region-year dicts and the scalar functions."""
+    """indices_table rebuilt from per-region-year dicts and the reference."""
     keep = None if industries is None else set(industries)
     regional, national, parents = {}, {}, {}
     for region, year, ind, parent, e in records:
@@ -216,11 +264,14 @@ def scalar_indices(records, industries, scale=100.0):
             nat[ind] = nat.get(ind, 0.0) + e
     rows = []
     for (region, year), counts in sorted(regional.items()):
-        dec = variety_decomposition(ShareVector.from_employment(counts, parents))
-        hv = hoover_index(counts, national[year], scale=scale)
-        rows.append({"region": region, "year": year, "theil": dec.theil,
-                     "related": dec.related, "unrelated": dec.unrelated,
-                     "hoover": hv.display})
+        total = math.fsum(counts.values())
+        if total <= 0:
+            raise ValueError("total employment must be strictly positive")
+        theil, related, unrelated = ref_variety(
+            {code: e / total for code, e in counts.items()}, parents)
+        rows.append({"region": region, "year": year, "theil": theil,
+                     "related": related, "unrelated": unrelated,
+                     "hoover": ref_hoover(counts, national[year]) * scale})
     return rows
 
 
@@ -244,7 +295,7 @@ def test_indices_table_matches_the_scalar_functions(table):
     for g, w in zip(got, want):
         assert list(g) == list(w)
         for k in ("theil", "related", "unrelated", "hoover"):
-            assert abs(g[k] - w[k]) <= 1e-12 * max(1.0, abs(w[k])), (k, g, w)
+            assert close(g[k], w[k]), (k, g, w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -300,3 +351,81 @@ def test_indices_table_uses_neither_row_scans_nor_scalar_functions(monkeypatch):
     assert indices_table(table) == want
     assert [(r["region"], r["year"]) for r in want] == [
         ("a", 2001), ("a", 2002), ("b", 2001)]
+
+
+# ---------------------------------------------------------------------------
+# the one-row API against the reference
+
+CODES = [f"I{k:02d}" for k in range(12)]
+
+
+@st.composite
+def share_vectors(draw):
+    """(shares, parents) over 1-12 industries in 1-4 sectors.
+
+    Shares may be zero, and are uniform over the positive ones half the
+    time. Zero-share industries may lack a parent; now and then one
+    positive-share industry does too.
+    """
+    n = draw(st.integers(1, 12))
+    codes = draw(st.permutations(CODES))[:n]
+    w = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        w = [float(x > 0) for x in w]
+    if not any(w):
+        w[0] = 1.0
+    total = math.fsum(w)
+    shares = {code: x / total for code, x in zip(codes, w)}
+    n_sectors = draw(st.integers(1, 4))
+    parents = {code: f"S{draw(st.integers(0, n_sectors - 1))}" for code in codes
+               if shares[code] > 0 or draw(st.booleans())}
+    if draw(st.integers(0, 9)) == 0:
+        del parents[draw(st.sampled_from([c for c in codes if shares[c] > 0]))]
+    return shares, parents
+
+
+def attempt(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def shuffled(mapping, rnd):
+    keys = list(mapping)
+    rnd.shuffle(keys)
+    return {k: mapping[k] for k in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(share_vectors(), st.randoms(use_true_random=False))
+def test_one_row_indices_match_the_reference(vector, rnd):
+    shares, parents = vector
+    v = ShareVector(shares=shares, parents=parents)
+    v_shuffled = ShareVector(shares=shuffled(shares, rnd), parents=shuffled(parents, rnd))
+    theil = theil_index(v)
+    assert close(theil, ref_variety(shares)[0])
+    assert theil_index(v_shuffled) == theil
+    got, want = attempt(variety_decomposition, v), attempt(ref_variety, shares, parents)
+    assert attempt(variety_decomposition, v_shuffled) == got
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(close(g, w) for g, w in zip((got.theil, got.related, got.unrelated), want))
+
+
+_employment = st.dictionaries(st.sampled_from(CODES), st.just(0.0) | st.floats(1e-3, 1e6),
+                              max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_employment, _employment, st.floats(0.5, 1e3), st.randoms(use_true_random=False))
+def test_hoover_index_matches_the_reference(regional, national, scale, rnd):
+    got = attempt(hoover_index, regional, national, scale)
+    assert attempt(hoover_index, shuffled(regional, rnd), shuffled(national, rnd),
+                   scale) == got
+    want = attempt(ref_hoover, regional, national)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert close(got.value, want) and got.display == got.value * scale

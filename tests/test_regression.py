@@ -681,8 +681,8 @@ def test_vifs_from_the_fit_match_vif_on_the_slope_block(seed, k, inter, log_mean
                           interactions=[{"x1": "X0", "x2": "X1"}] if inter else [])
     p = build_panel(data)
     res = pooled_ols(p, spec)
-    _, X, names = reg._build_design(p, spec)
-    want, avg = vif(X[:, 1:], names[1:])
+    xy, names = reg._build_design(p, spec)
+    want, avg = vif(xy[:, 1:-1], names[1:])
     assert list(res.vif) == list(want)
     np.testing.assert_allclose(list(res.vif.values()), list(want.values()), rtol=1e-9)
     assert res.avg_vif == pytest.approx(avg, rel=1e-9)
