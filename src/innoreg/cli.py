@@ -146,6 +146,8 @@ def _cmd_regress(args) -> int:
     panel = load_panel(args.panel)
     with open(args.specs, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError("specs file must hold a JSON list of specs")
     specs = [RegressionSpec.from_dict(d) for d in raw]
     entries = run_model_suite(panel, specs, hc=f"HC{args.hc}")
     for e in entries:

@@ -48,8 +48,8 @@ class ShareVector:
         if not self.shares:
             raise ValueError("empty share vector")
         for code, p in self.shares.items():
-            if p < 0:
-                raise ValueError(f"negative share for industry {code!r}")
+            if not p >= 0:
+                raise ValueError(f"negative or NaN share for industry {code!r}")
         total = math.fsum(self.shares.values())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"shares sum to {total!r}, expected 1 within {_SUM_TOL}")
@@ -131,14 +131,19 @@ def variety_decomposition(shares: ShareVector) -> VarietyResult:
     return _one_row(shares, by_sector=True)
 
 
-def hoover_index(regional: Mapping[str, float], national: Mapping[str, float],
-                 scale: float = 100.0) -> HooverResult:
+def hoover_index(regional: Mapping[str, float],
+                 national: Mapping[str, float]) -> HooverResult:
     """Half the L1 distance between regional and national industry shares.
 
-    Codes missing on one side are treated as zero employment there. The raw
-    value lives in [0, 1]; ``display`` multiplies by ``scale`` (percentage
-    points by default).
+    Codes missing on one side are treated as zero employment there; a
+    negative or non-finite count raises ValueError naming its code. The raw
+    value lives in [0, 1]; ``display`` is 100 times it, in percentage points.
     """
+    for side, counts in (("regional", regional), ("national", national)):
+        for code in sorted(counts):
+            if not (math.isfinite(counts[code]) and counts[code] >= 0):
+                raise ValueError(f"{side} employment {counts[code]!r} for industry "
+                                 f"{code!r} is negative or not finite")
     tot_r = math.fsum(regional.values())
     tot_n = math.fsum(national.values())
     if tot_r <= 0 or tot_n <= 0:
@@ -147,7 +152,7 @@ def hoover_index(regional: Mapping[str, float], national: Mapping[str, float],
     p = np.array([[regional.get(code, 0.0) for code in codes]]) / tot_r
     nat = np.array([[national.get(code, 0.0) for code in codes]]) / tot_n
     value = float(_kernel(p, nat, np.zeros(len(codes), dtype=int), 1)[3][0])
-    return HooverResult(value=value, display=value * scale)
+    return HooverResult(value=value, display=value * 100.0)
 
 
 def indices_table(employment, industries=None, scale: float = 100.0) -> list:

@@ -349,14 +349,9 @@ class RegionalPanel:
         return render_table(rows, ["region", "year", *names], "csv")
 
 
-def load_panel(source, schema=None) -> RegionalPanel:
-    """Parse a wide-schema CSV stream or path into a balanced panel.
-
-    Parameters
-    ----------
-    source : path or text stream
-    schema : optional list of variable names; all must be present in the
-        header, and only those columns are loaded.
+def load_panel(source) -> RegionalPanel:
+    """Parse a wide-schema CSV stream or path into a balanced panel, every
+    column after ``region,year`` a variable.
 
     Rows duplicated by (region, year) merge silently when their values agree
     and raise on conflict. Unbalanced grids raise listing the missing cells.
@@ -371,19 +366,15 @@ def load_panel(source, schema=None) -> RegionalPanel:
         repeated = [c for c in header if header.count(c) > 1]
         if repeated:
             raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
-        names = header[2:] if schema is None else list(schema)
-        missing = [v for v in names if v not in header[2:]]
-        if missing:
-            raise PanelError(f"schema variables absent from header: {missing}")
+        names, region_at = header[2:], {}
         # convert each block as it arrives, up to the first bad or ragged line
-        at, region_at = [0, 1, *map(header.index, names)], {}
         lines, region_index, parts = [], [], []
         # per column: the message for a bad cell, read where the whole column fails
         faults = [lambda region: not region and "empty region identifier", _year_fault,
                   *(lambda text, what=f"{nm!r} cell": text and _float_fault(text, what)
                     for nm in names)]
         for table in blocks:
-            regions, years, *cells = map(table.columns.__getitem__, at)
+            regions, years, *cells = table.columns
             year_values, values = _year_column(years), [_float_column(c) for c in cells]
             passed = ["" not in regions, year_values is not None, *(v is not None for v in values)]
             error = _first_error(table, zip(passed, faults, [regions, years, *cells]))
@@ -506,9 +497,6 @@ class EmploymentTable:
         from the columns on each access."""
         return tuple(zip(self.regions, self.years, self.codes,
                          map(self.parents.__getitem__, self.codes), self.employed.tolist()))
-
-    def region_years(self) -> list:
-        return list(self.keys)
 
     def employment(self, region: str, year: int) -> dict:
         """The non-zero employment per industry of one region-year."""

@@ -34,23 +34,26 @@ from .panel import DescriptiveStats, PanelError, RegionalPanel
 __all__ = ["nearest_psd", "synthesize_panel"]
 
 _SWAP_ROWS = 128  # rows whose pairs a swap step scores
+_EIGEN_FLOOR = 1e-8  # the smallest eigenvalue nearest_psd leaves
+_MAX_SWEEPS = 40  # cap on the row-order calibration sweeps
+_REPAIR_LIMIT = 0.1  # largest elementwise PSD repair of a correlation target
 
 
-def nearest_psd(corr: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+def nearest_psd(corr: np.ndarray) -> np.ndarray:
     """Positive-semidefinite correlation matrix by eigenvalue clipping.
 
-    Symmetrizes, clips eigenvalues at ``floor``, and rescales back to a unit
-    diagonal; a matrix whose eigenvalues are already at least ``floor`` only
-    gets a unit diagonal. The result is close to ``corr`` when the repair is
-    small, but it is not the Frobenius-nearest correlation matrix (Higham
-    2002), which needs alternating projections.
+    Symmetrizes, clips eigenvalues at ``_EIGEN_FLOOR`` (1e-8), and rescales
+    back to a unit diagonal; a matrix whose eigenvalues are already at least
+    that only gets a unit diagonal. The result is close to ``corr`` when the
+    repair is small, but it is not the Frobenius-nearest correlation matrix
+    (Higham 2002), which needs alternating projections.
     """
     sym = (np.asarray(corr, dtype=float) + np.asarray(corr, dtype=float).T) / 2.0
     w, v = np.linalg.eigh(sym)
-    if w.min() >= floor:
+    if w.min() >= _EIGEN_FLOOR:
         out = sym.copy()
     else:
-        out = (v * np.clip(w, floor, None)) @ v.T
+        out = (v * np.clip(w, _EIGEN_FLOOR, None)) @ v.T
         d = np.sqrt(np.diag(out))
         out = out / np.outer(d, d)
         out = (out + out.T) / 2.0
@@ -173,12 +176,12 @@ def _standardized(y):
     return (y - y.mean(axis=0)) / y.std(axis=0, ddof=1)
 
 
-def _reorder_toward(y, target, max_sweeps):
+def _reorder_toward(y, target):
     """Reorder rows within the columns of ``y`` toward correlation ``target``.
 
     Visits the columns in turn, trying a rank step and then a swap on each,
     each kept only if it lowers F = Σ(C − T)², C being the sample
-    correlation, until a sweep moves nothing or ``max_sweeps`` sweeps are
+    correlation, until a sweep moves nothing or ``_MAX_SWEEPS`` sweeps are
     done. A step costs time in n·k + n·log n and memory in n·k. Works in
     place; returns the last sweep that moved rows, 0 if none did.
     """
@@ -186,7 +189,7 @@ def _reorder_toward(y, target, max_sweeps):
     z = _standardized(y)
     c = z.T @ z / (n - 1)
     last = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         for j in range(k):
             for step in (_rank_step, _swap_step):
                 d = c[j] - target[j]
@@ -280,9 +283,8 @@ def _attainable_gap(y, target):
 
 
 def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
-                     regions=13, years=9, corr_names=None,
-                     calibration_iterations: int = 40,
-                     repair_limit: float = 0.1) -> RegionalPanel:
+                     regions: int = 13, years: int = 9,
+                     corr_names=None) -> RegionalPanel:
     """Draw a balanced synthetic panel matching summary stats and correlations.
 
     Parameters
@@ -292,21 +294,19 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         panel.
     corr : array
         Target correlation matrix. Made PSD by ``nearest_psd`` when needed;
-        the repair magnitude lands in ``panel.meta``. Must be symmetric with
-        a unit diagonal.
+        the repair magnitude lands in ``panel.meta`` and may be at most 0.1
+        elementwise. Must be symmetric with a unit diagonal.
     seed : int
         Generator seed; fixes the output bit-for-bit.
-    regions, years : int or sequence
-        Grid labels (plain ints generate R01.. and 2001..); their product is
-        the sample size and must exceed the number of variables.
+    regions, years : int
+        Grid size, labelled R01.. and 2001..; their product is the sample
+        size and must exceed the number of variables.
     corr_names : optional sequence
         Variable order of ``corr`` when it differs from the stats order.
-    calibration_iterations : int
-        Cap on the sweeps (default 40) that tune the row order toward
-        ``corr``; each sweep tries one rank step and one swap per variable,
-        and the sweeps stop earlier once one moves nothing.
-    repair_limit : float
-        Maximum tolerated elementwise PSD-repair perturbation.
+
+    The row order is tuned toward ``corr`` in at most 40 sweeps; each tries
+    one rank step and one swap per variable, and the sweeps stop earlier
+    once one moves nothing.
 
     Returns a RegionalPanel whose ``meta`` documents the PSD repair, the
     correlation error (``corr_max_abs_error``, ``corr_mean_abs_error``),
@@ -320,14 +320,8 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     no sample of this size can reach, or a solve that misses the tolerance,
     raises PanelError naming the variable.
     """
-    if isinstance(regions, int):
-        regions = tuple(f"R{i + 1:02d}" for i in range(regions))
-    else:
-        regions = tuple(regions)
-    if isinstance(years, int):
-        years = tuple(range(2001, 2001 + years))
-    else:
-        years = tuple(int(y) for y in years)
+    regions = tuple(f"R{i + 1:02d}" for i in range(regions))
+    years = tuple(range(2001, 2001 + years))
     names = list(stats.names())
     n = len(regions) * len(years)
     if not names:
@@ -365,9 +359,9 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     target = corr[np.ix_(active, active)]
     repaired = nearest_psd(target) if k else target  # all constant: nothing to draw
     repair = float(np.abs(repaired - target).max()) if k else 0.0
-    if repair > repair_limit:
+    if repair > _REPAIR_LIMIT:
         raise PanelError(
-            f"correlation target not PSD-repairable within {repair_limit} "
+            f"correlation target not PSD-repairable within {_REPAIR_LIMIT} "
             f"(needed {repair:.4f})")
 
     rng = np.random.default_rng(seed)
@@ -375,8 +369,7 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     _check_sd_attainable(active_names, n, m, s, lo, hi)
     y, moment_err, steps = _solve_moments(active_names, zw @ np.linalg.cholesky(repaired).T,
                                           m, s, lo, hi)
-    n_sweeps = max(1, int(calibration_iterations))
-    last_sweep = _reorder_toward(y, target, n_sweeps) if k >= 2 else 0
+    last_sweep = _reorder_toward(y, target) if k >= 2 else 0
 
     tri = np.triu_indices(k, 1)
     err = np.abs((np.corrcoef(y, rowvar=False) if k >= 2 else target) - target)[tri]
@@ -389,7 +382,7 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         "corr_mean_abs_error": float(err.mean()) if err.size else 0.0,
         "corr_error_floor": float(gap.max(initial=0.0)),
         "corr_infeasible_pairs": int(np.count_nonzero(gap)),
-        "calibration_iterations": n_sweeps,
+        "calibration_iterations": _MAX_SWEEPS,
         "best_iteration": last_sweep,
         "moment_max_rel_error": float(moment_err.max(initial=0.0)),
         "moment_solve_max_iterations": steps,

@@ -254,6 +254,9 @@ def test_game_solve_and_verify(capsys):
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["r_real"] == "0"  # SPNE royalty is not real for a > c
     assert float(row["q1"]) == 0.0
+    rc, out, _ = run(capsys, "game", "solve", "--a", "10", "--c", "1", "--format", "md")
+    assert rc == 0 and out.splitlines()[:2] == ["a=10 c=1",
+                                                "royalty not real: radicand -3.0000 < 0"]
     rc, out, _ = run(capsys, "game", "verify", "--a", "10", "--c", "1",
                      "--r", "1", "--format", "json")
     assert rc == 0
@@ -393,6 +396,11 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      ["elasticities", "prov.csv", "--stats", "stats.csv"], "line 3: expected 5 cells, got 2"),
     ({"long.csv": 'region,year,A\n"r1",2001,' + "1" * 131073 + "\n"},
      ["describe", "long.csv"], "line 2: field larger than field limit (131072)"),
+    ({"long.csv": "region,year," + "A" * 131073 + "\nr1,2001,1\n"},
+     ["describe", "long.csv"], "line 1: field larger than field limit (131072)"),
+    *(({"specs.json": text}, ["regress", "panel.csv", "--specs", "specs.json"],
+       "specs file must hold a JSON list of specs")
+      for text in ("5", "null", "true", "{}", '{"a": 1}')),
     ({}, VERIFY + ["--grid", "0"], "argument --grid: '0' is not a finite number >= 1"),
     ({}, VERIFY + ["--grid", "-5"], "argument --grid: '-5' is not a finite number >= 1"),
     ({}, VERIFY + ["--fd-step", "0"], "argument --fd-step: '0' is not a finite number > 0"),
@@ -443,6 +451,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "duplicate-stats-row", "duplicate-correlation-row", "non-numeric-provenance-beta",
         "nan-provenance-beta", "incomplete-provenance-row", "correlation-cell-before-ragged-row",
         "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit",
+        "header-field-over-the-csv-size-limit", "specs-number", "specs-null", "specs-true",
+        "specs-empty-object", "specs-object",
         "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
         "seed-outside-synth", "format-before-the-game-command", "elasticities-tol-nan",
         "indices-scale-inf", "negative-precision", "format-on-synth", "precision-on-synth",

@@ -206,8 +206,9 @@ def test_verify_equilibrium_rejects_off_equilibrium_follower_quantity():
     assert rep.gaps["point_follower"] == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("knobs", [  # the CLI table has grid 0, -5, fd_step 0, tol nan
+@pytest.mark.parametrize("knobs", [  # the CLI rejects these before the function sees them
     {"fd_step": math.inf}, {"fd_step": math.nan}, {"tol": -1e-9}, {"tol": math.inf},
+    {"grid": 0},
 ])
 def test_verify_equilibrium_rejects_bad_knobs(knobs):
     p = MarketParams(a=10.0, c=1.0)

@@ -41,6 +41,11 @@ def ref_variety(shares, parents=None):
 
 def ref_hoover(regional, national):
     """The raw Hoover index of two code -> employment dicts."""
+    for side, counts in (("regional", regional), ("national", national)):
+        for code, e in sorted(counts.items()):
+            if not (math.isfinite(e) and e >= 0):
+                raise ValueError(f"{side} employment {e!r} for industry {code!r} "
+                                 "is negative or not finite")
     tot_r = math.fsum(regional.values())
     tot_n = math.fsum(national.values())
     if tot_r <= 0 or tot_n <= 0:
@@ -80,6 +85,9 @@ def test_share_vector_validation():
         sv({"a": -0.1, "b": 1.1})
     with pytest.raises(ValueError):
         sv({"a": 0.6, "b": 0.6})  # sums to 1.2
+    # a NaN share makes the sum NaN, which the tolerance check lets through
+    with pytest.raises(ValueError, match="share for industry 'a'"):
+        sv({"a": math.nan, "b": 1.0}, parents={"a": "m", "b": "m"})
 
 
 def test_from_employment_normalizes():
@@ -146,7 +154,7 @@ def test_no_positive_share_raises():
 def test_hoover_known_value():
     res = hoover_index({"a": 70, "b": 30}, {"a": 50, "b": 50})
     assert res.value == pytest.approx(0.2, abs=1e-12)
-    assert res.display == pytest.approx(20.0, abs=1e-12)
+    assert res.display == 100 * res.value
 
 
 def test_hoover_bounds_and_extremes():
@@ -156,7 +164,7 @@ def test_hoover_bounds_and_extremes():
         n = rng.random(6) + 1e-3
         res = hoover_index({f"i{k}": r[k] for k in range(6)},
                            {f"i{k}": n[k] for k in range(6)})
-        assert 0.0 <= res.value <= 1.0
+        assert 0.0 <= res.value <= 1.0 and res.display == 100 * res.value
     same = hoover_index({"a": 2, "b": 8}, {"a": 20, "b": 80})
     assert same.value == pytest.approx(0.0, abs=1e-12)
     # disjoint supports -> maximal specialization
@@ -169,6 +177,11 @@ def test_hoover_requires_positive_totals():
         hoover_index({"a": 0}, {"a": 3})
     with pytest.raises(ValueError):
         hoover_index({"a": 3}, {"a": 0})
+    # a negative count can leave a positive total, and a NaN one a NaN total
+    with pytest.raises(ValueError, match="^regional employment -1.0 for industry 'a' is neg"):
+        hoover_index({"a": -1.0, "b": 3.0}, {"a": 1.0})
+    with pytest.raises(ValueError, match="^national employment nan for industry 'b' is neg"):
+        hoover_index({"a": 1.0}, {"a": 2.0, "b": math.nan})
 
 
 def test_indices_table_from_employment_csv(tmp_path):
@@ -414,18 +427,24 @@ def test_one_row_indices_match_the_reference(vector, rnd):
         assert all(close(g, w) for g, w in zip((got.theil, got.related, got.unrelated), want))
 
 
-_employment = st.dictionaries(st.sampled_from(CODES), st.just(0.0) | st.floats(1e-3, 1e6),
-                              max_size=12)
+@st.composite
+def _employment(draw):
+    """code -> count over up to 12 codes; one count in five dicts is bad."""
+    counts = draw(st.dictionaries(st.sampled_from(CODES),
+                                  st.just(0.0) | st.floats(1e-3, 1e6), max_size=12))
+    if counts and draw(st.integers(0, 4)) == 0:
+        bad = st.floats(-1e6, -1e-300) | st.sampled_from([math.nan, math.inf, -math.inf])
+        counts[draw(st.sampled_from(sorted(counts)))] = draw(bad)
+    return counts
 
 
 @settings(max_examples=300, deadline=None)
-@given(_employment, _employment, st.floats(0.5, 1e3), st.randoms(use_true_random=False))
-def test_hoover_index_matches_the_reference(regional, national, scale, rnd):
-    got = attempt(hoover_index, regional, national, scale)
-    assert attempt(hoover_index, shuffled(regional, rnd), shuffled(national, rnd),
-                   scale) == got
+@given(_employment(), _employment(), st.randoms(use_true_random=False))
+def test_hoover_index_matches_the_reference(regional, national, rnd):
+    got = attempt(hoover_index, regional, national)
+    assert attempt(hoover_index, shuffled(regional, rnd), shuffled(national, rnd)) == got
     want = attempt(ref_hoover, regional, national)
     if isinstance(want, str):
         assert got == want
     else:
-        assert close(got.value, want) and got.display == got.value * scale
+        assert close(got.value, want) and got.display == 100 * got.value

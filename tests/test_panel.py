@@ -46,13 +46,6 @@ def test_load_panel_region_order_and_year_sort():
     assert p.matrix("X")[0, 0] == 2.0
 
 
-def test_load_panel_schema_subset_and_order():
-    p = load_panel(io.StringIO(BASIC), schema=["POP"])
-    assert p.variables == ("POP",)
-    with pytest.raises(PanelError, match="MISSING"):
-        load_panel(io.StringIO(BASIC), schema=["GDP", "MISSING"])
-
-
 def test_load_panel_rejects_bad_header():
     with pytest.raises(PanelParseError):
         load_panel(io.StringIO("year,region,X\na,2001,1\n"))
@@ -121,8 +114,6 @@ def test_load_panel_rejects_a_repeated_column():
     text = "region,year,A,A\na,2001,1,5\na,2002,2,6\nb,2001,3,7\nb,2002,4,8\n"
     with pytest.raises(PanelParseError, match="line 1: duplicate column 'A'"):
         load_panel(io.StringIO(text))
-    with pytest.raises(PanelParseError, match="duplicate column 'A'"):
-        load_panel(io.StringIO(text), schema=["A"])
 
 
 def test_load_panel_keeps_a_year_beyond_int64_exact():
@@ -683,7 +674,7 @@ EMP = ("region,year,industry,parent,employment\n"
 
 def test_load_employment():
     t = load_employment(io.StringIO(EMP))
-    assert t.region_years() == [("n", 2001), ("s", 2001)]
+    assert t.keys == (("n", 2001), ("s", 2001))
     assert t.employment("n", 2001) == {"food": 10.0, "retail": 30.0}
     assert t.national(2001) == {"food": 30.0, "retail": 70.0}
     assert t.parents == {"food": "m", "retail": "s"}

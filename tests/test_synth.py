@@ -46,8 +46,7 @@ def test_nearest_psd_repairs_indefinite():
 
 
 def test_moments_and_bounds_small():
-    panel = synthesize_panel(small_stats(), small_corr(), seed=1,
-                             regions=10, years=4, calibration_iterations=10)
+    panel = synthesize_panel(small_stats(), small_corr(), seed=1, regions=10, years=4)
     got = descriptive_stats(panel)
     for nm in ("A", "B", "C"):
         st, tg = got.get(nm), small_stats().get(nm)
@@ -59,20 +58,16 @@ def test_moments_and_bounds_small():
 
 
 def test_same_seed_bitwise_identical():
-    a = synthesize_panel(small_stats(), small_corr(), seed=5,
-                         regions=8, years=5, calibration_iterations=8)
-    b = synthesize_panel(small_stats(), small_corr(), seed=5,
-                         regions=8, years=5, calibration_iterations=8)
+    a = synthesize_panel(small_stats(), small_corr(), seed=5, regions=8, years=5)
+    b = synthesize_panel(small_stats(), small_corr(), seed=5, regions=8, years=5)
     assert a.to_csv() == b.to_csv()
-    c = synthesize_panel(small_stats(), small_corr(), seed=6,
-                         regions=8, years=5, calibration_iterations=8)
+    c = synthesize_panel(small_stats(), small_corr(), seed=6, regions=8, years=5)
     assert a.to_csv() != c.to_csv()
 
 
 def test_identity_target_gives_near_zero_cross_correlation():
     eye = np.eye(3)
-    panel = synthesize_panel(small_stats(), eye, seed=3,
-                             regions=12, years=6, calibration_iterations=20)
+    panel = synthesize_panel(small_stats(), eye, seed=3, regions=12, years=6)
     got = correlation_matrix(panel, ["A", "B", "C"])
     off = got[~np.eye(3, dtype=bool)]
     assert np.abs(off).max() < 0.08
@@ -81,14 +76,12 @@ def test_identity_target_gives_near_zero_cross_correlation():
 def test_corr_names_realignment():
     stats = small_stats()
     corr = small_corr()
-    direct = synthesize_panel(stats, corr, seed=9, regions=8, years=5,
-                              calibration_iterations=5)
+    direct = synthesize_panel(stats, corr, seed=9, regions=8, years=5)
     # permute the matrix and hand over the permuted order
     perm = [2, 0, 1]  # C, A, B
     shuffled = corr[np.ix_(perm, perm)]
     renamed = synthesize_panel(stats, shuffled, seed=9, regions=8, years=5,
-                               corr_names=["C", "A", "B"],
-                               calibration_iterations=5)
+                               corr_names=["C", "A", "B"])
     assert direct.to_csv() == renamed.to_csv()
     with pytest.raises(PanelError, match="corr_names"):
         synthesize_panel(stats, shuffled, seed=9, corr_names=["C", "A", "X"])
@@ -98,8 +91,7 @@ def test_constant_variable_handled():
     text = SMALL_STATS + "K,40,7.0,0.0,7.0,7.0\n"
     stats = DescriptiveStats.from_csv(io.StringIO(text))
     corr = np.eye(4)
-    panel = synthesize_panel(stats, corr, seed=2, regions=8, years=5,
-                             calibration_iterations=5)
+    panel = synthesize_panel(stats, corr, seed=2, regions=8, years=5)
     np.testing.assert_array_equal(panel.matrix("K"), np.full((8, 5), 7.0))
     assert panel.meta["constant_variables"] == ["K"]
 
@@ -134,9 +126,8 @@ def test_unrepairable_correlation_rejected():
     c = np.array([[1.0, 0.99, -0.99],
                   [0.99, 1.0, 0.99],
                   [-0.99, 0.99, 1.0]])
-    with pytest.raises(PanelError, match="repairable"):
-        synthesize_panel(small_stats(), c, seed=0, regions=10, years=4,
-                         repair_limit=0.05)
+    with pytest.raises(PanelError, match=r"repairable within 0\.1 \(needed 0\.4900\)"):
+        synthesize_panel(small_stats(), c, seed=0, regions=10, years=4)
 
 
 def test_bundled_targets_roundtrip(synthetic_panel, bundled_stats, bundled_corr):
@@ -275,8 +266,7 @@ def hard_targets(draw):
 @given(hard_targets())
 def test_hard_marginals_exact_or_named_error(case):
     stats, corr, regions, years, seed = case
-    run = lambda: synthesize_panel(stats, corr, seed=seed, regions=regions,
-                                   years=years, calibration_iterations=5)
+    run = lambda: synthesize_panel(stats, corr, seed=seed, regions=regions, years=years)
     try:
         panel = run()
     except PanelError as exc:
