@@ -399,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stats CSV (default: bundled descriptive table)")
     p.add_argument("--corr", default=None,
                    help="correlation CSV (default: bundled matrix)")
-    p.add_argument("--regions", type=_at_least(int, 1), default=13)
-    p.add_argument("--years", type=_at_least(int, 1), default=9)
+    p.add_argument("--regions", type=_at_least(int, 2), default=13)
+    p.add_argument("--years", type=_at_least(int, 2), default=9)
     p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     p.set_defaults(fn=_cmd_synth)
 

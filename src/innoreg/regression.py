@@ -44,6 +44,7 @@ __all__ = [
 # two-sided normal critical values at 10/5/1%
 _STAR_CUTS = ((2.5758293035489004, "***"), (1.959963984540054, "**"),
               (1.6448536269514722, "*"))
+_JSON_TYPES = {"str": "string", "int": "integer >= 0", "bool": "boolean", "list": "list"}
 
 
 class CollinearityError(PanelError):
@@ -97,38 +98,40 @@ class RegressionSpec:
     label: str = ""
 
     def __post_init__(self):
-        self.regressors = [r if isinstance(r, Regressor) else Regressor(**r)
-                           for r in self.regressors]
-        self.interactions = [i if isinstance(i, Interaction) else Interaction(**i)
-                             for i in self.interactions]
-        labels = [r.label for r in self.regressors] + \
-                 [i.label for i in self.interactions]
+        for key, kind in (("regressors", Regressor), ("interactions", Interaction)):
+            setattr(self, key, [item if isinstance(item, kind) else
+                                _from_json(kind, item, key[:-1], self.label)
+                                for item in getattr(self, key)])
+        labels = [term.label for term in (*self.regressors, *self.interactions)]
         if len(set(labels)) != len(labels):
             raise PanelError(f"duplicate design columns in spec {self.label!r}")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegressionSpec":
-        """Spec from its JSON form; a bad key raises PanelError naming it."""
-        label = str(d.get("label", "")) if isinstance(d, dict) else ""
-        _check_keys(d, cls, "spec", label)
-        for key, kind in (("regressors", Regressor), ("interactions", Interaction)):
-            if not isinstance(d.get(key, []), list):
-                raise PanelError(f"spec {label!r}: {key} must be a JSON list")
-            for item in d.get(key, []):
-                _check_keys(item, kind, key[:-1], label)
-        return cls(**{**d, "label": label})
+    def from_dict(cls, d) -> "RegressionSpec":
+        """Spec from its JSON form; a fault raises PanelError naming it."""
+        label = d.get("label") if isinstance(d, dict) else None
+        return _from_json(cls, d, "spec", label if isinstance(label, str) else "")
 
 
-def _check_keys(d, kind, what: str, label: str) -> None:
-    """Match a JSON object's keys against the fields of a dataclass."""
+def _from_json(kind, d, what: str, label: str):
+    """The ``kind`` built from JSON object ``d``, the dataclass fields being the
+    schema: a value has the JSON type ``_JSON_TYPES`` gives its field's
+    annotation (an int field is a lag). A fault raises PanelError naming the spec."""
     if not isinstance(d, dict):
         raise PanelError(f"spec {label!r}: each {what} must be a JSON object")
-    for key in d:
-        if key not in {f.name for f in fields(kind)}:
+    schema = {f.name: f.type for f in fields(kind)}
+    for key, value in d.items():
+        name = key if kind is RegressionSpec else f"{what} {key}"
+        if key not in schema:
             raise PanelError(f"spec {label!r}: unknown {what} key {key!r}")
+        if type(value).__name__ != schema[key] or schema[key] == "int" and value < 0:
+            raise PanelError(f"spec {label!r}: {name} must be a JSON {_JSON_TYPES[schema[key]]}")
+        if key == "mode" and value not in ("mutual", "residualize-second"):
+            raise PanelError(f"spec {label!r}: {name} must be 'mutual' or 'residualize-second'")
     for f in fields(kind):
         if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
             raise PanelError(f"spec {label!r}: {what} without {f.name!r}")
+    return kind(**d)
 
 
 @dataclass
@@ -358,8 +361,7 @@ def _build_design(panel: RegionalPanel, spec: RegressionSpec):
     for j, i in enumerate(spec.interactions):
         oa, ob = orthogonalize(rows[k + 1 + 2 * j], rows[k + 2 + 2 * j], mode=i.mode)
         np.multiply(oa, ob, out=rows[j0 + m + j])
-    names = ["const"] * j0 + [r.label for r in spec.regressors] + \
-        [i.label for i in spec.interactions]
+    names = ["const"] * j0 + [t.label for t in (*spec.regressors, *spec.interactions)]
     return rows[:k + 1].T, names
 
 
@@ -400,16 +402,14 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
 
     j0 = int(spec.intercept)  # the intercept, when present, is column 0
     m = k - j0
+    f_stat = f_p = math.nan
     if m:
         b = beta[j0:]
         try:
-            wald = float(b @ np.linalg.solve(cov_robust[j0:, j0:], b))
-            f_stat = wald / m
+            f_stat = float(b @ np.linalg.solve(cov_robust[j0:, j0:], b)) / m
             f_p = _f_sf(m, n - k, f_stat)
         except np.linalg.LinAlgError:
-            f_stat, f_p = math.nan, math.nan
-    else:
-        f_stat, f_p = math.nan, math.nan
+            pass
 
     vif_map, avg = None, None
     if m >= 2 and spec.intercept:

@@ -299,8 +299,8 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     seed : int
         Generator seed; fixes the output bit-for-bit.
     regions, years : int
-        Grid size, labelled R01.. and 2001..; their product is the sample
-        size and must exceed the number of variables.
+        Grid size, each at least 2 (checked before any draw), labelled R01..
+        and 2001..; their product, the sample size, must exceed the variable count.
     corr_names : optional sequence
         Variable order of ``corr`` when it differs from the stats order.
 
@@ -320,10 +320,10 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     no sample of this size can reach, or a solve that misses the tolerance,
     raises PanelError naming the variable.
     """
-    regions = tuple(f"R{i + 1:02d}" for i in range(regions))
-    years = tuple(range(2001, 2001 + years))
+    grid = RegionalPanel(tuple(f"R{i + 1:02d}" for i in range(regions)),  # raises below 2 x 2
+                         tuple(range(2001, 2001 + years)), {})
     names = list(stats.names())
-    n = len(regions) * len(years)
+    n = grid.n_obs
     if not names:
         raise PanelError("no variables in stats")
 
@@ -393,5 +393,5 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     cols = iter(y.T)
     for j, nm in enumerate(names):
         col = np.full(n, targets[j, 0]) if const[j] else next(cols)
-        data[nm] = col.reshape(len(regions), len(years))
-    return RegionalPanel(regions=regions, years=years, data=data, meta=meta)
+        data[nm] = col.reshape(grid.n_regions, grid.n_years)
+    return RegionalPanel(regions=grid.regions, years=grid.years, data=data, meta=meta)

@@ -425,8 +425,11 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({}, REGION[:5] + ["inf"] + REGION[6:],
      "argument --a-max: 'inf' is not a finite number > 0"),
     ({}, REGION[:7] + ["0"] + REGION[8:], "argument --c-min: '0' is not a finite number > 0"),
-    ({}, ["synth", "--years", "-1"], "argument --years: '-1' is not a finite number >= 1"),
-    ({}, ["synth", "--regions", "0"], "argument --regions: '0' is not a finite number >= 1"),
+    ({}, ["synth", "--years", "-1"], "argument --years: '-1' is not a finite number >= 2"),
+    ({}, ["synth", "--regions", "0"], "argument --regions: '0' is not a finite number >= 2"),
+    ({}, ["synth", "--regions", "1", "--years", "2000"],
+     "argument --regions: '1' is not a finite number >= 2"),
+    ({}, ["synth", "--years", "1"], "argument --years: '1' is not a finite number >= 2"),
     ({}, VERIFY + ["--tol", "-1"], "argument --tol: '-1' is not a finite number >= 0"),
     ({}, VERIFY + ["--fd-step", "nan"], "argument --fd-step: 'nan' is not a finite number > 0"),
     ({}, ["game", "solve", "--a", "-1", "--c", "1"],
@@ -443,6 +446,23 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "argument --r: 'nan' is not a finite number"),
     ({}, ["describe", "panel.csv", "--out", ""], "argument --out: expected a file path, got ''"),
     ({}, ["synth", "--out", ""], "argument --out: expected a file path, got ''"),
+    *(({"specs.json": json.dumps([{"label": "m", "dependent": "A", "regressors": [reg]}])},
+       ["regress", "panel.csv", "--specs", "specs.json"], f"error: spec 'm': {message}")
+      for reg, message in (
+          ({"name": ["RDEXP"]}, "regressor name must be a JSON string"),
+          ({"name": "B", "lag": "1"}, "regressor lag must be a JSON integer >= 0"),
+          ({"name": "B", "lag": -1}, "regressor lag must be a JSON integer >= 0"))),
+    ({"specs.json": '[{"label": ["x"], "dependent": "A"}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"],
+     "error: spec '': label must be a JSON string"),
+    ({"specs.json": '[{"label": "m", "dependent": "A", "intercept": "no"}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"],
+     "error: spec 'm': intercept must be a JSON boolean"),
+    ({"specs.json": '[{"label": "ok", "dependent": "A", "regressors": [{"name": "B"}]}, '
+                    '{"label": "m", "dependent": "A", '
+                    '"interactions": [{"x1": "A", "x2": "B", "mode": "bogus"}]}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"],
+     "error: spec 'm': interaction mode must be 'mutual' or 'residualize-second'"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -458,9 +478,11 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "indices-scale-inf", "negative-precision", "format-on-synth", "precision-on-synth",
         "provenance-fault-before-stats-file", "region-a-steps-negative", "region-a-steps-0",
         "region-c-steps-0", "region-a-max-inf", "region-c-min-0", "synth-years-negative",
-        "synth-regions-0", "verify-tol-negative", "verify-fd-step-nan", "solve-a-negative",
+        "synth-regions-0", "synth-regions-1", "synth-years-1", "verify-tol-negative",
+        "verify-fd-step-nan", "solve-a-negative",
         "solve-c-inf", "verify-c-0", "verify-a-nan", "solve-r-inf", "verify-r-nan",
-        "describe-out-empty", "synth-out-empty"])
+        "describe-out-empty", "synth-out-empty", "spec-name-list", "spec-lag-string",
+        "spec-lag-negative", "spec-label-list", "spec-intercept-string", "spec-mode-bogus"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"

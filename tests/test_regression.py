@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -656,10 +657,79 @@ def test_collinear_set_is_read_at_the_columns_scale():
     ({"label": "m", "dependent": "Y", "regresors": []}, "unknown spec key"),
     (["Y"], "JSON object"),
     ({"label": "m", "dependent": "Y", "regressors": None}, "JSON list"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": ["RDEXP"]}]},
+     "spec 'm': regressor name must be a JSON string"),
+    ({"label": ["x"], "dependent": "Y"}, "spec '': label must be a JSON string"),
+    ({"label": "m", "dependent": 5}, "spec 'm': dependent must be a JSON string"),
+    ({"label": "m", "dependent": "Y", "intercept": "no"},
+     "spec 'm': intercept must be a JSON boolean"),
+    ({"label": "m", "dependent": "Y", "intercept": 0}, "intercept must be a JSON boolean"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": "1"}]},
+     r"spec 'm': regressor lag must be a JSON integer >= 0"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": -1}]},
+     r"regressor lag must be a JSON integer >= 0"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": True}]},
+     r"regressor lag must be a JSON integer >= 0"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": 1.0}]},
+     r"regressor lag must be a JSON integer >= 0"),
+    ({"label": "m", "dependent": "Y", "interactions": [{"x1": "A", "x2": "B", "lag2": -2}]},
+     r"interaction lag2 must be a JSON integer >= 0"),
+    ({"label": "m", "dependent": "Y", "interactions": [{"x1": "A", "x2": "B", "mode": "bogus"}]},
+     "spec 'm': interaction mode must be 'mutual' or 'residualize-second'"),
+    ({"label": "m", "dependent": "Y", "interactions": [{"x1": None, "x2": "B"}]},
+     "interaction x1 must be a JSON string"),
+    ({"label": "m", "dependent": "Y", "interactions": {}}, "interactions must be a JSON list"),
+    ({"label": "m", "dependent": "Y", "regressors": ["X"]},
+     "each regressor must be a JSON object"),
 ])
 def test_spec_from_dict_rejects_bad_keys(spec, match):
     with pytest.raises(PanelError, match=match):
         RegressionSpec.from_dict(spec)
+
+
+@pytest.mark.parametrize("key, item", [
+    ("regressors", {"name": "X", "lagg": 1}), ("regressors", {"name": ["X"]}),
+    ("regressors", {"name": "X", "lag": -1}), ("regressors", 5),
+    ("interactions", {"x1": "A"}), ("interactions", {"x1": "A", "x2": "B", "mode": "bogus"}),
+])
+def test_spec_items_are_checked_alike_by_from_dict_and_the_constructor(key, item):
+    with pytest.raises(PanelError) as parsed:
+        RegressionSpec.from_dict({"label": "m", "dependent": "Y", key: [item]})
+    with pytest.raises(PanelError) as built:
+        RegressionSpec(dependent="Y", label="m", **{key: [item]})
+    assert str(built.value) == str(parsed.value)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_VALID_SPEC = {"label": "m", "dependent": "Y", "intercept": True,
+               "regressors": [{"name": "X", "lag": 1}],
+               "interactions": [{"x1": "A", "x2": "B", "lag1": 0, "lag2": 2, "mode": "mutual"}]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(key,) for key in _VALID_SPEC]
+                       + [("regressors", 0, key) for key in ("name", "lag")]
+                       + [("interactions", 0, key)
+                          for key in ("x1", "x2", "lag1", "lag2", "mode")]
+                       + [("regressors", 0), ("interactions", 0)]),
+       _JSON)
+def test_spec_from_dict_returns_a_spec_or_raises_panel_error(path, value):
+    """Any field of a valid spec, or an item of its lists, set to any JSON
+    value gives a spec or a PanelError, never another exception."""
+    spec = json.loads(json.dumps(_VALID_SPEC))
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        out = RegressionSpec.from_dict(spec)
+    except PanelError:
+        return
+    assert isinstance(out, RegressionSpec) and out.label == spec["label"]
 
 
 @settings(max_examples=150, deadline=None)
