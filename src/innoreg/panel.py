@@ -200,20 +200,20 @@ def _float_column(cells):
     return values if (np.isfinite(values) | empty).all() else None
 
 
-def _year_column(cells):
+def _int_column(cells):
     """``int()`` of every cell, or None unless every cell is an integer."""
     try:
-        years = list(map(int, cells))
+        ints = list(map(int, cells))
     except ValueError:
         return None
     try:
-        return np.array(years, dtype=np.int64)
-    except OverflowError:  # an object array keeps a year beyond int64 exact
-        return np.array(years, dtype=object)
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:  # an object array keeps a value beyond int64 exact
+        return np.array(ints, dtype=object)
 
 
 def _year_fault(text):
-    return _year_column([text]) is None and f"year {text!r} is not an integer"
+    return _int_column([text]) is None and f"year {text!r} is not an integer"
 
 
 def _first_error(table, checks) -> PanelParseError | None:
@@ -375,13 +375,13 @@ def load_panel(source) -> RegionalPanel:
                     for nm in names)]
         for table in blocks:
             regions, years, *cells = table.columns
-            year_values, values = _year_column(years), [_float_column(c) for c in cells]
+            year_values, values = _int_column(years), [_float_column(c) for c in cells]
             passed = ["" not in regions, year_values is not None, *(v is not None for v in values)]
             error = _first_error(table, zip(passed, faults, [regions, years, *cells]))
             if error is not table.ragged:  # a bad cell: go on with the rows above its line
                 n = bisect_left(table.lines, error.line)
                 regions, years, cells = regions[:n], years[:n], [c[:n] for c in cells]
-                year_values, values = _year_column(years), [_float_column(c) for c in cells]
+                year_values, values = _int_column(years), [_float_column(c) for c in cells]
             lines += table.lines[:len(regions)]
             region_index += [region_at.setdefault(r, len(region_at)) for r in regions]
             parts.append((year_values, *values))
@@ -527,7 +527,7 @@ def load_employment(source) -> EmploymentTable:
         distinct, parents, columns, employed = {}, {}, ([], [], []), []
         for table in blocks:
             region_cells, year_cells, inds, parent_cells, emp_cells = table.columns
-            years, emp = _year_column(year_cells), _float_column(emp_cells)
+            years, emp = _int_column(year_cells), _float_column(emp_cells)
             # an industry's parent is the one on its first line
             first_parent = list(map(parents.setdefault, inds, parent_cells))
             error = _first_error(table, [
@@ -568,16 +568,18 @@ def load_provenance(source) -> list:
     ``x_mean``, ``y_mean`` and ``expected`` come back as finite floats, and
     ``expected`` as None where it is absent or empty.
     """
+    required = ("variable", "beta", "source_column", "x_mean", "y_mean")
     with contextlib.closing(_read_csv(source)) as blocks:
         header = next(blocks).header
-        records = list(_records(blocks))  # a ragged row raises before any check
-    required = {"variable", "beta", "source_column", "x_mean", "y_mean"}
+        if absent := [k for k in required if k not in header]:
+            raise PanelParseError(1, f"provenance header lacks column {absent[0]!r}")
+        records = list(_records(blocks))  # a ragged row raises before any cell check
     rows = []
     for lineno, cells in records:
         rec = dict(zip(header, cells))
-        if not required.issubset({k for k, v in rec.items() if v}):
-            raise PanelError(f"provenance row incomplete: {rec}")
         what = f"{rec['variable']!r} "
+        if empty := [k for k in required if not rec[k]]:
+            raise PanelParseError(lineno, what + f"{empty[0]} is empty")
         rec.setdefault("expected", "")
         for k in ("beta", "x_mean", "y_mean", "expected"):  # only expected may be empty
             rec[k] = _parse_float(rec[k], lineno, what + k) if rec[k] else None
@@ -685,10 +687,17 @@ class VariableStats:
 
 @dataclass(frozen=True)
 class DescriptiveStats:
-    """Per-variable count/mean/sd/min/max (sample sd, n-1 denominator)."""
+    """Per-variable count/mean/sd/min/max (sd with ddof=1). Building one checks every record:
+    finite, min <= mean <= max, sd >= 0, sd 0 where min = max; else PanelError names it."""
 
     variables: dict
     columns = ("name", "count", "mean", "sd", "min", "max")
+
+    def __post_init__(self):
+        for name, st in self.variables.items():
+            if not (-math.inf < st.min <= st.mean <= st.max < math.inf
+                    and 0 <= st.sd < math.inf and (st.min < st.max or st.sd == 0)):
+                raise PanelError(f"inconsistent stats for {name!r}")
 
     def names(self) -> tuple:
         return tuple(self.variables)
@@ -716,17 +725,14 @@ class DescriptiveStats:
             for lineno, (name, count, *values) in _records(blocks):
                 if name in out:
                     raise PanelParseError(lineno, f"duplicate row {name!r}")
-                try:
-                    count = int(count)
-                except ValueError:
-                    raise PanelParseError(
-                        lineno, f"{name!r} count {count!r} is not an integer") from None
-                mean, sd, lo, hi = (_parse_float(c, lineno, f"{name!r} {k}")
-                                    for k, c in zip(cls.columns[2:], values))
-                st = VariableStats(count=count, mean=mean, sd=sd, min=lo, max=hi)
-                if not (st.min <= st.mean <= st.max) or st.sd < 0:
-                    raise PanelError(f"inconsistent stats for {name!r}")
-                out[name] = st
+                if _int_column([count]) is None:
+                    raise PanelParseError(lineno, f"{name!r} count {count!r} is not an integer")
+                st = VariableStats(int(count), *(_parse_float(c, lineno, f"{name!r} {k}")
+                                                 for k, c in zip(cls.columns[2:], values)))
+                try:  # the stats rule, checked on a one-record table
+                    out |= cls({name: st}).variables
+                except PanelError as exc:
+                    raise PanelParseError(lineno, str(exc)) from None
         return cls(variables=out)
 
 
@@ -743,10 +749,9 @@ def descriptive_stats(panel: RegionalPanel, variables=None) -> DescriptiveStats:
         if col.size == 0:
             warnings.warn(f"variable {name!r} is entirely missing; excluded")
             continue
-        sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-        out[name] = VariableStats(count=int(col.size), mean=float(np.mean(col)),
-                                  sd=sd, min=float(np.min(col)),
-                                  max=float(np.max(col)))
+        lo, hi = float(np.min(col)), float(np.max(col))
+        sd = float(np.std(col, ddof=1)) if lo < hi else 0.0  # exactly 0 for a constant
+        out[name] = VariableStats(int(col.size), min(max(float(np.mean(col)), lo), hi), sd, lo, hi)
     return DescriptiveStats(variables=out)
 
 

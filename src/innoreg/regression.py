@@ -44,7 +44,8 @@ __all__ = [
 # two-sided normal critical values at 10/5/1%
 _STAR_CUTS = ((2.5758293035489004, "***"), (1.959963984540054, "**"),
               (1.6448536269514722, "*"))
-_JSON_TYPES = {"str": "string", "int": "integer >= 0", "bool": "boolean", "list": "list"}
+_JSON_TYPES = {"str": "string", "int": "integer >= 0 and < 2**63", "bool": "boolean",
+               "list": "list"}
 
 
 class CollinearityError(PanelError):
@@ -124,7 +125,7 @@ def _from_json(kind, d, what: str, label: str):
         name = key if kind is RegressionSpec else f"{what} {key}"
         if key not in schema:
             raise PanelError(f"spec {label!r}: unknown {what} key {key!r}")
-        if type(value).__name__ != schema[key] or schema[key] == "int" and value < 0:
+        if type(value).__name__ != schema[key] or schema[key] == "int" and not 0 <= value < 2**63:
             raise PanelError(f"spec {label!r}: {name} must be a JSON {_JSON_TYPES[schema[key]]}")
         if key == "mode" and value not in ("mutual", "residualize-second"):
             raise PanelError(f"spec {label!r}: {name} must be 'mutual' or 'residualize-second'")

@@ -388,8 +388,7 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({"prov.csv": PROV.replace("B,2.0", "B,nan")},
      ["elasticities", "prov.csv"], "line 2: 'B' beta 'nan' is not finite"),
     ({"prov.csv": PROV.replace("1,10.0", "1,")},
-     ["elasticities", "prov.csv"], "provenance row incomplete: {'variable': 'B', 'beta': '2.0', "
-                                   "'source_column': '1', 'x_mean': '', 'y_mean': '4.0'}"),
+     ["elasticities", "prov.csv"], "error: line 2: 'B' x_mean is empty"),
     ({"corr.csv": "name,A,B\nA,1,x\nB,0.4\n"},
      ["synth", "--corr", "corr.csv"], "line 2: 'A' correlation 'x' is not numeric"),
     ({"prov.csv": PROV + "C,1\n", "stats.csv": "name\n"},
@@ -463,6 +462,16 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
                     '"interactions": [{"x1": "A", "x2": "B", "mode": "bogus"}]}]'},
      ["regress", "panel.csv", "--specs", "specs.json"],
      "error: spec 'm': interaction mode must be 'mutual' or 'residualize-second'"),
+    ({"prov.csv": PROV.replace(",y_mean\n", ",ymean\n")},
+     ["elasticities", "prov.csv"], "error: line 1: provenance header lacks column 'y_mean'"),
+    ({"stats.csv": "name,count,mean,sd,min,max\nA,117,5,1,5,5\n"},
+     ["synth", "--stats", "stats.csv"], "error: line 2: inconsistent stats for 'A'"),
+    ({"stats.csv": STATS.replace("B,40,10.0", "B,40,19.0"), "corr.csv": CORR},
+     ["synth", "--stats", "stats.csv", "--corr", "corr.csv"],
+     "error: line 3: inconsistent stats for 'B'"),
+    ({"prov.csv": PROV, "stats.csv": STATS.replace("A,40,1.0,0.5", "A,40,1.0,-0.5")},
+     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
+     "error: line 2: inconsistent stats for 'A'"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -482,7 +491,9 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "verify-fd-step-nan", "solve-a-negative",
         "solve-c-inf", "verify-c-0", "verify-a-nan", "solve-r-inf", "verify-r-nan",
         "describe-out-empty", "synth-out-empty", "spec-name-list", "spec-lag-string",
-        "spec-lag-negative", "spec-label-list", "spec-intercept-string", "spec-mode-bogus"])
+        "spec-lag-negative", "spec-label-list", "spec-intercept-string", "spec-mode-bogus",
+        "provenance-header-without-y_mean", "stats-sd-with-min-equal-max",
+        "stats-mean-above-max", "stats-sd-negative"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
@@ -500,6 +511,27 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv
               if line.startswith("error:") or line.startswith("innoreg") and ": error: " in line]
     assert len(errors) == 1 and names in errors[0], err
     assert "Traceback" not in err
+
+
+def test_describe_output_of_a_constant_column_reads_back(tmp_path, capsys):
+    # 0.1 averages to 0.09999999999999999 over 117 cells: describe writes mean = min
+    # = max and sd 0, so synth --stats and elasticities --stats take its file
+    rng = np.random.default_rng(5)
+    rows = [f"R{r:02d},{2001 + t},0.1,{rng.normal():.17g}" for r in range(13) for t in range(9)]
+    files = {"panel.csv": "region,year,A,B\n" + "\n".join(rows) + "\n",
+             "corr.csv": CORR, "prov.csv": PROV}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = lambda name: str(tmp_path / name)
+    rc, _, _ = run(capsys, "describe", path("panel.csv"), "--out", path("s.csv"))
+    assert rc == 0
+    a_row = (tmp_path / "s.csv").read_text().splitlines()[1]
+    assert a_row == "A,117,0.10000000000000001,0,0.10000000000000001,0.10000000000000001"
+    rc, out, _ = run(capsys, "synth", "--stats", path("s.csv"), "--corr", path("corr.csv"))
+    assert rc == 0 and {float(r["A"]) for r in csv.DictReader(io.StringIO(out))} == {0.1}
+    rc, out, _ = run(capsys, "elasticities", path("prov.csv"), "--stats", path("s.csv"),
+                     "--dependent", "A")
+    assert rc == 0 and float(next(csv.DictReader(io.StringIO(out)))["y_mean"]) == 0.1
 
 
 def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from innoreg import panel as panel_mod
 from innoreg.panel import (DescriptiveStats, EmploymentTable, PanelError,
-                           PanelParseError, RegionalPanel, correlation_matrix,
-                           descriptive_stats, impute_by_apportionment, lag,
-                           load_correlation_csv, load_employment, load_panel,
-                           load_provenance)
+                           PanelParseError, RegionalPanel, VariableStats,
+                           correlation_matrix, descriptive_stats,
+                           impute_by_apportionment, lag, load_correlation_csv,
+                           load_employment, load_panel, load_provenance)
 
 from conftest import build_panel
 
@@ -100,10 +100,17 @@ _STATS_HEADER = "name,count,mean,sd,min,max\n"
      "line 1: stats header must be name,count,mean,sd,min,max"),
     (DescriptiveStats.from_csv, _STATS_HEADER + "A,x,1,1,1,1\nB\n",
      "line 2: 'A' count 'x' is not an integer"),
+    (DescriptiveStats.from_csv, _STATS_HEADER + "A,9,1,0.5,0,3\nX,4,0,1,2,9\nB\n",
+     "line 3: inconsistent stats for 'X'"),
+    (DescriptiveStats.from_csv, _STATS_HEADER + "X,117,5,1,5,5\nB\n",
+     "line 2: inconsistent stats for 'X'"),
+    (load_provenance, "variable,beta,x_mean,y_mean\nB\n",
+     "line 1: provenance header lacks column 'source_column'"),
 ], ids=["panel-header", "panel-column", "panel-cell", "panel-duplicate", "panel-ragged",
         "panel-ragged-after-a-two-line-cell", "panel-cell-after-a-two-line-cell",
         "employment-header", "employment-cell", "employment-ragged", "stats-header",
-        "stats-cell"])
+        "stats-cell", "stats-mean-below-min", "stats-sd-with-min-equal-max",
+        "provenance-header"])
 def test_a_ragged_row_is_reported_after_the_header_and_earlier_lines(load, text, message):
     with pytest.raises(PanelParseError) as exc:
         load(io.StringIO(text))
@@ -459,14 +466,62 @@ def test_descriptive_stats_skips_empty_variable():
     assert "E" not in stats.names()
 
 
-def test_descriptive_stats_csv_roundtrip():
-    p = build_panel({"X": np.arange(4, dtype=float).reshape(2, 2)})
+# cells within +-1e150: past about 1e154 the squares in np.std overflow
+_STATS_CELL = st.floats(-1e150, 1e150)
+
+
+@st.composite
+def stats_panels(draw):
+    """Panels of 1-3 columns, each constant (0.1, 1/3 or a drawn value), a few
+    ulps around one value, or random, with missing cells but none all missing."""
+    shape = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    n = shape[0] * shape[1]
+    cells = lambda strategy: np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+    data = {}
+    for j in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["constant", "near-constant", "random"]))
+        if kind == "constant":
+            x = np.full(n, draw(st.sampled_from([0.1, 1 / 3]) | _STATS_CELL))
+        elif kind == "near-constant":
+            v = draw(_STATS_CELL)
+            x = v + cells(st.integers(-2, 2)) * np.spacing(v)
+        else:
+            x = cells(_STATS_CELL)
+        missing = cells(st.booleans())
+        missing[draw(st.integers(0, n - 1))] = False
+        data[f"V{j}"] = np.where(missing, np.nan, x).reshape(shape)
+    return build_panel(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats_panels())
+def test_descriptive_stats_csv_roundtrip(p):
+    """What describe writes, from_csv reads back to an equal table; a constant
+    column comes out as mean = min = max with sd 0."""
     stats = descriptive_stats(p)
     again = DescriptiveStats.from_csv(io.StringIO(stats.to_csv()))
-    assert again.get("X") == stats.get("X")
-    bad = "name,count,mean,sd,min,max\nX,4,0.0,1.0,2.0,9.0\n"  # mean < min
-    with pytest.raises(PanelError):
-        DescriptiveStats.from_csv(io.StringIO(bad))
+    assert again.variables == stats.variables
+    for name in p.variables:
+        col = p.column(name)[~np.isnan(p.column(name))]
+        rec = stats.get(name)
+        if np.ptp(col) == 0:
+            assert (rec.mean, rec.sd, rec.min, rec.max) == (col[0], 0.0, col[0], col[0])
+
+
+@pytest.mark.parametrize("rec", [
+    VariableStats(117, 5.0, -1.0, 0.0, 10.0),
+    VariableStats(117, 5.0, math.nan, 0.0, 10.0),
+    VariableStats(117, 5.0, 1.0, 0.0, math.inf),
+    VariableStats(117, 5.0, 1.0, -math.inf, 10.0),
+    VariableStats(117, 5.0, 1.0, 6.0, 4.0),
+    VariableStats(117, 11.0, 1.0, 0.0, 10.0),
+    VariableStats(117, 5.0, 1.0, 5.0, 5.0),
+], ids=["sd-negative", "sd-nan", "max-inf", "min-minus-inf", "min-above-max",
+        "mean-above-max", "sd-with-min-equal-max"])
+def test_stats_built_in_code_obey_the_rule(rec):
+    good = VariableStats(117, 5.0, 0.0, 5.0, 5.0)
+    with pytest.raises(PanelError, match="^inconsistent stats for 'A'$"):
+        DescriptiveStats({"B": good, "A": rec})
 
 
 def test_correlation_matrix_listwise_and_errors():

@@ -681,6 +681,10 @@ def test_collinear_set_is_read_at_the_columns_scale():
     ({"label": "m", "dependent": "Y", "interactions": {}}, "interactions must be a JSON list"),
     ({"label": "m", "dependent": "Y", "regressors": ["X"]},
      "each regressor must be a JSON object"),
+    ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": 10**5000}]},
+     r"^spec 'm': regressor lag must be a JSON integer >= 0 and < 2\*\*63$"),
+    ({"label": "m", "dependent": "Y", "interactions": [{"x1": "A", "x2": "B", "lag1": 2**63}]},
+     r"^spec 'm': interaction lag1 must be a JSON integer >= 0 and < 2\*\*63$"),
 ])
 def test_spec_from_dict_rejects_bad_keys(spec, match):
     with pytest.raises(PanelError, match=match):

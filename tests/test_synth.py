@@ -114,8 +114,7 @@ def test_validation_errors():
         synthesize_panel(four, np.eye(4), seed=0, regions=2, years=2)
     with pytest.raises(PanelError, match="no variables in stats"):
         synthesize_panel(DescriptiveStats(variables={}), np.empty((0, 0)), seed=0)
-    # from_csv refuses a mean below the minimum; a DescriptiveStats built in code
-    # reaches synthesize_panel with one
+    # a DescriptiveStats built in code refuses a mean below the minimum, as from_csv does
     bad = {**stats.variables, "B": VariableStats(count=40, mean=10.0, sd=2.0, min=11.0,
                                                  max=18.0)}
     with pytest.raises(PanelError, match="inconsistent stats for 'B'"):
