@@ -18,8 +18,8 @@ standard JSON; ``--precision`` shapes the human-readable markdown views,
 which for ``regress`` and ``decompose`` are the journal-layout grids. Panel
 CSVs emitted by ``synth`` are always full precision so reruns are
 byte-identical. Every input CSV is read by a loader in ``panel``, all on one
-reader: blank lines are skipped, and empty input or a ragged row is an error
-naming its line.
+reader: blank lines are skipped, and empty input, a header naming a column
+twice or a ragged row is an error naming its line.
 """
 
 from __future__ import annotations

@@ -80,25 +80,16 @@ def _parse_float(text: str, line: int, what: str) -> float:
 class _Table(NamedTuple):
     """A block of parsed CSV rows: ``columns[j]`` lists the cells of column j
     and ``lines`` the 1-based line number of each row kept (its last line,
-    where a quoted cell spans lines).
+    where a quoted cell spans lines)."""
 
-    ``ragged`` is the error that ends the stream, or None: a row whose cell
-    count differs from the header's, or that ``csv.reader`` rejects. That row
-    and every later one are left out.
-    """
-
-    header: list
     columns: list
     lines: list
-    ragged: PanelParseError | None
 
 
 def _records(blocks):
-    """``(line, cells)`` of each row of ``_read_csv`` blocks, then raise any ``ragged``."""
+    """``(line, cells)`` of each row of ``_read_csv`` blocks."""
     for table in blocks:
         yield from zip(table.lines, zip(*table.columns))
-        if table.ragged is not None:
-            raise table.ragged
 
 
 # the ASCII characters str.strip() removes, "\n" aside
@@ -108,14 +99,15 @@ _BLOCK_ROWS = 1024
 
 
 def _read_csv(source):
-    """The ``_Table`` blocks of a CSV path or text stream, read line by line,
-    ``_BLOCK_ROWS`` lines to a block: the header alone, then its rows, every
-    cell stripped, blank and whitespace-only lines skipped and one leading
-    byte-order mark dropped. Empty input, or a header that ``csv.reader``
-    rejects, raises PanelParseError. A ragged row, or a later row that
-    ``csv.reader`` rejects (a field over its size limit), ends the stream as
-    the last block's pending error, so that a caller still reports a bad
-    header, or a bad cell on an earlier line, first.
+    """The header list of a CSV path or text stream, then ``_Table`` blocks of
+    its rows, read line by line, ``_BLOCK_ROWS`` lines to a block: every cell
+    stripped, blank and whitespace-only lines skipped and one leading
+    byte-order mark dropped. Each structural fault raises PanelParseError in
+    file order: empty input, a header that ``csv.reader`` rejects or that
+    names a column twice, then a ragged row or a row that ``csv.reader``
+    rejects (a field over its size limit), raised once the block of rows
+    above it has been yielded. A caller that checks each block as it arrives
+    so reports a bad cell on an earlier line first.
     """
     with (open(source, newline="", encoding="utf-8") if isinstance(source, str)
           else contextlib.nullcontext(source)) as fh:
@@ -130,19 +122,20 @@ def _read_csv(source):
             raise PanelParseError(reader.line_num, str(exc)) from None
         except StopIteration:
             raise PanelParseError(1, "empty input") from None
-        yield _block(header, [], [])
+        if repeated := [c for c in header if header.count(c) > 1]:
+            raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
+        yield header
         done = reader.line_num
         while chunk := list(islice(rest, _BLOCK_ROWS)):
-            # without quotes, a lone carriage return or a field over the csv
-            # size limit, every line is a record and every comma a separator
+            # without quotes or a field over the csv size limit, every line is
+            # a record and every comma a separator
             text = "".join(chunk)
-            lf_text = text.replace("\r\n", "\n") if "\r" in text else text
-            if '"' in text or "\r" in lf_text or max(map(len, chunk)) > csv.field_size_limit():
+            if '"' in text or max(map(len, chunk)) > csv.field_size_limit():
                 break
+            if "\r" in text:  # each line ends at its "\r\n", "\r" or "\n"
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
             lines, done = list(range(done + 1, done + len(chunk) + 1)), done + len(chunk)
-            yield (table := _block(header, lf_text.removesuffix("\n").split("\n"), lines, text))
-            if table.ragged:
-                return
+            yield from _block(header, text.removesuffix("\n").split("\n"), lines, text)
         # from the first block that needs it, if any, the rest goes through csv.reader
         reader, body, lines, error = csv.reader(chain(chunk, rest)), [], [], None
         try:
@@ -150,23 +143,22 @@ def _read_csv(source):
                 body.append(row)
                 lines.append(done + reader.line_num)
                 if len(body) == _BLOCK_ROWS:
-                    yield (table := _block(header, body, lines))
-                    if table.ragged:
-                        return
+                    yield from _block(header, body, lines)
                     body, lines = [], []
         except csv.Error as exc:
             error = PanelParseError(done + reader.line_num, str(exc))
-        yield _block(header, body, lines, None, error)
+        yield from _block(header, body, lines, error=error)
 
 
-def _block(header, body, lines, text=None, ragged=None) -> _Table:
-    """The ``_Table`` of the ``body`` lines of ``text`` or, without ``text``,
-    of ``csv.reader`` rows; ``ragged`` is a pending error past its last row."""
+def _block(header, body, lines, text=None, error=None):
+    """Yield the ``_Table`` of the ``body`` lines of ``text`` or, without
+    ``text``, of ``csv.reader`` rows, up to its first ragged row; then raise
+    that row's error, else ``error``, the fault past its last row, if any."""
     width = len(header)
     counts = [n + 1 for n in map(str.count, body, repeat(","))] if text else list(map(len, body))
     for i in [i for i, n in enumerate(counts) if n != width]:
         if any(map(str.strip, body[i].split(",") if text else body[i])):
-            ragged = PanelParseError(lines[i], f"expected {width} cells, got {counts[i]}")
+            error = PanelParseError(lines[i], f"expected {width} cells, got {counts[i]}")
             del body[i:], lines[i:]
             break
         body[i] = "," * (width - 1) if text else [""] * width  # a blank line, dropped below
@@ -181,7 +173,9 @@ def _block(header, body, lines, text=None, ragged=None) -> _Table:
         keep = [i for i, c in enumerate(columns[0]) if c or any(col[i] for col in columns)]
         columns = [[col[i] for i in keep] for col in columns]
         lines = [lines[i] for i in keep]
-    return _Table(header, columns, lines, ragged)
+    yield _Table(columns, lines)
+    if error is not None:
+        raise error
 
 
 def _float_column(cells):
@@ -217,7 +211,7 @@ def _year_fault(text):
 
 
 def _first_error(table, checks) -> PanelParseError | None:
-    """The error of the table's first bad line, else its ragged row's, or None.
+    """The error of the table's first bad line, or None.
 
     A check is ``(ok, fault, *columns)``, ``ok`` telling whether its columns
     passed their whole-column check. Where one did not, ``fault(*cells)``,
@@ -227,7 +221,7 @@ def _first_error(table, checks) -> PanelParseError | None:
     errors = (next(PanelParseError(line, message) for line, *cells in zip(table.lines, *columns)
                    if (message := fault(*cells)))
               for ok, fault, *columns in checks if not ok)
-    return min(errors, key=attrgetter("line"), default=table.ragged)
+    return min(errors, key=attrgetter("line"), default=None)
 
 
 def markdown_table(header, body) -> str:
@@ -355,38 +349,39 @@ def load_panel(source) -> RegionalPanel:
 
     Rows duplicated by (region, year) merge silently when their values agree
     and raise on conflict. Unbalanced grids raise listing the missing cells.
-    A header naming a column twice raises. The first bad line is reported,
-    then a ragged row, then the missing cells. Each block of rows is
-    converted as it is read, and none is read past the first bad line.
+    A header naming a column twice raises. The first bad line (a bad cell, a
+    conflicting duplicate or a ragged row) is reported, then the missing cells.
+    Each block of rows is converted as it is read, and none is read past the
+    first bad line.
     """
     with contextlib.closing(_read_csv(source)) as blocks:
-        header = next(blocks).header
+        header = next(blocks)
         if header[:2] != ["region", "year"]:
             raise PanelParseError(1, "header must start with 'region,year'")
-        repeated = [c for c in header if header.count(c) > 1]
-        if repeated:
-            raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
         names, region_at = header[2:], {}
         # convert each block as it arrives, up to the first bad or ragged line
-        lines, region_index, parts = [], [], []
+        lines, region_index, parts, error = [], [], [], None
         # per column: the message for a bad cell, read where the whole column fails
         faults = [lambda region: not region and "empty region identifier", _year_fault,
                   *(lambda text, what=f"{nm!r} cell": text and _float_fault(text, what)
                     for nm in names)]
-        for table in blocks:
-            regions, years, *cells = table.columns
-            year_values, values = _int_column(years), [_float_column(c) for c in cells]
-            passed = ["" not in regions, year_values is not None, *(v is not None for v in values)]
-            error = _first_error(table, zip(passed, faults, [regions, years, *cells]))
-            if error is not table.ragged:  # a bad cell: go on with the rows above its line
-                n = bisect_left(table.lines, error.line)
-                regions, years, cells = regions[:n], years[:n], [c[:n] for c in cells]
+        try:
+            for table in blocks:
+                regions, years, *cells = table.columns
                 year_values, values = _int_column(years), [_float_column(c) for c in cells]
-            lines += table.lines[:len(regions)]
-            region_index += [region_at.setdefault(r, len(region_at)) for r in regions]
-            parts.append((year_values, *values))
-            if error is not None:
-                break
+                ok = ["" not in regions, year_values is not None, *(v is not None for v in values)]
+                error = _first_error(table, zip(ok, faults, [regions, years, *cells]))
+                if error is not None:  # a bad cell: go on with the rows above its line
+                    n = bisect_left(table.lines, error.line)
+                    regions, years, cells = regions[:n], years[:n], [c[:n] for c in cells]
+                    year_values, values = _int_column(years), [_float_column(c) for c in cells]
+                lines += table.lines[:len(regions)]
+                region_index += [region_at.setdefault(r, len(region_at)) for r in regions]
+                parts.append((year_values, *values))
+                if error is not None:
+                    break
+        except PanelParseError as exc:  # a ragged row, raised after any conflict above it
+            error = exc
     year_cells, *values = map(np.concatenate, zip(*parts))
     del parts  # one copy of the cells at a time
     year_values, year_index = np.unique(year_cells, return_inverse=True)
@@ -522,7 +517,7 @@ def load_employment(source) -> EmploymentTable:
     """
     expected = ["region", "year", "industry", "parent", "employment"]
     with contextlib.closing(_read_csv(source)) as blocks:
-        if next(blocks).header != expected:
+        if next(blocks) != expected:
             raise PanelParseError(1, f"header must be {','.join(expected)}")
         distinct, parents, columns, employed = {}, {}, ([], [], []), []
         for table in blocks:
@@ -550,7 +545,7 @@ def load_employment(source) -> EmploymentTable:
 def load_correlation_csv(source) -> tuple:
     """(names, matrix) from a named square correlation CSV."""
     with contextlib.closing(_read_csv(source)) as blocks:
-        names, rows = next(blocks).header[1:], {}
+        names, rows = next(blocks)[1:], {}
         for lineno, (name, *cells) in _records(blocks):
             if name in rows:
                 raise PanelParseError(lineno, f"duplicate row {name!r}")
@@ -570,20 +565,18 @@ def load_provenance(source) -> list:
     """
     required = ("variable", "beta", "source_column", "x_mean", "y_mean")
     with contextlib.closing(_read_csv(source)) as blocks:
-        header = next(blocks).header
+        header, rows = next(blocks), []
         if absent := [k for k in required if k not in header]:
             raise PanelParseError(1, f"provenance header lacks column {absent[0]!r}")
-        records = list(_records(blocks))  # a ragged row raises before any cell check
-    rows = []
-    for lineno, cells in records:
-        rec = dict(zip(header, cells))
-        what = f"{rec['variable']!r} "
-        if empty := [k for k in required if not rec[k]]:
-            raise PanelParseError(lineno, what + f"{empty[0]} is empty")
-        rec.setdefault("expected", "")
-        for k in ("beta", "x_mean", "y_mean", "expected"):  # only expected may be empty
-            rec[k] = _parse_float(rec[k], lineno, what + k) if rec[k] else None
-        rows.append(rec)
+        for lineno, cells in _records(blocks):
+            rec = dict(zip(header, cells))
+            what = f"{rec['variable']!r} "
+            if empty := [k for k in required if not rec[k]]:
+                raise PanelParseError(lineno, what + f"{empty[0]} is empty")
+            rec.setdefault("expected", "")
+            for k in ("beta", "x_mean", "y_mean", "expected"):  # only expected may be empty
+                rec[k] = _parse_float(rec[k], lineno, what + k) if rec[k] else None
+            rows.append(rec)
     return rows
 
 
@@ -719,7 +712,7 @@ class DescriptiveStats:
     @classmethod
     def from_csv(cls, source) -> "DescriptiveStats":
         with contextlib.closing(_read_csv(source)) as blocks:
-            if next(blocks).header != list(cls.columns):
+            if next(blocks) != list(cls.columns):
                 raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
             out = {}
             for lineno, (name, count, *values) in _records(blocks):
@@ -739,7 +732,7 @@ class DescriptiveStats:
 def descriptive_stats(panel: RegionalPanel, variables=None) -> DescriptiveStats:
     """Summary statistics over non-missing cells, per variable.
 
-    All-missing variables are excluded with a warning rather than reported.
+    All-missing variables are skipped with a warning; an sd over 1.8e308 raises.
     """
     names = panel.variables if variables is None else tuple(variables)
     out = {}
@@ -750,8 +743,13 @@ def descriptive_stats(panel: RegionalPanel, variables=None) -> DescriptiveStats:
             warnings.warn(f"variable {name!r} is entirely missing; excluded")
             continue
         lo, hi = float(np.min(col)), float(np.max(col))
+        k = math.frexp(max(-lo, hi))[1]  # the moments of col / 2**k, exact: no sum overflows
+        col = np.ldexp(col, -k)
         sd = float(np.std(col, ddof=1)) if lo < hi else 0.0  # exactly 0 for a constant
-        out[name] = VariableStats(int(col.size), min(max(float(np.mean(col)), lo), hi), sd, lo, hi)
+        if math.frexp(sd)[1] + k > 1024:  # sd * 2**k beyond the largest float
+            raise PanelError(f"sd of {name!r} is beyond the float range")
+        mean = min(max(math.ldexp(float(np.mean(col)), k), lo), hi)
+        out[name] = VariableStats(int(col.size), mean, math.ldexp(sd, k), lo, hi)
     return DescriptiveStats(variables=out)
 
 

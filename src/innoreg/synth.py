@@ -229,7 +229,7 @@ def _rank_step(z, j, d):
     return None
 
 
-def _swap_step(z, j, d, rows=_SWAP_ROWS):
+def _swap_step(z, j, d):
     """``(rows, src)`` of the swap in column j that lowers F the most, if any.
 
     Swapping rows a and b of column j (Δz = z_bj − z_aj) changes F by
@@ -238,18 +238,18 @@ def _swap_step(z, j, d, rows=_SWAP_ROWS):
 
     with u as in ``_rank_step`` and s_a + s_b − 2P_ab the squared distance
     of rows a and b without column j. One table scores every pair of the
-    scored rows: all of them when n is at most ``rows``, else the ``rows``/2
-    with the lowest and the ``rows``/2 with the highest u, between which
-    the first term can gain the most. The swaps finish the small panels,
-    whose rank steps are too coarse.
+    scored rows: all of them when n is at most ``_SWAP_ROWS``, else the
+    ``_SWAP_ROWS``/2 with the lowest and the ``_SWAP_ROWS``/2 with the
+    highest u, between which the first term can gain the most. The swaps
+    finish the small panels, whose rank steps are too coarse.
     """
     n = len(z)
     v = z @ d * (2.0 * (n - 1))
-    if n <= rows:
+    if n <= _SWAP_ROWS:
         idx = np.arange(n)
     else:
-        part = np.argpartition(v, (rows // 2 - 1, n - rows // 2))
-        idx = np.concatenate((part[:rows // 2], part[n - rows // 2:]))
+        part = np.argpartition(v, (_SWAP_ROWS // 2 - 1, n - _SWAP_ROWS // 2))
+        idx = np.concatenate((part[:_SWAP_ROWS // 2], part[n - _SWAP_ROWS // 2:]))
     zr, vr = z[idx], v[idx]
     # g = gain·(n−1)²/2 = e²·(dist − e²) − e·(v_a − v_b), with e = z_aj − z_bj
     # and dist the squared row distance, worked in place in g and h

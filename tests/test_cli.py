@@ -534,6 +534,23 @@ def test_describe_output_of_a_constant_column_reads_back(tmp_path, capsys):
     assert rc == 0 and float(next(csv.DictReader(io.StringIO(out)))["y_mean"]) == 0.1
 
 
+def test_describe_takes_cells_near_the_float_limit(tmp_path, capsys):
+    # the sums of 1e308 cells overflow unless the cells are scaled first
+    panel, stats = tmp_path / "panel.csv", tmp_path / "s.csv"
+    panel.write_text("region,year,A,B\nr1,2001,1e308,1\nr1,2002,1e308,2\n"
+                     "r2,2001,1e308,4\nr2,2002,-1e308,3\n")
+    rc, _, err = run(capsys, "describe", str(panel), "--out", str(stats))
+    assert rc == 0 and err == ""
+    assert stats.read_text().splitlines()[1] == "A,4,5.0000000000000001e+307,1e+308,-1e+308,1e+308"
+    # the stats reader of synth --stats and elasticities --stats takes it back
+    prov = tmp_path / "prov.csv"
+    prov.write_text(PROV)
+    rc, out, err = run(capsys, "elasticities", str(prov), "--stats", str(stats),
+                       "--dependent", "A")
+    assert rc == 0 and err == ""
+    assert float(next(csv.DictReader(io.StringIO(out)))["y_mean"]) == 5e307
+
+
 def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):
     out = tmp_path / "idx.csv"
     stale = tmp_path / "idx.csv.tmp"

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from innoreg import panel as panel_mod
@@ -106,11 +107,18 @@ _STATS_HEADER = "name,count,mean,sd,min,max\n"
      "line 2: inconsistent stats for 'X'"),
     (load_provenance, "variable,beta,x_mean,y_mean\nB\n",
      "line 1: provenance header lacks column 'source_column'"),
+    (load_provenance, "variable,beta,source_column,x_mean,y_mean\nB,x,1,10,4\nC\n",
+     "line 2: 'B' beta 'x' is not numeric"),
+    (load_panel, "foo,foo\n1\n", "line 1: duplicate column 'foo'"),
+    (load_correlation_csv, "name,A,A\nA,1,0\nA,0,1\n", "line 1: duplicate column 'A'"),
+    (load_provenance, "variable,beta,beta,source_column,x_mean,y_mean\nB,1,2,1,10,4\n",
+     "line 1: duplicate column 'beta'"),
 ], ids=["panel-header", "panel-column", "panel-cell", "panel-duplicate", "panel-ragged",
         "panel-ragged-after-a-two-line-cell", "panel-cell-after-a-two-line-cell",
         "employment-header", "employment-cell", "employment-ragged", "stats-header",
         "stats-cell", "stats-mean-below-min", "stats-sd-with-min-equal-max",
-        "provenance-header"])
+        "provenance-header", "provenance-cell", "column-before-header-names",
+        "correlation-column", "provenance-column"])
 def test_a_ragged_row_is_reported_after_the_header_and_earlier_lines(load, text, message):
     with pytest.raises(PanelParseError) as exc:
         load(io.StringIO(text))
@@ -190,7 +198,7 @@ def test_to_csv_load_panel_round_trip(p, pad):
 def _csv_module_table(text):
     """What ``_read_csv`` should read, row by row with csv.reader: the header,
     the ``(line, cells)`` of each non-blank row, and the ragged-row message."""
-    records = enumerate(csv.reader(io.StringIO(text)), start=1)
+    records = enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
     header = [c.strip() for c in next(records)[1]]
     rows = []
     for line, row in records:
@@ -210,23 +218,40 @@ _rows = st.lists(st.lists(_cells, min_size=1, max_size=4), min_size=1, max_size=
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rows, st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans(),
+@given(_rows, st.sampled_from(["\n", "\r\n", "\r"]), st.booleans(), st.booleans(),
        st.sampled_from([1, 2, 3, 1024]))
 def test_read_csv_reads_what_csv_reader_reads(rows, newline, final_newline, quoted, block):
     if quoted:
         rows[-1][0] = f'"{rows[-1][0]}"'
     text = newline.join(",".join(row) for row in rows) + (newline if final_newline else "")
     assume(text)  # empty input is an error of its own
+    want = _csv_module_table(text)
+    if repeated := [c for c in want[0] if want[0].count(c) > 1]:
+        want = (None, [], f"line 1: duplicate column {repeated[0]!r}")
+    # the header comes first, then blocks of rows; a ragged row raises once
+    # the rows above it have come out
+    header, records, error = None, [], None
     with mock.patch.object(panel_mod, "_BLOCK_ROWS", block):
-        blocks = list(panel_mod._read_csv(io.StringIO(text)))
-    # every block carries the header, and only the last one an error
-    assert all(b.header == blocks[0].header for b in blocks)
-    assert all(b.ragged is None for b in blocks[:-1])
-    assert all(len(b.lines) <= block for b in blocks)
-    ragged = blocks[-1].ragged
-    got = (blocks[0].header, [r for b in blocks for r in zip(b.lines, zip(*b.columns))],
-           ragged and str(ragged))
-    assert got == _csv_module_table(text)
+        try:
+            with contextlib.closing(panel_mod._read_csv(io.StringIO(text))) as blocks:
+                header = next(blocks)
+                for table in blocks:
+                    assert len(table.lines) <= block
+                    records += zip(table.lines, zip(*table.columns))
+        except PanelParseError as exc:
+            error = str(exc)
+    assert (header, records, error) == want
+
+
+def test_a_lone_cr_panel_bypasses_csv_reader_past_its_header(monkeypatch):
+    rng = np.random.default_rng(5)
+    lf = build_panel({"A": rng.normal(size=(40, 30)), "B": rng.normal(size=(40, 30))}).to_csv()
+    want, real, read = load_panel(io.StringIO(lf)), csv.reader, []
+    # csv.reader sees only the lines it is handed: the header's and no other
+    monkeypatch.setattr(csv, "reader", lambda lines: real(read.append(s) or s for s in lines))
+    got = load_panel(io.StringIO(lf.replace("\n", "\r")))
+    assert read == ["region,year,A,B\r"]
+    assert got.to_csv() == want.to_csv()
 
 
 def _panel_rows_oracle(text):
@@ -466,8 +491,8 @@ def test_descriptive_stats_skips_empty_variable():
     assert "E" not in stats.names()
 
 
-# cells within +-1e150: past about 1e154 the squares in np.std overflow
-_STATS_CELL = st.floats(-1e150, 1e150)
+# every finite float: the moments are taken on cells scaled by a power of two
+_STATS_CELL = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -483,8 +508,8 @@ def stats_panels(draw):
         if kind == "constant":
             x = np.full(n, draw(st.sampled_from([0.1, 1 / 3]) | _STATS_CELL))
         elif kind == "near-constant":
-            v = draw(_STATS_CELL)
-            x = v + cells(st.integers(-2, 2)) * np.spacing(v)
+            v = draw(_STATS_CELL)  # a few ulps toward 0, so that no cell overflows
+            x = v - cells(st.integers(0, 4)) * (v - np.nextafter(v, 0.0))
         else:
             x = cells(_STATS_CELL)
         missing = cells(st.booleans())
@@ -495,16 +520,26 @@ def stats_panels(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(stats_panels())
+@example(build_panel({"V0": [[1.7e308, -1.7e308], [1.7e308, -1.7e308]]}))  # sd 1.96e308
 def test_descriptive_stats_csv_roundtrip(p):
     """What describe writes, from_csv reads back to an equal table; a constant
-    column comes out as mean = min = max with sd 0."""
-    stats = descriptive_stats(p)
+    column comes out as mean = min = max with sd 0. Only an sd beyond the
+    largest float raises."""
+    try:
+        stats = descriptive_stats(p)
+    except PanelError as exc:
+        name = str(exc).split("'")[1]
+        assert str(exc) == f"sd of {name!r} is beyond the float range"
+        col = p.column(name)[~np.isnan(p.column(name))]
+        sd = np.std(np.ldexp(col, -1000), ddof=1)  # scaled so that no square overflows
+        assert sd >= np.ldexp(np.finfo(float).max, -1000)
+        return
     again = DescriptiveStats.from_csv(io.StringIO(stats.to_csv()))
     assert again.variables == stats.variables
     for name in p.variables:
         col = p.column(name)[~np.isnan(p.column(name))]
         rec = stats.get(name)
-        if np.ptp(col) == 0:
+        if col.min() == col.max():  # np.ptp(col) can overflow
             assert (rec.mean, rec.sd, rec.min, rec.max) == (col[0], 0.0, col[0], col[0])
 
 
