@@ -5,6 +5,8 @@ Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``--out`` and, except on ``synth``, ``--format {csv,json,md}`` and
 ``--precision``; ``--jobs`` is accepted and ignored. Only ``synth`` takes
 ``--seed``. A flag value out of its range is a usage error naming the flag.
+``game verify`` has no tuning flags: its step, grid and tolerance are
+fixed in ``game.verify_equilibrium``.
 A process builds its parser once: ``main`` parses every call with the
 parser it built on its first call, while ``build_parser()`` returns a new
 one each time.
@@ -236,8 +238,7 @@ def _cmd_game(args) -> int:
     if args.game_cmd == "verify":
         params = game_mod.MarketParams(a=args.a, c=args.c)
         eq = game_mod.equilibrium_at_royalty(params, args.r)
-        rep = game_mod.verify_equilibrium(params, eq, grid=args.grid,
-                                          fd_step=args.fd_step, tol=args.tol)
+        rep = game_mod.verify_equilibrium(params, eq)
         checks = rep.checks
 
         def md():
@@ -376,12 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = gsub.add_parser("verify", parents=[shared, common],
                         help="finite-difference / grid-search oracle report")
     g.add_argument("--r", type=_at_least(float), required=True)
-    g.add_argument("--grid", type=count, default=4000)
-    g.add_argument("--fd-step", type=positive, default=1e-5,
-                   help="finite-difference step, times the market scale "
-                        "s = max(1, |a|, |c|, |q1|, |q2|, r^2)")
-    g.add_argument("--tol", type=_at_least(float, 0), default=1e-6,
-                   help="gap tolerance, times the market scale s")
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("region", parents=[shared],
                         help="feasibility flags over an (a, c) grid")

@@ -203,15 +203,19 @@ def _central_diff(f, x, h):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# verify_equilibrium's settings, each times the market scale but the grid
+_GRID = 4000  # steps of the grid that brackets each stage argmax
+_FD_STEP = 1e-5  # central finite-difference step
+_TOL = 1e-6  # largest gap a check passes
 
 
-def _refine_argmax(f, lo, hi, coarse: int, xatol: float) -> float:
-    """Maximizer of ``f`` on [lo, hi]: the best of ``coarse + 1`` evenly spaced
+def _refine_argmax(f, lo, hi, xatol: float) -> float:
+    """Maximizer of ``f`` on [lo, hi]: the best of ``_GRID + 1`` evenly spaced
     points brackets it, and a golden-section search narrows the bracket to
     ``xatol``. ``f`` must accept a numpy array as well as a float.
     """
-    step = (hi - lo) / coarse
-    best = lo + int(np.argmax(f(lo + np.arange(coarse + 1) * step))) * step
+    step = (hi - lo) / _GRID
+    best = lo + int(np.argmax(f(lo + np.arange(_GRID + 1) * step))) * step
     a, b = max(lo, best - 2 * step), min(hi, best + 2 * step)
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -238,8 +242,8 @@ class VerificationReport:
     refined by golden-section search, against the closed-form quantities;
     ``point_follower`` and ``point_leader`` compare the candidate quantities
     against those optima. ``checks`` maps the same names to a boolean, true
-    when the gap is at most ``tolerance``: the caller's ``tol`` times the
-    market scale ``max(1, |a|, |c|, |q1|, |q2|, r^2)``.
+    when the gap is at most ``tolerance``: 1e-6 times the market scale
+    ``max(1, |a|, |c|, |q1|, |q2|, r^2)``.
     """
 
     gaps: dict
@@ -253,29 +257,15 @@ class VerificationReport:
         return all(self.checks.values())
 
 
-def verify_equilibrium(params: MarketParams, eq: Equilibrium,
-                       grid: int = 4000, fd_step: float = 1e-5,
-                       tol: float = 1e-6) -> VerificationReport:
+def verify_equilibrium(params: MarketParams, eq: Equilibrium) -> VerificationReport:
     """Independently verify the first-order conditions behind an Equilibrium.
 
-    Parameters
-    ----------
-    params : MarketParams
-    eq : Equilibrium
-        Candidate point; typically from spne() or equilibrium_at_royalty().
-    grid : int
-        Coarse grid resolution used to bracket each stage argmax; at least 1.
-    fd_step : float
-        Central finite-difference step relative to the market scale; finite
-        and positive.
-    tol : float
-        Tolerance for the boolean checks relative to the market scale;
-        finite and non-negative.
-
-    Every check is scaled to the market: with s = max(1, |a|, |c|, |q1|,
-    |q2|, r^2), the finite-difference step is ``fd_step * s``, the argmax
-    search resolves to ``1e-10 * s``, and each gap (a quantity, or a
-    derivative of a profit of order s^2) is compared with ``tol * s``. The
+    ``eq`` is the candidate point, typically from spne() or
+    equilibrium_at_royalty(). Every check is scaled to the market: with
+    s = max(1, |a|, |c|, |q1|, |q2|, r^2), the finite-difference step is
+    1e-5 * s, each stage argmax is bracketed on a 4000-step grid and
+    resolved to 1e-10 * s, and each gap (a quantity, or a derivative of a
+    profit of order s^2) is compared with the tolerance 1e-6 * s. The
     rounding error of a difference quotient, about eps |profit| / step, and
     the flat top of a maximized profit, about sqrt(eps) s wide, then stay
     the same fraction of the tolerance at every market size, as does a
@@ -284,19 +274,13 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
     Non-real royalties are handled by verifying in ``r**2`` space where the
     objective is a polynomial either way.
     """
-    if not grid >= 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
-    if not (math.isfinite(fd_step) and fd_step > 0):
-        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     for v in (eq.q1, eq.q2, eq.r_squared):
         if not math.isfinite(v):
             raise ValueError("equilibrium carries non-finite values")
     a, c = params.a, params.c
     rsq = eq.r_squared
     scale = max(1.0, abs(a), abs(c), abs(eq.q1), abs(eq.q2), abs(rsq))
-    h, tol = fd_step * scale, tol * scale
+    h = _FD_STEP * scale
     gaps = {}
 
     # follower FOC: d(pi2)/dq2 = a - q1 - 2 q2 - r^2 - c
@@ -317,19 +301,19 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium,
     # stage argmax agreement; both objectives are concave quadratics
     br = _reaction(rsq, eq.q1, a, c)
     got = _refine_argmax(lambda q2: _pi2(rsq, eq.q1, q2, a, c),
-                         br - scale, br + scale, grid, 1e-10 * scale)
+                         br - scale, br + scale, 1e-10 * scale)
     gaps["argmax_follower"] = abs(got - br)
 
     q1_star = _q1_star(rsq, a, c)
     got = _refine_argmax(lambda q1: _pi1(rsq, q1, a, c),
-                         q1_star - scale, q1_star + scale, grid, 1e-10 * scale)
+                         q1_star - scale, q1_star + scale, 1e-10 * scale)
     gaps["argmax_leader"] = abs(got - q1_star)
 
     # and the candidate itself must sit on the stage optima
     gaps["point_follower"] = abs(eq.q2 - br)
     gaps["point_leader"] = abs(eq.q1 - q1_star)
 
-    return VerificationReport(gaps=gaps, tolerance=tol)
+    return VerificationReport(gaps=gaps, tolerance=_TOL * scale)
 
 
 def feasibility_region(a_values, c_values) -> list:

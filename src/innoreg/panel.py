@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import warnings
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
@@ -99,21 +100,22 @@ _BLOCK_ROWS = 1024
 
 
 def _read_csv(source):
-    """The header list of a CSV path or text stream, then ``_Table`` blocks of
-    its rows, read line by line, ``_BLOCK_ROWS`` lines to a block: every cell
-    stripped, blank and whitespace-only lines skipped and one leading
-    byte-order mark dropped. Each structural fault raises PanelParseError in
+    """The header list of a CSV path, ``os.PathLike`` or text stream, then
+    ``_Table`` blocks of its rows, read line by line, ``_BLOCK_ROWS`` lines to
+    a block: every cell stripped, blank and whitespace-only lines skipped and
+    one leading byte-order mark dropped. Each structural fault raises PanelParseError in
     file order: empty input, a header that ``csv.reader`` rejects or that
     names a column twice, then a ragged row or a row that ``csv.reader``
     rejects (a field over its size limit), raised once the block of rows
     above it has been yielded. A caller that checks each block as it arrives
     so reports a bad cell on an earlier line first.
     """
-    with (open(source, newline="", encoding="utf-8") if isinstance(source, str)
+    path = isinstance(source, (str, os.PathLike))
+    with (open(source, newline="", encoding="utf-8") if path
           else contextlib.nullcontext(source)) as fh:
         first = next(fh, "").removeprefix("\ufeff")
         rest = chain([first] if first else [], fh)
-        if not isinstance(source, str):  # split at any line end, as open(newline="") does
+        if not path:  # split at any line end, as open(newline="") does
             rest = chain.from_iterable(io.StringIO(line, newline="") for line in rest)
         reader = csv.reader(rest)
         try:

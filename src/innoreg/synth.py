@@ -70,9 +70,10 @@ def _exact_corr_normals(rng, n, k):
     return z @ np.linalg.inv(np.linalg.cholesky(cov)).T
 
 
-def _check_sd_attainable(names, n, m, s, lo, hi):
+def _check_sd_attainable(names, n, m, s, lo, hi, e):
     # the largest Σ(y − m)² of n points on [lo, hi] with mean m puts every
-    # point at a bound but one, which takes up the fraction of the mean
+    # point at a bound but one, which takes up the fraction of the mean; the
+    # targets come scaled by 2**-e, and a message gives them unscaled
     p = n * (m - lo) / (hi - lo)
     top = np.floor(p)
     cap = np.sqrt(((n - top - 1) * (m - lo) ** 2 + top * (hi - m) ** 2
@@ -80,6 +81,7 @@ def _check_sd_attainable(names, n, m, s, lo, hi):
     bad = np.flatnonzero(s >= cap)
     if bad.size:
         j = bad[0]
+        m, s, lo, hi, cap = (np.ldexp(v, e) for v in (m, s, lo, hi, cap))
         raise PanelError(
             f"sd target {s[j]} for {names[j]!r} unattainable with {n} observations "
             f"on [{lo[j]}, {hi[j]}] with mean {m[j]} (at most {cap[j]})")
@@ -163,7 +165,7 @@ def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
     y = y.T
     err = np.maximum(np.abs(y.mean(axis=0) - m.ravel()) / den.ravel(),
                      np.abs(y.std(axis=0, ddof=1) - s.ravel()) / s.ravel())
-    bad = np.flatnonzero(err > rtol)
+    bad = np.flatnonzero(~(err <= rtol))  # a NaN residual fails too
     if bad.size:
         j = bad[0]
         raise PanelError(
@@ -351,6 +353,8 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         raise PanelError(f"need more than {k} observations for {k} variables; got {n}")
     active_names = [names[j] for j in active]
     m, s, lo, hi = targets[active].T
+    e = np.frexp(np.maximum(-lo, hi))[1]  # solve on targets / 2**e: no square overflows
+    m, s, lo, hi = (np.ldexp(v, -e) for v in (m, s, lo, hi))
 
     target = corr[np.ix_(active, active)]
     repaired = nearest_psd(target) if k else target  # all constant: nothing to draw
@@ -362,7 +366,7 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
 
     rng = np.random.default_rng(seed)
     zw = _exact_corr_normals(rng, n, k) if k else np.empty((n, 0))
-    _check_sd_attainable(active_names, n, m, s, lo, hi)
+    _check_sd_attainable(active_names, n, m, s, lo, hi, e)
     y, moment_err, steps = _solve_moments(active_names, zw @ np.linalg.cholesky(repaired).T,
                                           m, s, lo, hi)
     last_sweep = _reorder_toward(y, target) if k >= 2 else 0
@@ -386,7 +390,7 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     }
 
     data = {}
-    cols = iter(y.T)
+    cols = iter(np.ldexp(y, e).T)
     for j, nm in enumerate(names):
         col = np.full(n, targets[j, 0]) if const[j] else next(cols)
         data[nm] = col.reshape(grid.n_regions, grid.n_years)

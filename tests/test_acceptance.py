@@ -105,8 +105,7 @@ def test_criterion_04_game_oracle():
         r = rng.uniform(0.0, 1.5)
         a = r * r + c + rng.uniform(0.2, 6.0)  # keep a > r^2 + c
         rep = verify_equilibrium(MarketParams(a=a, c=c),
-                                 equilibrium_at_royalty(MarketParams(a=a, c=c), r),
-                                 tol=1e-6)
+                                 equilibrium_at_royalty(MarketParams(a=a, c=c), r))
         n_ok += rep.all_ok()
         worst = max(worst, *(rep.gaps[k] for k in (
             "foc_follower", "foc_leader", "foc_royalty", "argmax_follower",

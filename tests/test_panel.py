@@ -819,6 +819,21 @@ def test_bom_and_lone_cr_files_load_as_their_plain_twin(tmp_path, variant):
         assert view(load(io.StringIO(variant(text)))) == want
 
 
+def test_loaders_read_a_path_object_as_its_str(tmp_path):
+    for text, load, view in (
+            (BASIC, load_panel, RegionalPanel.to_csv),
+            (EMP, load_employment, lambda table: table.rows),
+            ("name,count,mean,sd,min,max\nA,10,1,0.5,0,2\n", DescriptiveStats.from_csv,
+             DescriptiveStats.to_csv),
+            ("name,A,B\nA,1,0.5\nB,0.5,1\n", load_correlation_csv,
+             lambda got: (got[0], got[1].tolist())),
+            ("variable,beta,source_column,x_mean,y_mean,expected\nB,2.0,1,10.0,4.0,5\n",
+             load_provenance, list)):
+        path = tmp_path / f"{load.__name__}.csv"
+        path.write_text(text, encoding="utf-8")
+        assert view(load(path)) == view(load(str(path))) == view(load(io.StringIO(text)))
+
+
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
 def test_non_finite_cells_are_rejected_at_parse(cell):
     with pytest.raises(PanelParseError, match=f"line 3: employment '{cell}' is not finite"):

@@ -283,6 +283,33 @@ def test_hard_marginals_exact_or_named_error(case):
     assert run().to_csv() == panel.to_csv()
 
 
+@settings(max_examples=100, deadline=None)
+@given(hard_targets(), st.integers(-900, 1010))
+def test_hard_targets_times_a_power_of_two_give_that_multiple_of_the_panel(case, j):
+    # the moments are solved on targets scaled by a power of two, so 2**j
+    # times the targets is 2**j times the panel, bit for bit, near either
+    # float limit
+    stats, corr, regions, years, seed = case
+    scaled = DescriptiveStats({nm: VariableStats(v.count, math.ldexp(v.mean, j),
+                                                 math.ldexp(v.sd, j), v.min,
+                                                 math.ldexp(v.max, j))
+                               for nm, v in stats.variables.items()})
+    run = lambda targets: synthesize_panel(targets, corr, seed=seed, regions=regions,
+                                           years=years)
+    named = lambda exc: [nm for nm in stats.names() if repr(nm) in str(exc)]
+    try:
+        panel = run(stats)
+    except PanelError as exc:
+        with pytest.raises(PanelError) as scaled_exc:
+            run(scaled)
+        assert named(scaled_exc.value) == named(exc)
+        return
+    got = run(scaled)
+    assert got.meta == panel.meta
+    for nm in stats.names():
+        np.testing.assert_array_equal(got.matrix(nm), np.ldexp(panel.matrix(nm), j))
+
+
 def test_moment_solve_failures_name_the_variable():
     # population sd cap 0.357 admits 0.346; nine points with mean 0.15 reach 0.339
     text = "name,count,mean,sd,min,max\nA,9,0.5,0.2,0,1\nB,9,0.15,0.346,0,1\n"
