@@ -103,12 +103,13 @@ def _read_csv(source):
     """The header list of a CSV path, ``os.PathLike`` or text stream, then
     ``_Table`` blocks of its rows, read line by line, ``_BLOCK_ROWS`` lines to
     a block: every cell stripped, blank and whitespace-only lines skipped and
-    one leading byte-order mark dropped. Each structural fault raises PanelParseError in
-    file order: empty input, a header that ``csv.reader`` rejects or that
-    names a column twice, then a ragged row or a row that ``csv.reader``
-    rejects (a field over its size limit), raised once the block of rows
-    above it has been yielded. A caller that checks each block as it arrives
-    so reports a bad cell on an earlier line first.
+    one leading byte-order mark dropped. Each structural fault raises
+    PanelParseError in file order: empty input, a header that ``csv.reader``
+    rejects, that has an empty cell or that names a column twice, then a
+    ragged row or a row that ``csv.reader`` rejects (a field over its size
+    limit), raised once the block of rows above it has been yielded. A caller
+    that checks each block as it arrives so reports a bad cell on an earlier
+    line first.
     """
     path = isinstance(source, (str, os.PathLike))
     with (open(source, newline="", encoding="utf-8") if path
@@ -124,6 +125,8 @@ def _read_csv(source):
             raise PanelParseError(reader.line_num, str(exc)) from None
         except StopIteration:
             raise PanelParseError(1, "empty input") from None
+        if "" in header:
+            raise PanelParseError(1, "empty column name")
         if repeated := [c for c in header if header.count(c) > 1]:
             raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
         yield header
@@ -206,6 +209,11 @@ def _int_column(cells):
         return np.array(ints, dtype=np.int64)
     except OverflowError:  # an object array keeps a value beyond int64 exact
         return np.array(ints, dtype=object)
+
+
+def _empty_fault(what):
+    """The fault of a key cell named ``what``: the message where it is empty."""
+    return lambda text: not text and f"empty {what}"
 
 
 def _year_fault(text):
@@ -349,10 +357,10 @@ def load_panel(source) -> RegionalPanel:
     """Parse a wide-schema CSV stream or path into a balanced panel, every
     column after ``region,year`` a variable.
 
-    Rows duplicated by (region, year) merge silently when their values agree
-    and raise on conflict. Unbalanced grids raise listing the missing cells.
-    A header naming a column twice raises. The first bad line (a bad cell, a
-    conflicting duplicate or a ragged row) is reported, then the missing cells.
+    A row repeating an earlier row's (region, year) raises, whatever its
+    values. Unbalanced grids raise listing the missing cells. A header with
+    an empty cell or naming a column twice raises. The first bad line (a bad
+    cell, a repeated row or a ragged row) is reported, then the missing cells.
     Each block of rows is converted as it is read, and none is read past the
     first bad line.
     """
@@ -364,7 +372,7 @@ def load_panel(source) -> RegionalPanel:
         # convert each block as it arrives, up to the first bad or ragged line
         lines, region_index, parts, error = [], [], [], None
         # per column: the message for a bad cell, read where the whole column fails
-        faults = [lambda region: not region and "empty region identifier", _year_fault,
+        faults = [_empty_fault("region identifier"), _year_fault,
                   *(lambda text, what=f"{nm!r} cell": text and _float_fault(text, what)
                     for nm in names)]
         try:
@@ -382,7 +390,7 @@ def load_panel(source) -> RegionalPanel:
                 parts.append((year_values, *values))
                 if error is not None:
                     break
-        except PanelParseError as exc:  # a ragged row, raised after any conflict above it
+        except PanelParseError as exc:  # a ragged row, raised after any repeat above it
             error = exc
     year_cells, *values = map(np.concatenate, zip(*parts))
     del parts  # one copy of the cells at a time
@@ -390,17 +398,11 @@ def load_panel(source) -> RegionalPanel:
     n_years = len(year_values)
     cell = np.array(region_index, dtype=np.intp) * n_years + year_index
     region_list, year_list = list(region_at), year_values.tolist()
-    # a repeated (region, year) row keeps its first values; a repeat that
-    # differs from them (NaN matching NaN) names its own line
-    seen, first, which = np.unique(cell, return_index=True, return_inverse=True)
-    if len(seen) < len(cell):
-        conflict, ref = np.zeros(len(cell), dtype=bool), first[which]
-        for column in values:
-            conflict |= ~((column == column[ref]) | (np.isnan(column) & np.isnan(column[ref])))
-        if conflict.any():
-            i = int(np.argmax(conflict))
-            key = (region_list[region_index[i]], int(year_cells[i]))
-            raise PanelParseError(lines[i], f"conflicting duplicate row for {key}")
+    seen, first = np.unique(cell, return_index=True)
+    if len(seen) < len(cell):  # report the earliest row that repeats a (region, year)
+        i = int(np.setdiff1d(np.arange(len(cell)), first)[0])
+        key = (region_list[region_index[i]], int(year_cells[i]))
+        raise PanelParseError(lines[i], f"duplicate row {key}")
     if error is not None:
         raise error
     missing = np.setdiff1d(np.arange(len(region_list) * n_years), seen).tolist()
@@ -511,11 +513,12 @@ class EmploymentTable:
 def load_employment(source) -> EmploymentTable:
     """Parse the long-schema employment CSV.
 
-    Enforces: non-negative employment, numeric cells, and that every industry
-    code maps to exactly one parent sector across the whole file. The first
-    bad line is reported; a ragged row comes after every earlier line. Each
-    block of rows is converted as it is read, and the table holds one string
-    per distinct region, industry or parent.
+    Enforces: non-empty region, industry and parent cells, non-negative
+    employment, numeric cells, and that every industry code maps to exactly
+    one parent sector across the whole file. The first bad line is reported;
+    a ragged row comes after every earlier line. Each block of rows is
+    converted as it is read, and the table holds one string per distinct
+    region, industry or parent.
     """
     expected = ["region", "year", "industry", "parent", "employment"]
     with contextlib.closing(_read_csv(source)) as blocks:
@@ -528,7 +531,10 @@ def load_employment(source) -> EmploymentTable:
             # an industry's parent is the one on its first line
             first_parent = list(map(parents.setdefault, inds, parent_cells))
             error = _first_error(table, [
+                ("" not in region_cells, _empty_fault("region identifier"), region_cells),
                 (years is not None, _year_fault, year_cells),
+                ("" not in inds, _empty_fault("industry code"), inds),
+                ("" not in parent_cells, _empty_fault("parent sector"), parent_cells),
                 (emp is not None and (emp >= 0).all(),  # NaN, from an empty cell, fails too
                  lambda text: _float_fault(text, "employment")
                  or float(text) < 0 and f"negative employment {float(text)}", emp_cells),
@@ -549,6 +555,8 @@ def load_correlation_csv(source) -> tuple:
     with contextlib.closing(_read_csv(source)) as blocks:
         names, rows = next(blocks)[1:], {}
         for lineno, (name, *cells) in _records(blocks):
+            if not name:
+                raise PanelParseError(lineno, "empty name")
             if name in rows:
                 raise PanelParseError(lineno, f"duplicate row {name!r}")
             rows[name] = [_parse_float(c, lineno, f"{name!r} correlation") for c in cells]
@@ -718,6 +726,8 @@ class DescriptiveStats:
                 raise PanelParseError(1, "stats header must be " + ",".join(cls.columns))
             out = {}
             for lineno, (name, count, *values) in _records(blocks):
+                if not name:
+                    raise PanelParseError(lineno, "empty name")
                 if name in out:
                     raise PanelParseError(lineno, f"duplicate row {name!r}")
                 if _int_column([count]) is None:

@@ -8,7 +8,8 @@ two steps, each done once:
   matrix (made PSD by eigenvalue clipping; the repair size lands in the
   panel metadata), goes through clip(loc + scale·x, min, max) per variable,
   with (loc, scale) solved on the draw so that the sample has exactly the
-  target mean and sd (to 1e-12 relative);
+  target mean and sd (to 1e-12 relative, or to float resolution where that
+  is coarser);
 * the row order: a permutation of a column keeps its mean, sd, min and max,
   so the correlations are tuned by reordering alone. The solved columns
   start in the ranks of the recoloured draw (Iman & Conover 1982; clipping
@@ -37,6 +38,9 @@ _SWAP_ROWS = 128  # rows whose pairs a swap step scores
 _EIGEN_FLOOR = 1e-8  # the smallest eigenvalue nearest_psd leaves
 _MAX_SWEEPS = 40  # cap on the row-order calibration sweeps
 _REPAIR_LIMIT = 0.1  # largest elementwise PSD repair of a correlation target
+_RTOL = 1e-12  # relative tolerance of the sample moments, where floats resolve it
+_RESOLUTION = 2 * np.finfo(float).eps  # a moment's float resolution per unit of cell size
+_MAX_STEPS = 1000  # cap on the moment solve's evaluations of the clipped sample
 
 
 def nearest_psd(corr: np.ndarray) -> np.ndarray:
@@ -87,7 +91,7 @@ def _check_sd_attainable(names, n, m, s, lo, hi, e):
             f"on [{lo[j]}, {hi[j]}] with mean {m[j]} (at most {cap[j]})")
 
 
-def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
+def _solve_moments(names, x, m, s, lo, hi):
     """Columns clip(loc + scale·x, lo, hi) with the target sample moments.
 
     Solves every column of the draw ``x`` (n × k) at once for a per-column
@@ -98,22 +102,34 @@ def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
     is a monotone piecewise-linear function of loc, with slope (number of
     unclipped points) / n. With loc solved, D = Σ(y − m)² is a monotone
     piecewise-linear function of t = scale², with slope Σ(x − x̄)² over the
-    unclipped points. Each level takes the Newton step of its current linear
-    piece, the exact root when the clip pattern holds, if it falls inside
-    its bracket, and bisects otherwise, so it cannot diverge.
+    unclipped points. D is taken about the sample mean ȳ, as Σ(y − m)² −
+    n(ȳ − m)², so the sd does not take up the mean's residual, up to
+    1e-12·|m| and so not small against s where |m| ≫ s. Each level takes
+    the Newton step of its current linear piece, the exact root when the
+    clip pattern holds, if it falls inside its bracket, and bisects
+    otherwise, so it cannot diverge.
 
     Returns ``(y, err, steps)``. ``err`` per column is the larger of
     |mean − m| / max(|m|, s) and |sd − s| / s; ``steps`` counts evaluations
-    of the clipped sample. Raises PanelError naming a variable whose ``err``
-    stays above ``rtol``.
+    of the clipped sample, at most ``_MAX_STEPS``. Each moment must come
+    within ``_RTOL`` (1e-12) relative, or within its float resolution
+    ``_RESOLUTION``·c = 2·eps·c if that is larger. Here c = min(max(|lo|,
+    |hi|), |m| + s·√(n − 1)) bounds every cell of a sample with these
+    moments, as Σ(y − m)² = (n − 1)s². Rounding a cell moves it by up to
+    eps·c/2, so the sample mean by as much and the sample sd by up to
+    eps·c/2·√(n/(n − 1)) ≤ eps·c/√2; evaluating them adds about as much
+    again, so 2·eps·c covers both. The floor decides only where c/s >
+    1e-12 / (2·eps), about 2250. Raises PanelError naming a variable that
+    misses its tolerance.
     """
     x = np.ascontiguousarray(x.T)  # one row per variable: fast row sums
     k, n = x.shape
     m, s, lo, hi = (np.reshape(v, (k, 1)) for v in (m, s, lo, hi))
     den = np.maximum(np.abs(m), s)
-    tol = rtol * den
+    c = np.minimum(np.maximum(-lo, hi), np.abs(m) + s * np.sqrt(n - 1))
+    tol, sd_tol = (np.maximum(_RTOL * v, _RESOLUTION * c) for v in (den, s))  # absolute
     ss = (n - 1) * s * s  # target D
-    ss_tol = rtol * ss
+    ss_tol = ss * sd_tol / s
     xmin, xmax = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
     steps = 0
 
@@ -127,8 +143,8 @@ def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
             y = np.minimum(np.maximum(loc + sx, lo), hi)
             f = y.sum(axis=1, keepdims=True) / n - m
             done = np.abs(f) <= tol
-            if done.all() or steps >= max_steps:
-                return loc, y
+            if done.all() or steps >= _MAX_STEPS:
+                return loc, y, f
             below = f < 0
             a = np.where(below, loc, a)
             b = np.where(below, b, loc)
@@ -141,11 +157,11 @@ def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
     t_lo, t_hi = np.zeros_like(t), np.full_like(t, np.inf)
     while True:
         scale = np.sqrt(t)
-        loc, y = fit_loc(scale, loc)
+        loc, y, f = fit_loc(scale, loc)
         d = y - m
-        excess = (d * d).sum(axis=1, keepdims=True) - ss  # D − target
+        excess = (d * d).sum(axis=1, keepdims=True) - n * f * f - ss  # D − target
         done = np.abs(excess) <= ss_tol
-        if done.all() or steps >= max_steps:
+        if done.all() or steps >= _MAX_STEPS:
             break
         below = excess < 0
         t_lo = np.where(below, t, t_lo)
@@ -163,9 +179,10 @@ def _solve_moments(names, x, m, s, lo, hi, rtol=1e-12, max_steps=1000):
         # on an unchanged clip pattern this loc keeps the mean at m
         loc = np.where(ok, loc + (scale - np.sqrt(t)) * xbar, loc)
     y = y.T
-    err = np.maximum(np.abs(y.mean(axis=0) - m.ravel()) / den.ravel(),
-                     np.abs(y.std(axis=0, ddof=1) - s.ravel()) / s.ravel())
-    bad = np.flatnonzero(~(err <= rtol))  # a NaN residual fails too
+    mean_err = np.abs(y.mean(axis=0) - m.ravel())
+    sd_err = np.abs(y.std(axis=0, ddof=1) - s.ravel())
+    err = np.maximum(mean_err / den.ravel(), sd_err / s.ravel())
+    bad = np.flatnonzero(~((mean_err <= tol.ravel()) & (sd_err <= sd_tol.ravel())))  # NaN too
     if bad.size:
         j = bad[0]
         raise PanelError(
@@ -318,7 +335,8 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
     moved rows) and the moment solve (``moment_max_rel_error``,
     ``moment_solve_max_iterations``). Every sample mean and sd (ddof=1)
     matches its target to 1e-12 relative (the mean relative to
-    max(|mean|, sd)), and every value sits inside [min, max]. A target that
+    max(|mean|, sd)), or to its float resolution where that is coarser (see
+    ``_solve_moments``), and every value sits inside [min, max]. A target that
     no sample of this size can reach, or a solve that misses the tolerance,
     raises PanelError naming the variable.
     """

@@ -37,6 +37,8 @@ CORR = ("name,A,B\n"
         "A,1,0.4\n"
         "B,0.4,1\n")
 
+PANEL = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
+
 
 @pytest.fixture()
 def emp_file(tmp_path):
@@ -469,6 +471,24 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({"prov.csv": PROV, "stats.csv": STATS.replace("A,40,1.0,0.5", "A,40,1.0,-0.5")},
      ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
      "error: line 2: inconsistent stats for 'A'"),
+    ({"dup.csv": PANEL + "r1,2001,1,2\n"},
+     ["describe", "dup.csv"], "error: line 6: duplicate row ('r1', 2001)"),
+    ({"dup.csv": PANEL.replace("r2,2001,3,1", "r1,2001,3,1")},
+     ["describe", "dup.csv"], "error: line 4: duplicate row ('r1', 2001)"),
+    ({"emp.csv": EMP.replace("north,2001,food", ",2001,food")},
+     ["indices", "emp.csv"], "error: line 2: empty region identifier"),
+    ({"emp.csv": EMP.replace("north,2001,textile,manuf", "north,2001,,manuf")},
+     ["indices", "emp.csv"], "error: line 3: empty industry code"),
+    ({"emp.csv": EMP.replace("south,2001,retail,serv", "south,2001,retail,")},
+     ["indices", "emp.csv"], "error: line 8: empty parent sector"),
+    ({"bad.csv": PANEL.replace("A,B", "A,")},
+     ["describe", "bad.csv"], "error: line 1: empty column name"),
+    ({"corr.csv": CORR.replace("name,A", "name,")},
+     ["synth", "--corr", "corr.csv"], "error: line 1: empty column name"),
+    ({"stats.csv": STATS.replace("B,40", ",40"), "corr.csv": CORR},
+     ["synth", "--stats", "stats.csv", "--corr", "corr.csv"], "error: line 3: empty name"),
+    ({"corr.csv": CORR.replace("A,1,0.4", ",1,0.4")},
+     ["synth", "--corr", "corr.csv"], "error: line 2: empty name"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -490,11 +510,13 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "describe-out-empty", "synth-out-empty", "spec-name-list", "spec-lag-string",
         "spec-lag-negative", "spec-label-list", "spec-intercept-string", "spec-mode-bogus",
         "provenance-header-without-y_mean", "stats-sd-with-min-equal-max",
-        "stats-mean-above-max", "stats-sd-negative"])
+        "stats-mean-above-max", "stats-sd-negative", "panel-agreeing-duplicate-row",
+        "panel-conflicting-duplicate-row", "employment-empty-region",
+        "employment-empty-industry", "employment-empty-parent", "panel-empty-column-name",
+        "correlation-empty-column-name", "stats-empty-name", "correlation-empty-name"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
-    panel = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
-    files = {"panel.csv": panel, **files}
+    files = {"panel.csv": PANEL, **files}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     # argv names the files; run with their paths
@@ -562,6 +584,18 @@ def test_synth_takes_targets_near_the_float_limit(tmp_path, capsys):
     assert cells.size == 6 and np.all(np.abs(cells) <= 1e308)
 
 
+def test_synth_matches_an_sd_tiny_against_the_mean_to_float_resolution(tmp_path, capsys):
+    # cells near 5 resolve an sd of 1e-5 to about 2.2e-10 relative, not to 1e-12
+    stats, corr = tmp_path / "s.csv", tmp_path / "c.csv"
+    stats.write_text("name,count,mean,sd,min,max\nA,9,5,1e-05,0,10\n")
+    corr.write_text("name,A\nA,1\n")
+    rc, out, err = run(capsys, "synth", "--stats", str(stats), "--corr", str(corr),
+                       "--regions", "3", "--years", "3")
+    assert rc == 0 and json.loads(err)["moment_max_rel_error"] <= 2 * 2.0 ** -52 * 5 / 1e-5
+    cells = np.array([float(row["A"]) for row in csv.DictReader(io.StringIO(out))])
+    assert cells.size == 9 and np.all((cells >= 0) & (cells <= 10))
+
+
 def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):
     out = tmp_path / "idx.csv"
     stale = tmp_path / "idx.csv.tmp"
@@ -579,8 +613,6 @@ def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["blocked", "emp.csv", "idx.csv", "idx.csv.tmp"]
 
-
-PANEL = "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\nr2,2002,1,1\n"
 
 # each CSV reader: the file it reads, a valid text, and a command reading it
 READERS = {

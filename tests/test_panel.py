@@ -72,11 +72,11 @@ def test_load_panel_without_data_rows_is_too_small():
 
 def test_load_panel_duplicate_rows():
     agree = "region,year,X\na,2001,1\na,2001,1\na,2002,2\nb,2001,3\nb,2002,4\n"
-    p = load_panel(io.StringIO(agree))  # silent merge when values agree
-    assert p.matrix("X")[0, 0] == 1.0
     clash = agree.replace("a,2001,1\na,2001,1", "a,2001,1\na,2001,9")
-    with pytest.raises(PanelError):
-        load_panel(io.StringIO(clash))
+    for text in (agree, clash):  # a repeat is an error whether its values agree or not
+        with pytest.raises(PanelParseError) as exc:
+            load_panel(io.StringIO(text))
+        assert str(exc.value) == "line 3: duplicate row ('a', 2001)"
 
 
 _EMP_HEADER = "region,year,industry,parent,employment\n"
@@ -88,7 +88,7 @@ _STATS_HEADER = "name,count,mean,sd,min,max\n"
     (load_panel, "region,year,A,A\nr,2001\n", "line 1: duplicate column 'A'"),
     (load_panel, "region,year,A\nr,2001,x\nr,2002\n", "line 2: 'A' cell 'x' is not numeric"),
     (load_panel, "region,year,A\nr,2001,1\nr,2001,2\nr\n",
-     "line 3: conflicting duplicate row for ('r', 2001)"),
+     "line 3: duplicate row ('r', 2001)"),
     (load_panel, "region,year,A\nr,2001,1\nr,2002\n", "line 3: expected 3 cells, got 2"),
     (load_panel, 'region,year,A\n"r\n1",2001,1\nr1,2002\n', "line 4: expected 3 cells, got 2"),
     (load_panel, 'region,year,A\n"r\n1",2001,1\nr1,2002,x\n',
@@ -226,7 +226,9 @@ def test_read_csv_reads_what_csv_reader_reads(rows, newline, final_newline, quot
     text = newline.join(",".join(row) for row in rows) + (newline if final_newline else "")
     assume(text)  # empty input is an error of its own
     want = _csv_module_table(text)
-    if repeated := [c for c in want[0] if want[0].count(c) > 1]:
+    if "" in want[0]:
+        want = (None, [], "line 1: empty column name")
+    elif repeated := [c for c in want[0] if want[0].count(c) > 1]:
         want = (None, [], f"line 1: duplicate column {repeated[0]!r}")
     # the header comes first, then blocks of rows; a ragged row raises once
     # the rows above it have come out
@@ -259,7 +261,7 @@ def _panel_rows_oracle(text):
     over csv.reader rows: the first bad line, then a ragged row, then the
     missing cells."""
     header, rows, ragged = _csv_module_table(text)
-    seen = {}
+    seen = {}  # (region, year) in file order, as the missing cells list them
     for line, (region, year, *cells) in rows:
         if not region:
             return f"line {line}: empty region identifier"
@@ -267,20 +269,16 @@ def _panel_rows_oracle(text):
             year = int(year)
         except ValueError:
             return f"line {line}: year {year!r} is not an integer"
-        values = []
         for name, cell in zip(header[2:], cells):
-            if not cell:
-                values.append(math.nan)
-                continue
             try:
-                values.append(float(cell))
+                value = float(cell or 0)  # an empty cell is a missing value
             except ValueError:
                 return f"line {line}: {name!r} cell {cell!r} is not numeric"
-            if not math.isfinite(values[-1]):
+            if not math.isfinite(value):
                 return f"line {line}: {name!r} cell {cell!r} is not finite"
-        first = seen.setdefault((region, year), values)
-        if any(a != b and not (math.isnan(a) and math.isnan(b)) for a, b in zip(first, values)):
-            return f"line {line}: conflicting duplicate row for {(region, year)}"
+        if (region, year) in seen:
+            return f"line {line}: duplicate row {(region, year)}"
+        seen[region, year] = line
     if ragged:
         return ragged
     years = sorted({y for _, y in seen})
@@ -294,11 +292,17 @@ def _employment_rows_oracle(text):
     loop over csv.reader rows."""
     _, rows, ragged = _csv_module_table(text)
     first_parent = {}
-    for line, (_, year, industry, parent, cell) in rows:
+    for line, (region, year, industry, parent, cell) in rows:
+        if not region:
+            return f"line {line}: empty region identifier"
         try:
             int(year)
         except ValueError:
             return f"line {line}: year {year!r} is not an integer"
+        if not industry:
+            return f"line {line}: empty industry code"
+        if not parent:
+            return f"line {line}: empty parent sector"
         try:
             value = float(cell)
         except ValueError:
@@ -313,7 +317,8 @@ def _employment_rows_oracle(text):
     return ragged
 
 
-_BAD_CELLS = {"region": [""], "year": ["20x1", "1.5", "", "two"],
+_BAD_CELLS = {"region": [""], "industry": [""], "parent": [""],
+              "year": ["20x1", "1.5", "", "two"],
               "cell": ["x", "nan", "inf", "-inf", "1e999", "--1"],
               "employment": ["x", "nan", "inf", "-inf", "", "-1", "-0.5"]}
 
@@ -321,8 +326,9 @@ _BAD_CELLS = {"region": [""], "year": ["20x1", "1.5", "", "two"],
 @st.composite
 def corrupted_csvs(draw):
     """(text, loader, oracle) of a valid panel or employment CSV with one or
-    two corruptions: a bad cell at a random row and column, a conflicting
-    duplicate row, a second parent for an industry, or a ragged row."""
+    two corruptions: a bad cell at a random row and column, a repeated row
+    (its values changed or not), a second parent for an industry, or a ragged
+    row."""
     employment = draw(st.booleans())
     regions = [f"r{i}" for i in range(draw(st.integers(2, 4)))]
     years = [str(2001 + t) for t in range(draw(st.integers(2, 4)))]
@@ -332,7 +338,7 @@ def corrupted_csvs(draw):
                              unique=True))
         value = st.sampled_from(["0", "1", "2.5", "30"])
         rows = [[r, y, i, i.upper(), draw(value)] for r in regions for y in years for i in inds]
-        kinds = ["year", "employment"]
+        kinds = ["region", "year", "industry", "parent", "employment"]
     else:
         header = ["region", "year"] + [f"V{k}" for k in range(draw(st.integers(1, 3)))]
         value = st.sampled_from(["1", "-2.5", "", "0", "3e2"])
@@ -346,7 +352,7 @@ def corrupted_csvs(draw):
                                    + (["second parent"] if employment else ["duplicate"])))
         if how == "bad cell":
             kind = draw(st.sampled_from(kinds))
-            j = {"region": 0, "year": 1, "employment": 4}.get(kind)
+            j = {"region": 0, "year": 1, "industry": 2, "parent": 3, "employment": 4}.get(kind)
             if j is None:
                 j = draw(st.integers(2, len(row) - 1))
             row[j] = draw(st.sampled_from(_BAD_CELLS[kind]))
@@ -354,9 +360,9 @@ def corrupted_csvs(draw):
             row = row[:-1] if draw(st.booleans()) else row + ["1"]
         elif how == "second parent":
             row[3] = "Z"
-        else:  # a repeat of row i, one value changed, at a random place
-            j = draw(st.integers(2, len(row) - 1))
-            row[j] = "999"
+        else:  # a repeat of row i, one value changed or none, at a random place
+            if draw(st.booleans()):
+                row[draw(st.integers(2, len(row) - 1))] = "999"
             rows.insert(draw(st.integers(0, len(rows))), row)
             continue
         rows[i] = row
@@ -887,7 +893,7 @@ def _outcome(load, source):
 @given(st.data())
 def test_block_size_changes_no_result_and_no_error(tmp_path, data):
     # quoted cells over several lines, blank lines, a ragged row, a bad cell or
-    # a repeat of an earlier row (a conflicting duplicate, an industry mapped
+    # a repeat of an earlier row (a repeated panel row, an industry mapped
     # to a second parent) anywhere, read one to seven lines to a block
     reader = data.draw(st.sampled_from(sorted(_BLOCK_READERS)))
     load, header, rows = _BLOCK_READERS[reader]

@@ -310,7 +310,7 @@ def test_hard_targets_times_a_power_of_two_give_that_multiple_of_the_panel(case,
         np.testing.assert_array_equal(got.matrix(nm), np.ldexp(panel.matrix(nm), j))
 
 
-def test_moment_solve_failures_name_the_variable():
+def test_moment_solve_failures_name_the_variable(monkeypatch):
     # population sd cap 0.357 admits 0.346; nine points with mean 0.15 reach 0.339
     text = "name,count,mean,sd,min,max\nA,9,0.5,0.2,0,1\nB,9,0.15,0.346,0,1\n"
     stats = DescriptiveStats.from_csv(io.StringIO(text))
@@ -318,12 +318,39 @@ def test_moment_solve_failures_name_the_variable():
         synthesize_panel(stats, np.eye(2), seed=0, regions=3, years=3)
     x = np.random.default_rng(0).standard_normal((9, 2))
     m, s, lo, hi = np.array([0.5, 0.15]), np.array([0.2, 0.3]), np.zeros(2), np.ones(2)
-    with pytest.raises(PanelError, match="'A' not solved: relative residual"):
-        _solve_moments(["A", "B"], x, m, s, lo, hi, max_steps=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(synth, "_MAX_STEPS", 1)
+        with pytest.raises(PanelError, match="'A' not solved: relative residual"):
+            _solve_moments(["A", "B"], x, m, s, lo, hi)
     y, err, steps = _solve_moments(["A", "B"], x, m, s, lo, hi)
     assert err.max() <= 1e-12 and 1 < steps < 200
     np.testing.assert_allclose(y.mean(axis=0), m, rtol=1e-12)
     np.testing.assert_allclose(y.std(axis=0, ddof=1), s, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sd", [1e-5, 1e-8])
+def test_a_mean_large_against_the_sd_is_solved_to_float_resolution(sd):
+    # nine cells near 5 are each rounded by up to 4.4e-16, so their sample sd
+    # cannot be held to 1e-12 relative to an sd of 1e-5 or 1e-8
+    stats = DescriptiveStats({"A": VariableStats(9, 5.0, sd, 0.0, 10.0)})
+    panel = synthesize_panel(stats, np.eye(1), seed=42, regions=3, years=3)
+    col = panel.matrix("A").ravel()
+    resolution = 2 * np.finfo(float).eps * 5.0  # c = min(10, 5 + sd·√8)
+    assert abs(col.mean() - 5.0) <= max(1e-12 * 5.0, resolution)
+    assert abs(col.std(ddof=1) - sd) <= resolution
+    assert panel.meta["moment_max_rel_error"] <= resolution / sd
+
+
+@pytest.mark.parametrize("ratio", [1e10, 1e11])
+def test_a_clipped_sample_far_from_zero_is_solved_to_float_resolution(ratio):
+    # a mean held to 1e-12 of 1 may sit 0.01 sd or more off target, so the sd
+    # solve measures D about the sample mean, as the final check does
+    m, s = 1.0, 1.0 / ratio
+    targets = [np.array([v]) for v in (m, s, m - 1.5 * s, m + 2 * s)]
+    for seed in range(5):
+        x = synth._exact_corr_normals(np.random.default_rng(seed), 117, 1)
+        y, _, _ = _solve_moments(["A"], x, *targets)
+        assert abs(y.std(ddof=1) - s) <= 2 * np.finfo(float).eps * (m + 2 * s)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
