@@ -43,6 +43,8 @@ from .panel import (DescriptiveStats, descriptive_stats, load_correlation_csv,
 
 __all__ = ["main", "build_parser"]
 
+_WITHIN_TOL = 0.01  # the largest |elasticity - expected| flagged within_tol
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -58,7 +60,8 @@ def _write_files(files: dict) -> None:
 
     Every temp file is written before any target is replaced, so a failed
     write replaces nothing. A failure between two replaces still leaves the
-    earlier targets new and the later ones old.
+    earlier targets new and the later ones old. An OSError with an errno
+    names the target path, never its temp file.
     """
     files = {out: text if text.endswith("\n") else text + "\n"
              for out, text in files.items()}
@@ -79,10 +82,13 @@ def _write_files(files: dict) -> None:
         for out in files:
             os.replace(temps[out], out)  # atomic per file
             del temps[out]
-    except BaseException:
+    except OSError as exc:
+        if exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, out) from None
+    finally:
         for tmp in temps.values():
             os.unlink(tmp)
-        raise
 
 
 def _emit_rows(rows, columns, args, md=None, companion=False) -> None:
@@ -106,18 +112,14 @@ def _emit_rows(rows, columns, args, md=None, companion=False) -> None:
 def _cmd_indices(args) -> int:
     from .indices import indices_table
 
-    emp = load_employment(args.employment)
-    industries = args.industries.split(",") if args.industries else None
-    rows = indices_table(emp, industries=industries, scale=args.scale)
+    rows = indices_table(load_employment(args.employment), industries=args.industries)
     _emit_rows(rows, ["region", "year", "theil", "related", "unrelated", "hoover"],
                args)
     return 0
 
 
 def _cmd_describe(args) -> int:
-    panel = load_panel(args.panel)
-    variables = args.variables.split(",") if args.variables else None
-    stats = descriptive_stats(panel, variables=variables)
+    stats = descriptive_stats(load_panel(args.panel))
     _emit_rows(stats.rows(), stats.columns, args)
     return 0
 
@@ -170,7 +172,7 @@ def _cmd_decompose(args) -> int:
     from .regression import format_decomposition_table, variance_decomposition
 
     panel = load_panel(args.panel)
-    names = args.variables.split(",") if args.variables else list(panel.variables)
+    names = args.variables or panel.variables
     decomps = [variance_decomposition(panel, nm) for nm in names]
     cols = ["variable", "share_region", "share_time", "share_residual",
             "systematic", "f_region", "p_region", "f_time", "p_time"]
@@ -194,7 +196,7 @@ def _cmd_elasticities(args) -> int:
         if rec["expected"] is not None:
             delta = row["elasticity"] - rec["expected"]
             row.update(expected=rec["expected"], delta=delta,
-                       within_tol=int(abs(delta) <= args.tol))
+                       within_tol=int(abs(delta) <= _WITHIN_TOL))
         rows.append(row)
     cols = ["variable", "beta", "source_column", "x_mean", "y_mean",
             "elasticity", "expected", "delta", "within_tol"]
@@ -305,6 +307,17 @@ def _path(text):
     return text
 
 
+def _names(text):
+    """An argparse type for a comma-separated list: the list of its entries,
+    none of them empty or repeated."""
+    names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    if repeated := [nm for nm in names if names.count(nm) > 1]:
+        raise argparse.ArgumentTypeError(f"{repeated[0]!r} given twice in {text!r}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the whole command tree."""
     output = argparse.ArgumentParser(add_help=False)
@@ -325,16 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="diversity/specialization indices per region-year")
     p.add_argument("employment", help="employment CSV "
                    "(region,year,industry,parent,employment)")
-    p.add_argument("--industries", default=None,
+    p.add_argument("--industries", type=_names, default=None,
                    help="comma-separated industry subset (e.g. manufacturing only)")
-    p.add_argument("--scale", type=_at_least(float, 0, strict=True), default=100.0,
-                   help="hoover display multiplier (default 100)")
     p.set_defaults(fn=_cmd_indices)
 
     p = sub.add_parser("describe", parents=[shared],
                        help="descriptive statistics of a panel CSV")
     p.add_argument("panel")
-    p.add_argument("--variables", default=None, help="comma-separated subset")
     p.set_defaults(fn=_cmd_describe)
 
     p = sub.add_parser("regress", parents=[shared],
@@ -348,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", parents=[shared],
                        help="region/time variance decomposition with F tests")
     p.add_argument("panel")
-    p.add_argument("--variables", default=None, help="comma-separated subset")
+    p.add_argument("--variables", type=_names, default=None, help="comma-separated subset")
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("elasticities", parents=[shared],
@@ -359,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stats CSV overriding the provenance means")
     p.add_argument("--dependent", default="PATINT",
                    help="dependent variable for --stats means (default PATINT)")
-    p.add_argument("--tol", type=_at_least(float, 0), default=0.01,
-                   help="absolute tolerance for the within_tol flag")
     p.set_defaults(fn=_cmd_elasticities)
 
     p = sub.add_parser("game", help="patent-licensing duopoly solver and oracle")

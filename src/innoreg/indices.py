@@ -155,7 +155,7 @@ def hoover_index(regional: Mapping[str, float],
     return HooverResult(value=value, display=value * 100.0)
 
 
-def indices_table(employment, industries=None, scale: float = 100.0) -> list:
+def indices_table(employment, industries=None) -> list:
     """All four measures for every region-year of an employment table.
 
     Parameters
@@ -167,10 +167,9 @@ def indices_table(employment, industries=None, scale: float = 100.0) -> list:
     industries : optional collection restricting the industry codes used (the
         Hoover index in particular is sometimes computed on a subset, e.g.
         manufacturing only); codes absent from the table are ignored.
-    scale : display multiplier for the hoover column.
 
-    Returns a list of dicts with keys region, year, theil, related,
-    unrelated, hoover, sorted by region and then year. Raises ValueError
+    Returns dicts keyed region, year, theil, related, unrelated and hoover
+    (in percentage points), sorted by region and then year. Raises ValueError
     naming the first region-year with no employment in the industries used.
     """
     cols = slice(None)
@@ -194,5 +193,5 @@ def indices_table(employment, industries=None, scale: float = 100.0) -> list:
          "unrelated": unr, "hoover": hv}
         for (region, year), th, rel, unr, hv in zip(
             employment.keys, theil.tolist(), related.tolist(),
-            unrelated.tolist(), (hoover * scale).tolist())
+            unrelated.tolist(), (hoover * 100.0).tolist())
     ]

@@ -234,6 +234,14 @@ def _first_error(table, checks) -> PanelParseError | None:
     return min(errors, key=attrgetter("line"), default=None)
 
 
+def _check_name(name, what: str) -> None:
+    """Raise PanelError naming ``name`` unless it is a non-empty str equal to its
+    own strip(): a name that a CSV cell carries, and reads back, unchanged."""
+    if not (isinstance(name, str) and name and name == name.strip()):
+        raise PanelError(f"{what} {name!r} is not a non-empty str without "
+                         "surrounding whitespace")
+
+
 def markdown_table(header, body) -> str:
     """Markdown pipe table of a header row and body rows of cell text."""
     rule = "|" + "|".join("---" for _ in header) + "|"
@@ -271,7 +279,8 @@ class RegionalPanel:
     """Balanced panel of named R x T variable matrices.
 
     NaN marks a missing cell; an infinite cell raises PanelError naming its
-    variable, and so does a variable named like a key column of the CSV.
+    variable, and so does a variable named like a key column of the CSV. A
+    region or variable name must be a non-empty str equal to its own strip().
     """
 
     regions: tuple
@@ -282,6 +291,8 @@ class RegionalPanel:
     def __post_init__(self):
         if len(self.regions) < 2 or len(self.years) < 2:
             raise PanelError("panel requires at least 2 regions and 2 years")
+        for region in self.regions:
+            _check_name(region, "region identifier")
         if len(set(self.regions)) != len(self.regions):
             raise PanelError("duplicate region identifiers")
         if list(self.years) != sorted(set(self.years)):
@@ -289,6 +300,7 @@ class RegionalPanel:
         shape = (len(self.regions), len(self.years))
         frozen = {}
         for name, mat in self.data.items():
+            _check_name(name, "variable")
             if name in ("region", "year"):
                 raise PanelError(f"variable {name!r} has the name of a key column")
             arr = np.asarray(mat, dtype=float)
@@ -691,13 +703,15 @@ class VariableStats:
 @dataclass(frozen=True)
 class DescriptiveStats:
     """Per-variable count/mean/sd/min/max (sd with ddof=1). Building one checks every record:
-    finite, min <= mean <= max, sd >= 0, sd 0 where min = max; else PanelError names it."""
+    finite, min <= mean <= max, sd >= 0, sd 0 where min = max, and a name that is a
+    non-empty str equal to its own strip(); else PanelError names it."""
 
     variables: dict
     columns = ("name", "count", "mean", "sd", "min", "max")
 
     def __post_init__(self):
         for name, st in self.variables.items():
+            _check_name(name, "stats name")
             if not (-math.inf < st.min <= st.mean <= st.max < math.inf
                     and 0 <= st.sd < math.inf and (st.min < st.max or st.sd == 0)):
                 raise PanelError(f"inconsistent stats for {name!r}")
@@ -741,14 +755,13 @@ class DescriptiveStats:
         return cls(variables=out)
 
 
-def descriptive_stats(panel: RegionalPanel, variables=None) -> DescriptiveStats:
+def descriptive_stats(panel: RegionalPanel) -> DescriptiveStats:
     """Summary statistics over non-missing cells, per variable.
 
     All-missing variables are skipped with a warning; an sd over 1.8e308 raises.
     """
-    names = panel.variables if variables is None else tuple(variables)
     out = {}
-    for name in names:
+    for name in panel.variables:
         col = panel.column(name)
         col = col[~np.isnan(col)]
         if col.size == 0:

@@ -234,17 +234,22 @@ def _f_sf(d1, d2, f) -> float:
     return 1.0 - p if flip else p
 
 
+def _variant(hc: str) -> str:
+    """``hc`` in upper case; ValueError unless it is HC0, HC1, HC2 or HC3."""
+    hc = hc.upper()
+    if hc not in ("HC0", "HC1", "HC2", "HC3"):
+        raise ValueError(f"unknown robust variant {hc!r}")
+    return hc
+
+
 def _sandwich(X, e, rinv, xtx_inv, hc: str) -> np.ndarray:
     n, k = X.shape
-    hc = hc.upper()
     sw = np.abs(e)  # the square root of each observation's weight
     if hc in ("HC2", "HC3"):
         xr = X @ rinv  # X R^-1 = Q: the leverages are its squared row norms
         denom = 1.0 - np.einsum("ij,ij->i", xr, xr)
         denom[denom <= 1e-12] = np.inf  # leverage 1: its residual is 0 in exact arithmetic
         sw = sw / np.sqrt(denom) if hc == "HC2" else sw / denom
-    elif hc not in ("HC0", "HC1"):
-        raise ValueError(f"unknown robust variant {hc!r}")
     # (X'X)^-1 X' diag(w) X (X'X)^-1 as the Gram matrix G G': its diagonal is a
     # sum of squares, so a variance that is 0 in theory cannot round below 0.
     # G is k x n, so scaling its columns runs along rows of length n.
@@ -265,7 +270,7 @@ def robust_covariance(X: np.ndarray, residuals: np.ndarray,
     cell with 1 - h <= 1e-12, whose residual is 0 in exact arithmetic. All
     four come from one factorization of X (MacKinnon & White 1985).
     """
-    X = np.asarray(X, dtype=float)
+    hc, X = _variant(hc), np.asarray(X, dtype=float)
     *_, rinv, xtx_inv = _factor(X)
     return _sandwich(X, np.asarray(residuals, dtype=float), rinv, xtx_inv, hc)
 
@@ -379,8 +384,10 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     centred slopes Zc, so VIF_j = [(X'X)^-1]_jj * sum_i (z_ij - mean_j)^2,
     the sum read off R. Without one, the auxiliary regressions of
     :func:`vif` add an intercept the fit does not have, so ``vif`` runs on
-    the slope block.
+    the slope block. An unknown ``hc`` raises ValueError before the design
+    is built.
     """
+    hc = _variant(hc)
     xy, names = _build_design(panel, spec)
     X, y = xy[:, :-1], xy[:, -1]
     n, k = X.shape
@@ -427,7 +434,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
         se_robust=np.sqrt(np.diag(cov_robust)),
         cov_classical=cov_classical, cov_robust=cov_robust,
         r_squared=float(r2), f_stat=f_stat, f_pvalue=f_p,
-        n=n, k=k, vif=vif_map, avg_vif=avg, hc=hc.upper())
+        n=n, k=k, vif=vif_map, avg_vif=avg, hc=hc)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +531,10 @@ def run_model_suite(panel: RegionalPanel, specs, hc: str = "HC1") -> list:
     """Fit every spec in the given order, isolating per-spec failures.
 
     A failing spec contributes an entry carrying its error text while the
-    rest proceed.
+    rest proceed. An unknown ``hc`` is the caller's fault, not a spec's: it
+    raises ValueError before any spec is fitted.
     """
-    entries = []
+    hc, entries = _variant(hc), []
     for spec in specs:
         try:
             entries.append(SuiteEntry(label=spec.label,

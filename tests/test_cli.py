@@ -85,10 +85,11 @@ def test_indices_md_and_subset(emp_file, capsys):
     assert rc == 0
     assert out.splitlines()[0].startswith("| region | year | theil |")
     assert "1.28" in out
-    rc, out, _ = run(capsys, "indices", emp_file,
-                     "--industries", "food,textile", "--scale", "1")
+    rc, out, _ = run(capsys, "indices", emp_file, "--industries", "food,textile")
     assert rc == 0
-    assert "north" in out
+    north = next(csv.DictReader(io.StringIO(out)))
+    # shares (.8, .2) against national (.65, .35), in percentage points
+    assert north["region"] == "north" and float(north["hoover"]) == pytest.approx(15.0)
 
 
 def test_indices_missing_file_exits_2(capsys):
@@ -147,8 +148,6 @@ def test_describe_roundtrip(tmp_path, capsys):
     rows = {r["name"]: r for r in csv.DictReader(io.StringIO(out))}
     assert set(rows) == {"A", "B"}
     assert float(rows["A"]["mean"]) == pytest.approx(1.0, rel=0.02)
-    rc, out, _ = run(capsys, "describe", str(panel), "--variables", "B")
-    assert {r["name"] for r in csv.DictReader(io.StringIO(out))} == {"B"}
 
 
 def test_regress_grid_and_json_companion(tmp_path, capsys):
@@ -199,6 +198,20 @@ def test_regress_out_replaces_the_grid_and_its_companion_together(
     rc, _, _ = run(capsys, *argv)
     assert rc == 0 and grid.read_text().startswith("| Variables | 1 |")
     assert json.loads(companion.read_text())[0]["variable"] == "const"
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "adir"])
+def test_out_errors_name_the_target_not_its_temp_file(tmp_path, capsys, target):
+    # a target in a missing directory fails to create its temp file; a
+    # directory in the target's place fails the replace
+    panel = tmp_path / "panel.csv"
+    panel.write_text(PANEL)
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / target
+    rc, _, err = run(capsys, "describe", str(panel), "--out", str(out))
+    assert rc == 2 and err.startswith("error: [Errno ") and err.endswith(f": {str(out)!r}\n")
+    assert ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "panel.csv"]
 
 
 def test_regress_all_specs_failing_exits_3(tmp_path, capsys):
@@ -406,9 +419,9 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({}, VERIFY + ["--seed", "1"], "unrecognized arguments: --seed 1"),
     ({}, ["game", "--format", "json"] + VERIFY[1:], "invalid choice: 'json'"),
     ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--tol", "nan"],
-     "argument --tol: 'nan' is not a finite number >= 0"),
+     "unrecognized arguments: --tol nan"),
     ({"emp.csv": EMP}, ["indices", "emp.csv", "--scale", "inf"],
-     "argument --scale: 'inf' is not a finite number > 0"),
+     "unrecognized arguments: --scale inf"),
     ({}, ["describe", "panel.csv", "--precision", "-3", "--format", "md"],
      "argument --precision: '-3' is not a finite number >= 0"),
     ({}, ["synth", "--format", "md"], "unrecognized arguments: --format md"),
@@ -489,6 +502,19 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      ["synth", "--stats", "stats.csv", "--corr", "corr.csv"], "error: line 3: empty name"),
     ({"corr.csv": CORR.replace("A,1,0.4", ",1,0.4")},
      ["synth", "--corr", "corr.csv"], "error: line 2: empty name"),
+    ({}, ["describe", "panel.csv", "--variables", "A"], "unrecognized arguments: --variables A"),
+    ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--tol", "0.01"],
+     "unrecognized arguments: --tol 0.01"),
+    ({"emp.csv": EMP}, ["indices", "emp.csv", "--scale", "1"], "unrecognized arguments: --scale 1"),
+    ({}, ["decompose", "panel.csv", "--variables", "A,A"],
+     "argument --variables: 'A' given twice in 'A,A'"),
+    ({}, ["decompose", "panel.csv", "--variables", "A,,B"],
+     "argument --variables: empty entry in 'A,,B'"),
+    ({}, ["decompose", "panel.csv", "--variables", ""], "argument --variables: empty entry in ''"),
+    ({"emp.csv": EMP}, ["indices", "emp.csv", "--industries", "food,textile,food"],
+     "argument --industries: 'food' given twice in 'food,textile,food'"),
+    ({"emp.csv": EMP}, ["indices", "emp.csv", "--industries", "food,"],
+     "argument --industries: empty entry in 'food,'"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -513,7 +539,11 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "stats-mean-above-max", "stats-sd-negative", "panel-agreeing-duplicate-row",
         "panel-conflicting-duplicate-row", "employment-empty-region",
         "employment-empty-industry", "employment-empty-parent", "panel-empty-column-name",
-        "correlation-empty-column-name", "stats-empty-name", "correlation-empty-name"])
+        "correlation-empty-column-name", "stats-empty-name", "correlation-empty-name",
+        "describe-variables", "elasticities-tol", "indices-scale",
+        "decompose-variables-repeated", "decompose-variables-empty-entry",
+        "decompose-variables-empty", "indices-industries-repeated",
+        "indices-industries-empty-entry"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     files = {"panel.csv": PANEL, **files}

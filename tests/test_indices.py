@@ -220,16 +220,15 @@ def test_indices_table_industry_subset(tmp_path):
         "south,2001,food,manuf,25\n"
         "south,2001,textile,manuf,25\n"
         "south,2001,retail,serv,50\n")
-    table = indices_table(load_employment(str(path)),
-                          industries=["food", "textile"], scale=1.0)
+    table = indices_table(load_employment(str(path)), industries=["food", "textile"])
     north = table[0]
     # shares renormalized within the subset: (.8, .2)
     assert north["theil"] == pytest.approx(
         0.8 * math.log(1 / 0.8) + 0.2 * math.log(1 / 0.2), abs=1e-12)
     assert north["unrelated"] == 0.0  # single parent remains
     # national subset totals: food 65, textile 35
-    assert north["hoover"] == pytest.approx(
-        0.5 * (abs(0.8 - 0.65) + abs(0.2 - 0.35)), abs=1e-12)
+    assert north["hoover"] == pytest.approx(  # in percentage points
+        100 * 0.5 * (abs(0.8 - 0.65) + abs(0.2 - 0.35)), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

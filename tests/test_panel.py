@@ -168,31 +168,90 @@ def _padded(text):
     return buf.getvalue()
 
 
+# names with commas, quotes and line ends, and names that a CSV cell does not
+# carry unchanged: empty, padded with whitespace, or not a str
+SPACED = st.text(alphabet='ab1,"\n\r\t \x1c\x85', min_size=1, max_size=4)
+NAMES = SPACED | st.just("") | st.integers(0, 3)
+
+
 @st.composite
 def panels(draw):
-    """A random panel: region names with commas and quotes, missing cells, and
-    years beyond int64."""
-    name = st.text(alphabet='ab1,"', min_size=1, max_size=4)
-    regions = draw(st.lists(name, min_size=2, max_size=5, unique=True))
+    """The regions, years and data of a random panel: names with commas and
+    quotes, with whitespace, or drawn from NAMES; missing cells, and years
+    beyond int64."""
+    names = draw(st.sampled_from([st.text(alphabet='ab1,"', min_size=1, max_size=4),
+                                  SPACED, NAMES]))
+    regions = tuple(draw(st.lists(names, min_size=2, max_size=5, unique=True)))
     year = st.integers(1900, 2100) | st.integers(-2 ** 70, 2 ** 70)
-    years = sorted(draw(st.lists(year, min_size=2, max_size=4, unique=True)))
+    years = tuple(sorted(draw(st.lists(year, min_size=2, max_size=4, unique=True))))
     cell = st.floats(allow_nan=False, allow_infinity=False) | st.just(math.nan)
     shape = (len(regions), len(years))
-    data = {f"V{k}": np.array(draw(st.lists(cell, min_size=shape[0] * shape[1],
-                                            max_size=shape[0] * shape[1]))).reshape(shape)
-            for k in range(draw(st.integers(1, 3)))}
-    return RegionalPanel(regions=tuple(regions), years=tuple(years), data=data)
+    data = {name: np.array(draw(st.lists(cell, min_size=shape[0] * shape[1],
+                                         max_size=shape[0] * shape[1]))).reshape(shape)
+            for name in draw(st.lists(names, min_size=1, max_size=3, unique=True))}
+    return regions, years, data
 
 
-@settings(max_examples=150, deadline=None)
+def _forged(table, **fields):
+    """``table`` with ``fields`` set past the checks its constructor makes."""
+    for name, value in fields.items():
+        object.__setattr__(table, name, value)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
 @given(panels(), st.booleans())
-def test_to_csv_load_panel_round_trip(p, pad):
+def test_to_csv_load_panel_round_trip(parts, pad):
+    """A panel refuses exactly the region and variable names its CSV would
+    not read back unchanged; the CSV of every other panel reads back equal."""
+    regions, years, data = parts
+    try:
+        p = RegionalPanel(regions=regions, years=years, data=data)
+    except PanelError as exc:
+        assert "is not a non-empty str without surrounding whitespace" in str(exc)
+        # the same panel built under other names, then given the refused ones
+        p = RegionalPanel(regions=tuple(f"r{k}" for k in range(len(regions))), years=years,
+                          data={f"v{k}": m for k, m in enumerate(data.values())})
+        text = _forged(p, regions=regions, data=dict(zip(data, p.data.values()))).to_csv()
+        with contextlib.suppress(PanelError):
+            again = load_panel(io.StringIO(text))
+            assert (again.regions, again.variables) != (regions, tuple(data))
+        return
     text = _padded(p.to_csv()) if pad else p.to_csv()
     again = load_panel(io.StringIO(text))
     assert again.regions == p.regions and again.years == p.years
     assert again.variables == p.variables
     for name in p.variables:
         assert again.matrix(name).tobytes() == p.matrix(name).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+def test_stats_refuse_exactly_the_names_their_csv_would_not_carry(names):
+    rec = VariableStats(117, 5.0, 1.0, 0.0, 10.0)
+    try:
+        stats = DescriptiveStats({name: rec for name in names})
+    except PanelError as exc:
+        assert "is not a non-empty str without surrounding whitespace" in str(exc)
+        stats = _forged(DescriptiveStats({}), variables={name: rec for name in names})
+        with contextlib.suppress(PanelError):
+            assert DescriptiveStats.from_csv(io.StringIO(stats.to_csv())).names() != tuple(names)
+        return
+    assert DescriptiveStats.from_csv(io.StringIO(stats.to_csv())) == stats
+
+
+@pytest.mark.parametrize("regions, data, message", [
+    (("a", "b"), {"": np.ones((2, 2))}, "variable ''"),
+    (("a", "b"), {" A": np.ones((2, 2))}, "variable ' A'"),
+    (("a", "b"), {"A\n": np.ones((2, 2))}, "variable 'A\\n'"),
+    ((" a", "b"), {"A": np.ones((2, 2))}, "region identifier ' a'"),
+    ((1, 2), {"A": np.ones((2, 2))}, "region identifier 1"),
+], ids=["variable-empty", "variable-padded", "variable-newline", "region-padded",
+        "region-int"])
+def test_a_panel_refuses_a_name_its_csv_would_change(regions, data, message):
+    with pytest.raises(PanelError) as exc:
+        RegionalPanel(regions=regions, years=(2001, 2002), data=data)
+    assert str(exc.value) == message + " is not a non-empty str without surrounding whitespace"
 
 
 def _csv_module_table(text):

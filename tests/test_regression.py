@@ -476,6 +476,21 @@ def test_elasticity():
         elasticity(1.0, 1.0, 0.0)
 
 
+def test_an_unknown_hc_raises_before_any_fit(monkeypatch):
+    p = build_panel({"Y": np.arange(12.0).reshape(3, 4), "X": np.ones((3, 4))})
+    good = RegressionSpec("Y", (Regressor("X"),), label="good")
+    bad = RegressionSpec("Y", (Regressor("NOPE"),), label="bad")
+    # the variant is checked before the design: the unknown variable goes unseen
+    with pytest.raises(ValueError, match="^unknown robust variant 'HC5'$"):
+        pooled_ols(p, bad, hc="hc5")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("no spec is fitted under an unknown variant")
+    monkeypatch.setattr(reg, "pooled_ols", no_fit)
+    with pytest.raises(ValueError, match="^unknown robust variant 'HC5'$"):
+        run_model_suite(p, [good, good], hc="HC5")
+
+
 def test_run_model_suite_isolates_failures():
     rng = np.random.default_rng(61)
     p = rand_panel(rng, ["Y", "X"])
