@@ -5,7 +5,7 @@ Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``--out`` and, except on ``synth``, ``--format {csv,json,md}`` and
 ``--precision``; ``--jobs`` is accepted and ignored. Only ``synth`` takes
 ``--seed``. A flag value out of its range is a usage error naming the flag.
-``game verify`` has no tuning flags: its step, grid and tolerance are
+``game verify`` has no tuning flags: its step, bracket and tolerance are
 fixed in ``game.verify_equilibrium``.
 A process builds its parser once: ``main`` parses every call with the
 parser it built on its first call, while ``build_parser()`` returns a new
@@ -184,14 +184,17 @@ def _cmd_decompose(args) -> int:
 def _cmd_elasticities(args) -> int:
     from .regression import elasticity
 
+    if args.dependent is not None and not args.stats:
+        raise ValueError("argument --dependent: only applies with --stats")
     prov = load_provenance(args.provenance)  # its errors come before the stats file's
     stats = DescriptiveStats.from_csv(args.stats) if args.stats else None
+    dependent = "PATINT" if args.dependent is None else args.dependent
     rows = []
     for rec in prov:
         row = {k: rec[k] for k in ("variable", "beta", "source_column", "x_mean", "y_mean")}
         if stats is not None:  # recompute the means from the stats file
             row.update(x_mean=stats.get(rec["variable"]).mean,
-                       y_mean=stats.get(args.dependent).mean)
+                       y_mean=stats.get(dependent).mean)
         row["elasticity"] = elasticity(row["beta"], row["x_mean"], row["y_mean"])
         if rec["expected"] is not None:
             delta = row["elasticity"] - rec["expected"]
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV: variable,beta,source_column,x_mean,y_mean[,expected]")
     p.add_argument("--stats", default=None,
                    help="stats CSV overriding the provenance means")
-    p.add_argument("--dependent", default="PATINT",
+    p.add_argument("--dependent", default=None,
                    help="dependent variable for --stats means (default PATINT)")
     p.set_defaults(fn=_cmd_elasticities)
 
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate at a fixed royalty instead of solving stage 1")
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("verify", parents=[shared, common],
-                        help="finite-difference / grid-search oracle report")
+                        help="finite-difference / golden-section oracle report")
     g.add_argument("--r", type=_at_least(float), required=True)
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("region", parents=[shared],

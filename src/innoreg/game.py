@@ -10,10 +10,10 @@ where they go out of economic bounds: negative quantities and prices are
 returned together with feasibility flags instead of being clamped, and the
 royalty stage reports a structured infeasibility when its radicand is
 negative. :func:`verify_equilibrium` provides an independent numeric check
-(finite differences, and a grid search refined by golden-section search) of
+(finite differences, and golden-section search for each stage optimum) of
 every first-order condition. The closed forms are evaluated on numpy arrays
-where a call covers many points: the verification grid, the royalty profile
-and the feasibility region.
+where a call covers many points: the royalty profile and the feasibility
+region.
 """
 
 from __future__ import annotations
@@ -203,23 +203,19 @@ def _central_diff(f, x, h):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# verify_equilibrium's settings, each times the market scale but the grid
-_GRID = 4000  # steps of the grid that brackets each stage argmax
+# verify_equilibrium's settings, each times the market scale
 _FD_STEP = 1e-5  # central finite-difference step
 _TOL = 1e-6  # largest gap a check passes
 
 
-def _refine_argmax(f, lo, hi, xatol: float) -> float:
-    """Maximizer of ``f`` on [lo, hi]: the best of ``_GRID + 1`` evenly spaced
-    points brackets it, and a golden-section search narrows the bracket to
-    ``xatol``. ``f`` must accept a numpy array as well as a float.
-    """
-    step = (hi - lo) / _GRID
-    best = lo + int(np.argmax(f(lo + np.arange(_GRID + 1) * step))) * step
-    a, b = max(lo, best - 2 * step), min(hi, best + 2 * step)
+def _refine_argmax(f, mid: float, s: float) -> float:
+    """Maximizer of ``f`` on [mid - s, mid + s] by golden-section search down
+    to 1e-10 * s: it finds the maximum where ``f`` has one there, as a concave
+    quadratic has, and an end of the bracket where ``f`` rises towards it."""
+    a, b = mid - s, mid + s
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > xatol:
+    while b - a > 1e-10 * s:
         if f1 >= f2:  # the maximizer is in [a, x2]
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -238,8 +234,8 @@ class VerificationReport:
     ``gaps`` maps each check to its gap, in this order: ``foc_follower``,
     ``foc_leader`` and ``foc_royalty`` compare central finite differences
     against the stated derivatives; ``argmax_follower`` and ``argmax_leader``
-    compare the maximizers of the stage objectives, found by a grid search
-    refined by golden-section search, against the closed-form quantities;
+    compare the maximizers of the stage objectives, found by golden-section
+    search, against the closed-form quantities;
     ``point_follower`` and ``point_leader`` compare the candidate quantities
     against those optima. ``checks`` maps the same names to a boolean, true
     when the gap is at most ``tolerance``: 1e-6 times the market scale
@@ -263,13 +259,14 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium) -> VerificationRep
     ``eq`` is the candidate point, typically from spne() or
     equilibrium_at_royalty(). Every check is scaled to the market: with
     s = max(1, |a|, |c|, |q1|, |q2|, r^2), the finite-difference step is
-    1e-5 * s, each stage argmax is bracketed on a 4000-step grid and
-    resolved to 1e-10 * s, and each gap (a quantity, or a derivative of a
-    profit of order s^2) is compared with the tolerance 1e-6 * s. The
-    rounding error of a difference quotient, about eps |profit| / step, and
-    the flat top of a maximized profit, about sqrt(eps) s wide, then stay
-    the same fraction of the tolerance at every market size, as does a
-    candidate moved off its optimum by a fixed share of s.
+    1e-5 * s, each stage argmax is found by golden-section search over the
+    closed-form optimum +- s down to 1e-10 * s, and each gap (a quantity, or
+    a derivative of a profit of order s^2) is compared with the tolerance
+    1e-6 * s. The rounding error of a difference quotient, about
+    eps |profit| / step, and the flat top of a maximized profit, about
+    sqrt(eps) s wide, then stay the same fraction of the tolerance at every
+    market size, as does a candidate moved off its optimum by a fixed share
+    of s.
 
     Non-real royalties are handled by verifying in ``r**2`` space where the
     objective is a polynomial either way.
@@ -300,13 +297,11 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium) -> VerificationRep
 
     # stage argmax agreement; both objectives are concave quadratics
     br = _reaction(rsq, eq.q1, a, c)
-    got = _refine_argmax(lambda q2: _pi2(rsq, eq.q1, q2, a, c),
-                         br - scale, br + scale, 1e-10 * scale)
+    got = _refine_argmax(lambda q2: _pi2(rsq, eq.q1, q2, a, c), br, scale)
     gaps["argmax_follower"] = abs(got - br)
 
     q1_star = _q1_star(rsq, a, c)
-    got = _refine_argmax(lambda q1: _pi1(rsq, q1, a, c),
-                         q1_star - scale, q1_star + scale, 1e-10 * scale)
+    got = _refine_argmax(lambda q1: _pi1(rsq, q1, a, c), q1_star, scale)
     gaps["argmax_leader"] = abs(got - q1_star)
 
     # and the candidate itself must sit on the stage optima

@@ -166,7 +166,8 @@ def indices_table(employment, industries=None) -> list:
         not rescanned.
     industries : optional collection restricting the industry codes used (the
         Hoover index in particular is sometimes computed on a subset, e.g.
-        manufacturing only); codes absent from the table are ignored.
+        manufacturing only); a code absent from the table raises ValueError
+        naming it.
 
     Returns dicts keyed region, year, theil, related, unrelated and hoover
     (in percentage points), sorted by region and then year. Raises ValueError
@@ -174,6 +175,8 @@ def indices_table(employment, industries=None) -> list:
     """
     cols = slice(None)
     if industries is not None:
+        if unknown := [code for code in industries if code not in employment.industries]:
+            raise ValueError(f"unknown industry {unknown[0]!r}")
         keep = set(industries)
         cols = np.array([code in keep for code in employment.industries], dtype=bool)
     counts = employment.counts[:, cols]

@@ -236,10 +236,14 @@ def _first_error(table, checks) -> PanelParseError | None:
 
 def _check_name(name, what: str) -> None:
     """Raise PanelError naming ``name`` unless it is a non-empty str equal to its
-    own strip(): a name that a CSV cell carries, and reads back, unchanged."""
+    own strip(), holding no carriage return outside a CRLF pair: a name that a
+    CSV cell carries, and reads back, unchanged."""
     if not (isinstance(name, str) and name and name == name.strip()):
         raise PanelError(f"{what} {name!r} is not a non-empty str without "
                          "surrounding whitespace")
+    if "\r" in name.replace("\r\n", ""):  # written unquoted, read as a line end
+        raise PanelError(f"{what} {name!r} is not a non-empty str without "
+                         "surrounding whitespace or a bare carriage return")
 
 
 def markdown_table(header, body) -> str:
@@ -280,7 +284,8 @@ class RegionalPanel:
 
     NaN marks a missing cell; an infinite cell raises PanelError naming its
     variable, and so does a variable named like a key column of the CSV. A
-    region or variable name must be a non-empty str equal to its own strip().
+    region or variable name must be a non-empty str equal to its own strip(),
+    with no carriage return outside a CRLF pair.
     """
 
     regions: tuple
@@ -704,7 +709,8 @@ class VariableStats:
 class DescriptiveStats:
     """Per-variable count/mean/sd/min/max (sd with ddof=1). Building one checks every record:
     finite, min <= mean <= max, sd >= 0, sd 0 where min = max, and a name that is a
-    non-empty str equal to its own strip(); else PanelError names it."""
+    non-empty str equal to its own strip(), with no carriage return outside a CRLF
+    pair; else PanelError names it."""
 
     variables: dict
     columns = ("name", "count", "mean", "sd", "min", "max")

@@ -258,6 +258,15 @@ def test_elasticities_with_and_without_stats(tmp_path, capsys):
     assert rows[0]["within_tol"] == "0"
 
 
+def test_elasticities_dependent_picks_the_stats_mean(tmp_path, capsys):
+    (tmp_path / "prov.csv").write_text(PROV)
+    (tmp_path / "stats.csv").write_text(STATS)
+    rc, out, err = run(capsys, "elasticities", str(tmp_path / "prov.csv"),
+                       "--stats", str(tmp_path / "stats.csv"), "--dependent", "A")
+    assert (rc, out, err) == (0, "variable,beta,source_column,x_mean,y_mean,elasticity,"
+                                 "expected,delta,within_tol\nB,2,1,10,1,20,,,\n", "")
+
+
 def test_game_solve_and_verify(capsys):
     rc, out, _ = run(capsys, "game", "solve", "--a", "10", "--c", "1",
                      "--r", "1", "--format", "json")
@@ -281,7 +290,7 @@ def test_game_solve_and_verify(capsys):
 
 
 GAPS = ["1.1102230246251565e-12", "0", "6.4233063312713057e-12",
-        "9.3665555311872595e-09", "4.78894914834882e-08", "0", "0"]
+        "4.7350612319974061e-09", "8.3545943496687869e-08", "0", "0"]
 VERIFY_OUT = {
     "csv": "a,c,r,q1,q2,foc_follower_gap,foc_leader_gap,foc_royalty_gap,"
            "argmax_follower_gap,argmax_leader_gap,point_follower_gap,point_leader_gap,"
@@ -294,8 +303,8 @@ VERIFY_OUT = {
             '    "foc_follower_gap": 1.1102230246251565e-12,\n'
             '    "foc_leader_gap": 0.0,\n'
             '    "foc_royalty_gap": 6.423306331271306e-12,\n'
-            '    "argmax_follower_gap": 9.36655553118726e-09,\n'
-            '    "argmax_leader_gap": 4.78894914834882e-08,\n'
+            '    "argmax_follower_gap": 4.735061231997406e-09,\n'
+            '    "argmax_leader_gap": 8.354594349668787e-08,\n'
             '    "point_follower_gap": 0.0,\n'
             '    "point_leader_gap": 0.0,\n'
             '    "tolerance": 9.999999999999999e-06,\n'
@@ -307,8 +316,8 @@ VERIFY_OUT = {
           "  foc_follower       gap 1.110e-12  [ok]\n"
           "  foc_leader         gap 0.000e+00  [ok]\n"
           "  foc_royalty        gap 6.423e-12  [ok]\n"
-          "  argmax_follower    gap 9.367e-09  [ok]\n"
-          "  argmax_leader      gap 4.789e-08  [ok]\n"
+          "  argmax_follower    gap 4.735e-09  [ok]\n"
+          "  argmax_leader      gap 8.355e-08  [ok]\n"
           "  point_follower     gap 0.000e+00  [ok]\n"
           "  point_leader       gap 0.000e+00  [ok]\n"
           "all checks passed at tolerance 1e-05\n",
@@ -515,6 +524,12 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "argument --industries: 'food' given twice in 'food,textile,food'"),
     ({"emp.csv": EMP}, ["indices", "emp.csv", "--industries", "food,"],
      "argument --industries: empty entry in 'food,'"),
+    ({"emp.csv": EMP}, ["indices", "emp.csv", "--industries", "food,textil"],
+     "error: unknown industry 'textil'"),
+    ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--dependent", "NOPE"],
+     "error: argument --dependent: only applies with --stats"),
+    ({}, ["elasticities", "missing.csv", "--dependent", "A"],
+     "error: argument --dependent: only applies with --stats"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -543,7 +558,9 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "describe-variables", "elasticities-tol", "indices-scale",
         "decompose-variables-repeated", "decompose-variables-empty-entry",
         "decompose-variables-empty", "indices-industries-repeated",
-        "indices-industries-empty-entry"])
+        "indices-industries-empty-entry", "indices-industries-unknown",
+        "elasticities-dependent-without-stats",
+        "elasticities-dependent-without-stats-before-the-provenance-file"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     files = {"panel.csv": PANEL, **files}

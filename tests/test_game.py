@@ -230,6 +230,39 @@ def test_verify_equilibrium_is_scaled_to_the_market(a):
             assert not verify_equilibrium(p, moved).all_ok()
 
 
+_near_end = 1.0 - 1e-3
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale=st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+       center=st.floats(-2.0, 2.0),
+       vertex=st.one_of(st.floats(-1.0, 1.0), st.floats(_near_end, 1.0),
+                        st.floats(-1.0, -_near_end)),
+       curvature=st.floats(0.5, 2.0), peak=st.floats(-1.0, 1.0))
+@example(scale=1e12, center=0.0, vertex=1.0, curvature=1.0, peak=1.0)
+@example(scale=1.0, center=0.0, vertex=-1.0, curvature=2.0, peak=-1.0)
+def test_refine_argmax_finds_the_vertex_of_a_concave_quadratic(scale, center, vertex,
+                                                               curvature, peak):
+    # the bracket is center +- 1 and the vertex a point in it, both in units
+    # of the scale, as verify_equilibrium brackets each closed form by +- s
+    mid, v = center * scale, (center + vertex) * scale
+    top = peak * curvature * scale * scale  # a profit is of order s^2
+    got = game._refine_argmax(lambda x: top - curvature * (x - v) ** 2, mid, scale)
+    assert abs(got - v) <= 1e-7 * scale
+
+
+def test_refine_argmax_of_a_profit_with_the_wrong_sign_is_a_bracket_end():
+    # a convex objective rises towards the ends, so the follower's -pi2 drives
+    # the search to one and the argmax check fails by about the whole scale
+    p = MarketParams(a=10.0, c=1.0)
+    eq = equilibrium_at_royalty(p, 1.0)
+    scale, br = 10.0, eq.q2  # s = a; q2 is the follower's best response
+    got = game._refine_argmax(lambda q2: -game._pi2(eq.r_squared, eq.q1, q2, p.a, p.c),
+                              br, scale)
+    assert min(abs(got - (br - scale)), abs(got - (br + scale))) <= 1e-10 * scale
+    assert abs(got - br) > 1e-6 * scale
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_equilibria_pass_at_500_seeded_points(seed):
     # the README promise: a, c in [0.1, 1000], r in [-5, 5]
@@ -300,6 +333,16 @@ def test_feasibility_region_matches_closed_form_flags_on_a_grid():
     for flag, expected in want.items():
         got = np.array([row[flag] for row in rows], dtype=bool)
         assert np.array_equal(got, expected), (flag, int((got != expected).sum()))
+
+
+def test_spne_is_feasible_only_on_the_diagonal():
+    # the README promise: r is real iff c >= a, and q2 = 2 (a - c) / 3 >= 0
+    # iff a >= c, so all four flags hold only where a = c
+    vals = np.linspace(1.0, 10.0, 300)
+    feasible = [(row["a"], row["c"]) for row in feasibility_region(vals, vals)
+                if row["r_real"] and row["q1_nonneg"] and row["q2_nonneg"]
+                and row["p_nonneg"]]
+    assert feasible == [(v, v) for v in vals.tolist()]
 
 
 def test_spne_leader_quantity_is_exactly_zero():

@@ -201,6 +201,7 @@ def _forged(table, **fields):
 
 @settings(max_examples=300, deadline=None)
 @given(panels(), st.booleans())
+@example((("1\r1", "b"), (2001, 2002), {"A": np.zeros((2, 2))}), False)
 def test_to_csv_load_panel_round_trip(parts, pad):
     """A panel refuses exactly the region and variable names its CSV would
     not read back unchanged; the CSV of every other panel reads back equal."""
@@ -227,6 +228,7 @@ def test_to_csv_load_panel_round_trip(parts, pad):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+@example(["1\r1"])
 def test_stats_refuse_exactly_the_names_their_csv_would_not_carry(names):
     rec = VariableStats(117, 5.0, 1.0, 0.0, 10.0)
     try:
