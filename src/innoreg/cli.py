@@ -304,7 +304,7 @@ def _at_least(kind, low=-math.inf, strict=False):
 
 
 def _path(text):
-    """An argparse type for ``--out``: any path but the empty one."""
+    """An argparse type for a file path: any path but the empty one."""
     if not text:
         raise argparse.ArgumentTypeError("expected a file path, got ''")
     return text
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grand-mean elasticities from a provenance file")
     p.add_argument("provenance",
                    help="CSV: variable,beta,source_column,x_mean,y_mean[,expected]")
-    p.add_argument("--stats", default=None,
+    p.add_argument("--stats", type=_path, default=None,
                    help="stats CSV overriding the provenance means")
     p.add_argument("--dependent", default=None,
                    help="dependent variable for --stats means (default PATINT)")
@@ -401,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[output],
                        help="deterministic synthetic panel from stats + correlations")
-    p.add_argument("--stats", default=None,
+    p.add_argument("--stats", type=_path, default=None,
                    help="stats CSV (default: bundled descriptive table)")
-    p.add_argument("--corr", default=None,
+    p.add_argument("--corr", type=_path, default=None,
                    help="correlation CSV (default: bundled matrix)")
     p.add_argument("--regions", type=_at_least(int, 2), default=13)
     p.add_argument("--years", type=_at_least(int, 2), default=9)

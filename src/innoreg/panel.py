@@ -236,14 +236,10 @@ def _first_error(table, checks) -> PanelParseError | None:
 
 def _check_name(name, what: str) -> None:
     """Raise PanelError naming ``name`` unless it is a non-empty str equal to its
-    own strip(), holding no carriage return outside a CRLF pair: a name that a
-    CSV cell carries, and reads back, unchanged."""
+    own strip(): a name that a CSV cell carries, and reads back, unchanged."""
     if not (isinstance(name, str) and name and name == name.strip()):
         raise PanelError(f"{what} {name!r} is not a non-empty str without "
                          "surrounding whitespace")
-    if "\r" in name.replace("\r\n", ""):  # written unquoted, read as a line end
-        raise PanelError(f"{what} {name!r} is not a non-empty str without "
-                         "surrounding whitespace or a bare carriage return")
 
 
 def markdown_table(header, body) -> str:
@@ -253,29 +249,37 @@ def markdown_table(header, body) -> str:
     return "\n".join([lines[0], rule, *lines[1:]])
 
 
+def _csv_cell(value) -> str:
+    """``str(value)`` as a CSV cell: quoted, each quote doubled, where it holds a
+    comma, a quote, a line feed or a carriage return (RFC 4180 §2.6)."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_table(rows, columns, fmt: str, precision: int = 4) -> str:
     """Text of a list of row dicts as ``csv``, ``json`` or ``md``.
 
     CSV has a header of ``columns`` and writes floats as ``%.17g``, so it
-    carries full precision; a column a row lacks is an empty cell. JSON writes
-    each row's own keys at full precision with NaN and ±inf as ``null``, so it
-    stays standard JSON. Markdown shows ``columns`` with floats rounded to
-    ``precision`` decimals.
+    carries full precision; a column a row lacks is an empty cell. Any other
+    cell is a ``_csv_cell``: ``csv.reader`` reads each cell back as written.
+    JSON writes each row's own keys at full precision with NaN and ±inf as
+    ``null``, so it stays standard JSON. Markdown shows ``columns`` with
+    floats rounded to ``precision`` decimals.
     """
     if fmt == "json":
         return json.dumps([{k: None if isinstance(v, float) and not math.isfinite(v)
                             else v for k, v in r.items()} for r in rows],
                           indent=2) + "\n"
-    float_text = f"%.{precision}f" if fmt == "md" else "%.17g"
-    body = [[float_text % v if isinstance(v, float) else str(v)
-             for v in (r.get(c, "") for c in columns)] for r in rows]
+    float_text, text = (f"%.{precision}f", str) if fmt == "md" else ("%.17g", _csv_cell)
+    body = [[float_text % v if isinstance(v, float) else text(v)
+             for v in map(r.get, columns, repeat(""))] for r in rows]
     if fmt == "md":
         return markdown_table(columns, body) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(body)
-    return buf.getvalue()
+    # the one empty cell of a one-cell row is quoted: an empty line reads as no cells
+    return "".join('""\n' if row == [""] else ",".join(row) + "\n"
+                   for row in (list(map(_csv_cell, columns)), *body))
 
 
 @dataclass(frozen=True)
@@ -284,8 +288,8 @@ class RegionalPanel:
 
     NaN marks a missing cell; an infinite cell raises PanelError naming its
     variable, and so does a variable named like a key column of the CSV. A
-    region or variable name must be a non-empty str equal to its own strip(),
-    with no carriage return outside a CRLF pair.
+    region or variable name must be a non-empty str equal to its own strip();
+    ``to_csv`` quotes a name that holds a comma, a quote or a line end.
     """
 
     regions: tuple
@@ -347,13 +351,6 @@ class RegionalPanel:
     def column(self, name: str) -> np.ndarray:
         """Region-major flattened copy, length R*T."""
         return self.matrix(name).ravel().copy()
-
-    def with_variable(self, name: str, matrix) -> "RegionalPanel":
-        """New panel with one variable added or replaced."""
-        data = dict(self.data)
-        data[name] = np.asarray(matrix, dtype=float)
-        return RegionalPanel(regions=self.regions, years=self.years,
-                             data=data, meta=dict(self.meta))
 
     # -- serialization -----------------------------------------------------
     def to_csv(self) -> str:
@@ -667,7 +664,9 @@ def impute_by_apportionment(panel: RegionalPanel, target: str,
     if gap.any():
         corr = (float(np.corrcoef(p, o)[0, 1]) if o.size > 1 and np.ptp(p) and np.ptp(o)
                 else math.nan)
-    return ImputationResult(panel=panel.with_variable(target, tgt.T), correlation=corr,
+    filled = RegionalPanel(panel.regions, panel.years, {**panel.data, target: tgt.T},
+                           meta=dict(panel.meta))
+    return ImputationResult(panel=filled, correlation=corr,
                             filled_years=tuple(compress(panel.years, gap)),
                             filled_cells=int(missing.sum()))
 
@@ -709,8 +708,8 @@ class VariableStats:
 class DescriptiveStats:
     """Per-variable count/mean/sd/min/max (sd with ddof=1). Building one checks every record:
     finite, min <= mean <= max, sd >= 0, sd 0 where min = max, and a name that is a
-    non-empty str equal to its own strip(), with no carriage return outside a CRLF
-    pair; else PanelError names it."""
+    non-empty str equal to its own strip(), which ``to_csv`` quotes where it holds a
+    comma, a quote or a line end; else PanelError names it."""
 
     variables: dict
     columns = ("name", "count", "mean", "sd", "min", "max")

@@ -17,7 +17,8 @@ import pytest
 import innoreg
 from innoreg import cli, synth
 from innoreg.cli import load_correlation_csv, main
-from innoreg.panel import PanelError, load_employment
+from innoreg.panel import (DescriptiveStats, PanelError, descriptive_stats, load_employment,
+                           load_panel)
 
 EMP = ("region,year,industry,parent,employment\n"
        "north,2001,food,manuf,40\n"
@@ -530,6 +531,10 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "error: argument --dependent: only applies with --stats"),
     ({}, ["elasticities", "missing.csv", "--dependent", "A"],
      "error: argument --dependent: only applies with --stats"),
+    ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--stats", ""],
+     "argument --stats: expected a file path, got ''"),
+    ({}, ["synth", "--stats", ""], "argument --stats: expected a file path, got ''"),
+    ({}, ["synth", "--corr", ""], "argument --corr: expected a file path, got ''"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -560,7 +565,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "decompose-variables-empty", "indices-industries-repeated",
         "indices-industries-empty-entry", "indices-industries-unknown",
         "elasticities-dependent-without-stats",
-        "elasticities-dependent-without-stats-before-the-provenance-file"])
+        "elasticities-dependent-without-stats-before-the-provenance-file",
+        "elasticities-stats-empty", "synth-stats-empty", "synth-corr-empty"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     files = {"panel.csv": PANEL, **files}
@@ -577,6 +583,24 @@ def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv
               if line.startswith("error:") or line.startswith("innoreg") and ": error: " in line]
     assert len(errors) == 1 and names in errors[0], err
     assert "Traceback" not in err
+
+
+def test_a_name_holding_a_lone_carriage_return_reads_back_from_every_csv(tmp_path, capsys):
+    # quoted in each input, a lone "\r" is part of the name, and every output quotes it
+    files = {"emp.csv": EMP.replace("north", '"1\r1"'),
+             "prov.csv": PROV.replace("\nB,", '\n"A\rB",'),
+             "panel.csv": PANEL.replace(",B\n", ',"B\rC"\n')}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    path = lambda name: str(tmp_path / name)
+    for argv, names in [(["indices", path("emp.csv")], ["1\r1", "south"]),
+                        (["elasticities", path("prov.csv")], ["A\rB"]),
+                        (["describe", path("panel.csv")], ["A", "B\rC"])]:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert [row[0] for row in csv.reader(io.StringIO(out, newline=""))][1:] == names
+    assert DescriptiveStats.from_csv(io.StringIO(out)) == descriptive_stats(
+        load_panel(path("panel.csv")))
 
 
 def test_describe_output_of_a_constant_column_reads_back(tmp_path, capsys):
