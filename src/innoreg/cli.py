@@ -13,7 +13,7 @@ one each time.
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
-fully produced. Every table goes through ``panel.render_table``: CSV and
+fully produced. Every table goes through ``table.render_table``: CSV and
 JSON carry full-precision values and are value-equivalent, except that JSON
 writes NaN and ±inf as ``null`` (CSV: ``nan``, ``inf``) so it stays
 standard JSON; ``--precision`` shapes the human-readable markdown views,
@@ -36,10 +36,7 @@ import sys
 import tempfile
 from importlib.resources import files as _pkg_files
 
-import numpy as np
-
-from .panel import (DescriptiveStats, descriptive_stats, load_correlation_csv,
-                    load_employment, load_panel, load_provenance, render_table)
+from .table import render_table
 
 __all__ = ["main", "build_parser"]
 
@@ -106,11 +103,12 @@ def _emit_rows(rows, columns, args, md=None, companion=False) -> None:
 
 # ---------------------------------------------------------------------------
 # commands; each imports the modules it runs, so that a command loads no
-# module it does not use
+# module it does not use: game solve and verify load no numpy
 
 
 def _cmd_indices(args) -> int:
     from .indices import indices_table
+    from .panel import load_employment
 
     rows = indices_table(load_employment(args.employment), industries=args.industries)
     _emit_rows(rows, ["region", "year", "theil", "related", "unrelated", "hoover"],
@@ -119,6 +117,8 @@ def _cmd_indices(args) -> int:
 
 
 def _cmd_describe(args) -> int:
+    from .panel import descriptive_stats, load_panel
+
     stats = descriptive_stats(load_panel(args.panel))
     _emit_rows(stats.rows(), stats.columns, args)
     return 0
@@ -145,6 +145,7 @@ def _result_rows(entries):
 
 
 def _cmd_regress(args) -> int:
+    from .panel import load_panel
     from .regression import RegressionSpec, format_suite_grid, run_model_suite
 
     panel = load_panel(args.panel)
@@ -169,6 +170,7 @@ def _cmd_regress(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .panel import load_panel
     from .regression import format_decomposition_table, variance_decomposition
 
     panel = load_panel(args.panel)
@@ -182,6 +184,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_elasticities(args) -> int:
+    from .panel import DescriptiveStats, load_provenance
     from .regression import elasticity
 
     if args.dependent is not None and not args.stats:
@@ -262,7 +265,7 @@ def _cmd_game(args) -> int:
                "all_ok": int(rep.all_ok())}
         _emit_rows([row], list(row), args, md=md)
         return 0
-    # region
+    import numpy as np  # game region is the one game command that uses it
     a_vals = np.linspace(args.a_min, args.a_max, args.a_steps)
     c_vals = np.linspace(args.c_min, args.c_max, args.c_steps)
     rows = game_mod.feasibility_region(a_vals, c_vals)
@@ -272,6 +275,7 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .panel import DescriptiveStats, load_correlation_csv
     from .synth import synthesize_panel
 
     stats_src = args.stats if args.stats else io.StringIO(_bundled("table2_stats.csv"))

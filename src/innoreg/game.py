@@ -13,15 +13,13 @@ negative. :func:`verify_equilibrium` provides an independent numeric check
 (finite differences, and golden-section search for each stage optimum) of
 every first-order condition. The closed forms are evaluated on numpy arrays
 where a call covers many points: the royalty profile and the feasibility
-region.
+region, the only two functions that import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "MarketParams",
@@ -189,6 +187,7 @@ def spne(params: MarketParams) -> Equilibrium:
 
 def royalty_profit_profile(params: MarketParams, r_values) -> list:
     """Reduced leader profit along ``r`` with the quantity stage re-optimized."""
+    import numpy as np
     rsq = np.square(np.asarray(r_values, dtype=float))
     a, c = params.a, params.c
     return _pi1(rsq, _q1_star(rsq, a, c), a, c).tolist()
@@ -320,6 +319,7 @@ def feasibility_region(a_values, c_values) -> list:
     over the whole grid at once; a point that is not a valid market raises
     the ValueError of its MarketParams.
     """
+    import numpy as np
     a, c = (m.ravel() for m in np.meshgrid(np.asarray(a_values, dtype=float),
                                            np.asarray(c_values, dtype=float),
                                            indexing="ij"))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 import warnings
@@ -26,6 +25,8 @@ from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 import numpy as np
+
+from .table import render_table
 
 __all__ = [
     "PanelError",
@@ -240,46 +241,6 @@ def _check_name(name, what: str) -> None:
     if not (isinstance(name, str) and name and name == name.strip()):
         raise PanelError(f"{what} {name!r} is not a non-empty str without "
                          "surrounding whitespace")
-
-
-def markdown_table(header, body) -> str:
-    """Markdown pipe table of a header row and body rows of cell text."""
-    rule = "|" + "|".join("---" for _ in header) + "|"
-    lines = ["| " + " | ".join(row) + " |" for row in (header, *body)]
-    return "\n".join([lines[0], rule, *lines[1:]])
-
-
-def _csv_cell(value) -> str:
-    """``str(value)`` as a CSV cell: quoted, each quote doubled, where it holds a
-    comma, a quote, a line feed or a carriage return (RFC 4180 §2.6)."""
-    text = str(value)
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def render_table(rows, columns, fmt: str, precision: int = 4) -> str:
-    """Text of a list of row dicts as ``csv``, ``json`` or ``md``.
-
-    CSV has a header of ``columns`` and writes floats as ``%.17g``, so it
-    carries full precision; a column a row lacks is an empty cell. Any other
-    cell is a ``_csv_cell``: ``csv.reader`` reads each cell back as written.
-    JSON writes each row's own keys at full precision with NaN and ±inf as
-    ``null``, so it stays standard JSON. Markdown shows ``columns`` with
-    floats rounded to ``precision`` decimals.
-    """
-    if fmt == "json":
-        return json.dumps([{k: None if isinstance(v, float) and not math.isfinite(v)
-                            else v for k, v in r.items()} for r in rows],
-                          indent=2) + "\n"
-    float_text, text = (f"%.{precision}f", str) if fmt == "md" else ("%.17g", _csv_cell)
-    body = [[float_text % v if isinstance(v, float) else text(v)
-             for v in map(r.get, columns, repeat(""))] for r in rows]
-    if fmt == "md":
-        return markdown_table(columns, body) + "\n"
-    # the one empty cell of a one-cell row is quoted: an empty line reads as no cells
-    return "".join('""\n' if row == [""] else ",".join(row) + "\n"
-                   for row in (list(map(_csv_cell, columns)), *body))
 
 
 @dataclass(frozen=True)

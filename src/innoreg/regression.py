@@ -19,7 +19,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .panel import PanelError, RegionalPanel, lag, markdown_table
+from .panel import PanelError, RegionalPanel, lag
+from .table import markdown_table
 
 __all__ = [
     "CollinearityError",

@@ -46,7 +46,7 @@ def bundled_stats():
 
 @pytest.fixture(scope="session")
 def bundled_corr():
-    from innoreg.cli import load_correlation_csv
+    from innoreg.panel import load_correlation_csv
     return load_correlation_csv(io.StringIO(bundled_text("table3_corr.csv")))
 
 

@@ -16,9 +16,9 @@ import pytest
 
 import innoreg
 from innoreg import cli, synth
-from innoreg.cli import load_correlation_csv, main
-from innoreg.panel import (DescriptiveStats, PanelError, descriptive_stats, load_employment,
-                           load_panel)
+from innoreg.cli import main
+from innoreg.panel import (DescriptiveStats, PanelError, descriptive_stats,
+                           load_correlation_csv, load_employment, load_panel)
 
 EMP = ("region,year,industry,parent,employment\n"
        "north,2001,food,manuf,40\n"
@@ -770,35 +770,44 @@ def _python(code):
                           check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
 
 
-@pytest.mark.parametrize("argv", [
-    VERIFY,
-    REGION,
-    ["indices", "EMP"],
-    ["regress", "PANEL", "--specs", "SPECS"],
-    ["decompose", "PANEL"],
-    ["elasticities", "PROV"],
-    ["describe", "PANEL"],
-    ["synth"],
-    ["game", "solve", "--a", "10", "--c", "1"],
-], ids=["game-verify", "game-region", "indices", "regress", "decompose", "elasticities",
-        "describe", "synth", "game-solve"])
-def test_numpy_only_commands_import_no_scipy(tmp_path, argv):
+@pytest.mark.parametrize("argv, numpy", [
+    (None, False),
+    (VERIFY, False),
+    (REGION, True),
+    (["indices", "EMP"], True),
+    (["regress", "PANEL", "--specs", "SPECS"], True),
+    (["decompose", "PANEL"], True),
+    (["elasticities", "PROV"], True),
+    (["describe", "PANEL"], True),
+    (["synth"], True),
+    (["game", "solve", "--a", "10", "--c", "1"], False),
+], ids=["import", "game-verify", "game-region", "indices", "regress", "decompose",
+        "elasticities", "describe", "synth", "game-solve"])
+def test_numpy_only_commands_import_no_scipy(tmp_path, argv, numpy):
     # the package's only numeric dependency is numpy: neither importing the CLI
-    # nor running any command loads a scipy module
+    # nor running any command loads a scipy module. numpy is loaded by the
+    # commands that use it, not by the CLI: importing it loads only the table
+    # renderer, and game solve and verify run without numpy
     files = {"EMP": EMP, "PROV": PROV,
              "PANEL": "region,year,A,B\nr1,2001,1,2\nr1,2002,2,3\nr2,2001,3,1\n"
                       "r2,2002,1,1\nr3,2001,2,2\nr3,2002,4,1\n",
              "SPECS": '[{"label": "m", "dependent": "A", "regressors": [{"name": "B"}]}]'}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    if argv is not None:
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
     code = ("import contextlib, io, sys\n"
             "from innoreg import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    code = cli.main({argv!r})\n"
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    assert _python(code) == "0 []\n"
+            f"    code = 0 if {argv!r} is None else cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "      'numpy' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'innoreg'))\n")
+    result, modules = _python(code).splitlines()
+    assert result == f"0 [] {numpy}"
+    if argv is None:
+        assert modules == "['innoreg', 'innoreg.cli', 'innoreg.table']"
 
 
 def test_no_module_imports_scipy():

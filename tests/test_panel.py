@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -508,11 +509,16 @@ CELL_TEXT = st.lists(st.sampled_from([",", '"', "\n", "\r", "\r\n", " ", "a", "B
                      max_size=5).map("".join)
 
 
+# cell text from the characters and pairs that a markdown table must escape
+MD_CELL_TEXT = st.lists(st.sampled_from(["|", "\\", "\n", "\r", "\r\n", " ", "a"]),
+                        max_size=5).map("".join)
+
+
 @st.composite
-def tables(draw):
+def tables(draw, text=CELL_TEXT):
     """The columns and row dicts of a random table of str, int and float cells."""
-    columns = draw(st.lists(CELL_TEXT, min_size=1, max_size=4, unique=True))
-    cell = CELL_TEXT | st.integers() | st.floats()
+    columns = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+    cell = text | st.integers() | st.floats()
     rows = draw(st.lists(st.lists(cell, min_size=len(columns), max_size=len(columns)),
                          max_size=4))
     return columns, [dict(zip(columns, row)) for row in rows]
@@ -538,6 +544,27 @@ def test_csv_reader_reads_back_every_cell_render_table_writes(table):
     # the two write the same bytes
     if not any("\r" in cell.replace("\r\n", "") for row in texts for cell in row):
         assert text == _csv_writer_text(texts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(MD_CELL_TEXT))
+@example((["A", "B|C"], [{"A": "x\r\ny", "B|C": "\\|"}]))
+def test_every_markdown_line_has_one_cell_per_column(table):
+    columns, rows = table
+    texts = [columns, *(["%.4f" % v if isinstance(v, float) else str(v)
+                         for v in r.values()] for r in rows)]
+    text = render_table(rows, columns, "md")
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(rows) + 2
+    del lines[1]  # the rule under the header
+    for line, row in zip(lines, texts):
+        # read as GFM does: a cell runs to the next pipe that no backslash escapes,
+        # its \| turns into |, then a backslash before punctuation is dropped
+        assert re.fullmatch(r"\|(?:(?:\\.|[^\\|])*\|)+", line)
+        cells = re.findall(r"((?:\\.|[^\\|])*)\|", line[1:])
+        assert len(cells) == len(columns)
+        assert ([re.sub(r"\\([!-/:-@[-`{-~])", r"\1", c[1:-1].replace("\\|", "|"))
+                 for c in cells] == [re.sub(r"\r\n|\r|\n", " ", cell) for cell in row])
 
 
 @pytest.mark.parametrize("name", ["region", "year"])
