@@ -2,9 +2,9 @@
 
 Commands: ``indices``, ``regress``, ``decompose``, ``elasticities``,
 ``game {solve,verify,region}``, ``synth``, ``describe``. Shared flags:
-``--out`` and, except on ``synth``, ``--format {csv,json,md}`` and
-``--precision``; ``--jobs`` is accepted and ignored. Only ``synth`` takes
-``--seed``. A flag value out of its range is a usage error naming the flag.
+``--out`` and, except on ``synth``, ``--format {csv,json,md}``; ``--jobs``
+is accepted and ignored. Only ``synth`` takes ``--seed``. A flag value out
+of its range is a usage error naming the flag.
 ``game verify`` has no tuning flags: its step, bracket and tolerance are
 fixed in ``game.verify_equilibrium``.
 A process builds its parser once: ``main`` parses every call with the
@@ -16,9 +16,9 @@ diagnostics go to standard error; exit code 0 means the primary output was
 fully produced. Every table goes through ``table.render_table``: CSV and
 JSON carry full-precision values and are value-equivalent, except that JSON
 writes NaN and ±inf as ``null`` (CSV: ``nan``, ``inf``) so it stays
-standard JSON; ``--precision`` shapes the human-readable markdown views,
-which for ``regress`` and ``decompose`` are the journal-layout grids. Panel
-CSVs emitted by ``synth`` are always full precision so reruns are
+standard JSON; the human-readable markdown views, which for ``regress``
+and ``decompose`` are the journal-layout grids, write floats to 4 decimals.
+Panel CSVs emitted by ``synth`` are always full precision so reruns are
 byte-identical. Every input CSV is read by a loader in ``panel``, all on one
 reader: blank lines are skipped, and empty input, a header naming a column
 twice or a ragged row is an error naming its line.
@@ -41,6 +41,7 @@ from .table import render_table
 __all__ = ["main", "build_parser"]
 
 _WITHIN_TOL = 0.01  # the largest |elasticity - expected| flagged within_tol
+_DEPENDENT = "PATINT"  # patent intensity, whose --stats mean is y_mean
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def _emit_rows(rows, columns, args, md=None, companion=False) -> None:
     if args.format == "md" and md is not None:
         files = {args.out: md()}
     else:
-        files = {args.out: render_table(rows, columns, args.format, args.precision)}
+        files = {args.out: render_table(rows, columns, args.format)}
     if companion and args.out:
         files[args.out + ".json"] = render_table(rows, columns, "json")
     _write_files(files)
@@ -161,9 +162,8 @@ def _cmd_regress(args) -> int:
 
     rows = _result_rows(entries)
     cols = ["label", "variable", "coef", "se_robust", "se_classical",
-            "stars", "r_squared", "f_stat", "avg_vif", "n"]
-    _emit_rows(rows, cols, args, companion=True,
-               md=lambda: format_suite_grid(entries, precision=args.precision))
+            "stars", "r_squared", "f_stat", "avg_vif", "n", "error"]
+    _emit_rows(rows, cols, args, companion=True, md=lambda: format_suite_grid(entries))
     if specs and all(not e.ok for e in entries):
         return 3
     return 0
@@ -179,7 +179,7 @@ def _cmd_decompose(args) -> int:
     cols = ["variable", "share_region", "share_time", "share_residual",
             "systematic", "f_region", "p_region", "f_time", "p_time"]
     _emit_rows([{c: getattr(d, c) for c in cols} for d in decomps], cols, args,
-               md=lambda: format_decomposition_table(decomps, precision=args.precision))
+               md=lambda: format_decomposition_table(decomps))
     return 0
 
 
@@ -187,17 +187,14 @@ def _cmd_elasticities(args) -> int:
     from .panel import DescriptiveStats, load_provenance
     from .regression import elasticity
 
-    if args.dependent is not None and not args.stats:
-        raise ValueError("argument --dependent: only applies with --stats")
     prov = load_provenance(args.provenance)  # its errors come before the stats file's
     stats = DescriptiveStats.from_csv(args.stats) if args.stats else None
-    dependent = "PATINT" if args.dependent is None else args.dependent
     rows = []
     for rec in prov:
         row = {k: rec[k] for k in ("variable", "beta", "source_column", "x_mean", "y_mean")}
         if stats is not None:  # recompute the means from the stats file
             row.update(x_mean=stats.get(rec["variable"]).mean,
-                       y_mean=stats.get(dependent).mean)
+                       y_mean=stats.get(_DEPENDENT).mean)
         row["elasticity"] = elasticity(row["beta"], row["x_mean"], row["y_mean"])
         if rec["expected"] is not None:
             delta = row["elasticity"] - rec["expected"]
@@ -224,7 +221,6 @@ def _eq_rows(eq) -> list:
 def _cmd_game(args) -> int:
     from . import game as game_mod
 
-    p = args.precision
     if args.game_cmd == "solve":
         params = game_mod.MarketParams(a=args.a, c=args.c)
         if args.r is not None:
@@ -236,9 +232,9 @@ def _cmd_game(args) -> int:
         def md():
             lines = [f"a={args.a:g} c={args.c:g}"]
             if not eq.flags.r_real:
-                lines.append(f"royalty not real: radicand {eq.r_squared:.{p}f} < 0")
+                lines.append(f"royalty not real: radicand {eq.r_squared:.4f} < 0")
             for key, val in rows[0].items():
-                shown = f"{val:.{p}f}" if isinstance(val, float) else str(val)
+                shown = f"{val:.4f}" if isinstance(val, float) else str(val)
                 lines.append(f"{key:<16} {shown}")
             return "\n".join(lines)
         _emit_rows(rows, list(rows[0]), args, md=md)
@@ -251,7 +247,7 @@ def _cmd_game(args) -> int:
 
         def md():
             lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
-                     f"(q1={eq.q1:.{p}f}, q2={eq.q2:.{p}f})"]
+                     f"(q1={eq.q1:.4f}, q2={eq.q2:.4f})"]
             for k, gap in rep.gaps.items():
                 mark = "ok" if checks[k] else "FAIL"
                 lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
@@ -334,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, parents=[output])
     shared.add_argument("--format", choices=("csv", "json", "md"), default="csv",
                         help="output rendering (default csv)")
-    shared.add_argument("--precision", type=_at_least(int, 0), default=4,
-                        help="decimal places in markdown views (default 4)")
 
     ap = argparse.ArgumentParser(prog="innoreg",
                                  description="regional innovation toolkit")
@@ -373,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("provenance",
                    help="CSV: variable,beta,source_column,x_mean,y_mean[,expected]")
     p.add_argument("--stats", type=_path, default=None,
-                   help="stats CSV overriding the provenance means")
-    p.add_argument("--dependent", default=None,
-                   help="dependent variable for --stats means (default PATINT)")
+                   help="stats CSV overriding the provenance means (y_mean: PATINT's)")
     p.set_defaults(fn=_cmd_elasticities)
 
     p = sub.add_parser("game", help="patent-licensing duopoly solver and oracle")

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+_MAX_MARKET = 2.0 ** 500  # the largest a, c and r**2: profits, of order s**2, stay finite
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Linear market primitives: demand intercept ``a`` and marginal cost ``c``."""
@@ -48,6 +51,9 @@ class MarketParams:
             raise ValueError("market parameters must be finite")
         if self.a <= 0 or self.c <= 0:
             raise ValueError("demand intercept and marginal cost must be positive")
+        for name, value in (("a", self.a), ("c", self.c)):
+            if value > _MAX_MARKET:
+                raise ValueError(f"market parameter {name}={value:g} is above 2**500")
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,11 @@ def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams,
 
 
 def equilibrium_at_royalty(params: MarketParams, r: float) -> Equilibrium:
-    """Stage outcome for an exogenously fixed royalty rate."""
+    """Stage outcome for an exogenously fixed royalty rate, |r| <= 2**250."""
     if not math.isfinite(r):
         raise ValueError("royalty must be finite")
+    if r * r > _MAX_MARKET:
+        raise ValueError(f"royalty r={r:g} is above 2**250 in magnitude")
     return _assemble(r * r, r, True, params)
 
 
@@ -267,8 +275,9 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium) -> VerificationRep
     market size, as does a candidate moved off its optimum by a fixed share
     of s.
 
-    Non-real royalties are handled by verifying in ``r**2`` space where the
-    objective is a polynomial either way.
+    Non-real royalties are handled by verifying in ``r**2`` space, where the
+    objective is a polynomial either way: d(pi1)/dr = 3 r q1 is checked as
+    d(pi1)/d(r^2) = 3 q1 / 2, a derivative of order s like the others.
     """
     for v in (eq.q1, eq.q2, eq.r_squared):
         if not math.isfinite(v):
@@ -289,10 +298,9 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium) -> VerificationRep
     fd = _central_diff(lambda q1: _pi1(rsq, q1, a, c), eq.q1, h)
     gaps["foc_leader"] = abs(fd - closed)
 
-    # royalty FOC d(pi1)/dr = 3 r q1 vs finite difference in r (at r = 0 when r is not real)
-    r = eq.r if math.isfinite(eq.r) else 0.0
-    fd = _central_diff(lambda rr: _pi1(rr * rr, eq.q1, a, c), r, h)
-    gaps["foc_royalty"] = abs(fd - 3.0 * r * eq.q1)
+    # royalty FOC d(pi1)/dr = 3 r q1, in r^2 space: d(pi1)/d(r^2) = 3 q1 / 2
+    fd = _central_diff(lambda x: _pi1(x, eq.q1, a, c), rsq, h)
+    gaps["foc_royalty"] = abs(fd - 1.5 * eq.q1)
 
     # stage argmax agreement; both objectives are concave quadratics
     br = _reaction(rsq, eq.q1, a, c)
@@ -323,7 +331,7 @@ def feasibility_region(a_values, c_values) -> list:
     a, c = (m.ravel() for m in np.meshgrid(np.asarray(a_values, dtype=float),
                                            np.asarray(c_values, dtype=float),
                                            indexing="ij"))
-    valid = np.isfinite(a) & np.isfinite(c) & (a > 0) & (c > 0)
+    valid = (a > 0) & (a <= _MAX_MARKET) & (c > 0) & (c <= _MAX_MARKET)
     if not valid.all():
         bad = int(np.argmin(valid))
         MarketParams(a=float(a[bad]), c=float(c[bad]))  # raises for this point

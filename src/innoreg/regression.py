@@ -545,14 +545,13 @@ def run_model_suite(panel: RegionalPanel, specs, hc: str = "HC1") -> list:
     return entries
 
 
-def format_suite_grid(entries, precision: int = 4) -> str:
+def format_suite_grid(entries) -> str:
     """Markdown grid in the many-column journal layout.
 
     One row per design column (first-appearance order), cells holding
-    ``coef<stars> (robust se)``; summary rows for R2, F, avg VIF, and N at
-    the bottom.
+    ``coef<stars> (robust se)`` to 4 decimals; summary rows for R2, F, avg
+    VIF, and N at the bottom.
     """
-    p = precision
     order: list = []
     for e in entries:
         if e.ok:
@@ -569,7 +568,7 @@ def format_suite_grid(entries, precision: int = 4) -> str:
         if nm not in res.names:
             return "-"
         i = res.names.index(nm)
-        return f"{res.beta[i]:.{p}f}{res.stars()[i]} ({res.se_robust[i]:.{p}f})"
+        return f"{res.beta[i]:.4f}{res.stars()[i]} ({res.se_robust[i]:.4f})"
 
     body = [[nm] + [cell(e, nm) for e in entries] for nm in order]
     feet = (("R2", "{:.4f}", lambda r: r.r_squared),
@@ -582,18 +581,17 @@ def format_suite_grid(entries, precision: int = 4) -> str:
     return markdown_table(["Variables"] + [e.label or "?" for e in entries], body)
 
 
-def format_decomposition_table(decomps, precision: int = 3) -> str:
+def format_decomposition_table(decomps) -> str:
     """Markdown table mirroring the variance-decomposition layout.
 
-    Columns: shares per source, systematic share, then F statistics with
-    parenthesized p-values.
+    Columns: shares per source and systematic share to 4 decimals, then F
+    statistics with parenthesized p-values.
     """
-    p = precision
     header = ["Variable", "BETWEEN-REGIONS/s2", "BETWEEN-TIME/s2",
               "RESIDUAL/s2", "SYSTEMATIC(MODEL)/s2", "F-REGION", "F-TIME"]
     return markdown_table(header, [
         [d.variable,
-         *(f"{v:.{p}f}" for v in (d.share_region, d.share_time, d.share_residual,
-                                  d.systematic)),
+         *(f"{v:.4f}" for v in (d.share_region, d.share_time, d.share_residual,
+                                d.systematic)),
          f"{d.f_region:.2f} ({d.p_region:.2g})",
          f"{d.f_time:.2f} ({d.p_time:.2g})"] for d in decomps])

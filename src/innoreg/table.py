@@ -26,7 +26,7 @@ def _csv_cell(value) -> str:
     return text
 
 
-def render_table(rows, columns, fmt: str, precision: int = 4) -> str:
+def render_table(rows, columns, fmt: str) -> str:
     """Text of a list of row dicts as ``csv``, ``json`` or ``md``.
 
     CSV has a header of ``columns`` and writes floats as ``%.17g``, so it
@@ -34,13 +34,13 @@ def render_table(rows, columns, fmt: str, precision: int = 4) -> str:
     cell is a ``_csv_cell``: ``csv.reader`` reads each cell back as written.
     JSON writes each row's own keys at full precision with NaN and ±inf as
     ``null``, so it stays standard JSON. Markdown shows ``columns`` with
-    floats rounded to ``precision`` decimals, through ``markdown_table``.
+    floats rounded to 4 decimals, through ``markdown_table``.
     """
     if fmt == "json":
         return json.dumps([{k: None if isinstance(v, float) and not math.isfinite(v)
                             else v for k, v in r.items()} for r in rows],
                           indent=2) + "\n"
-    float_text, text = (f"%.{precision}f", str) if fmt == "md" else ("%.17g", _csv_cell)
+    float_text, text = ("%.4f", str) if fmt == "md" else ("%.17g", _csv_cell)
     body = [[float_text % v if isinstance(v, float) else text(v)
              for v in map(r.get, columns, repeat(""))] for r in rows]
     if fmt == "md":

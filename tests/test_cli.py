@@ -33,6 +33,8 @@ EMP = ("region,year,industry,parent,employment\n"
 STATS = ("name,count,mean,sd,min,max\n"
          "A,40,1.0,0.5,0.0,3.0\n"
          "B,40,10.0,2.0,4.0,18.0\n")
+# elasticities --stats reads y_mean from the PATINT row
+STATS_PATINT = STATS + "PATINT,40,1.0,0.5,0.0,3.0\n"
 
 CORR = ("name,A,B\n"
         "A,1,0.4\n"
@@ -81,11 +83,10 @@ def test_indices_csv_and_json_agree(emp_file, capsys):
 
 
 def test_indices_md_and_subset(emp_file, capsys):
-    rc, out, _ = run(capsys, "indices", emp_file, "--format", "md",
-                     "--precision", "2")
+    rc, out, _ = run(capsys, "indices", emp_file, "--format", "md")
     assert rc == 0
     assert out.splitlines()[0].startswith("| region | year | theil |")
-    assert "1.28" in out
+    assert "| north | 2001 | 1.2799 |" in out  # markdown floats have 4 decimals
     rc, out, _ = run(capsys, "indices", emp_file, "--industries", "food,textile")
     assert rc == 0
     north = next(csv.DictReader(io.StringIO(out)))
@@ -169,6 +170,20 @@ def test_regress_grid_and_json_companion(tmp_path, capsys):
     side = json.loads((tmp_path / "grid.md.json").read_text())
     assert any(r.get("variable") == "B" for r in side)
     assert any("error" in r for r in side)
+    # the CSV carries the same values, a failed spec's error text in the last column
+    rc, out, _ = run(capsys, "regress", str(panel), "--specs", str(specs))
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0])[-1] == "error" and len(rows) == len(side)
+    for row, want in zip(rows, side):
+        assert set(want) <= set(row)
+        for k, cell in row.items():  # a key the JSON row lacks is an empty cell
+            v = want.get(k, "")
+            if v is None:  # JSON writes a non-finite float as null
+                assert not np.isfinite(float(cell))
+            else:
+                assert float(cell) == v if isinstance(v, float) else cell == str(v)
+    assert rows[-1]["error"] == "unknown variable 'ZZZ'"
 
 
 def test_regress_out_replaces_the_grid_and_its_companion_together(
@@ -247,11 +262,10 @@ def test_elasticities_with_and_without_stats(tmp_path, capsys):
     assert rc == 0
     assert float(rows[0]["elasticity"]) == pytest.approx(5.0)
     assert rows[0]["within_tol"] == "1"
-    # --stats recomputes the means (here: mean(B)=10 -> same x, dependent A)
+    # --stats recomputes the means (here: mean(B)=10 -> same x, mean(PATINT)=1)
     stats = tmp_path / "stats.csv"
-    stats.write_text(STATS)
-    rc, out, _ = run(capsys, "elasticities", str(prov), "--stats", str(stats),
-                     "--dependent", "A")
+    stats.write_text(STATS_PATINT)
+    rc, out, _ = run(capsys, "elasticities", str(prov), "--stats", str(stats))
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rc == 0
     assert float(rows[0]["y_mean"]) == 1.0
@@ -261,9 +275,9 @@ def test_elasticities_with_and_without_stats(tmp_path, capsys):
 
 def test_elasticities_dependent_picks_the_stats_mean(tmp_path, capsys):
     (tmp_path / "prov.csv").write_text(PROV)
-    (tmp_path / "stats.csv").write_text(STATS)
+    (tmp_path / "stats.csv").write_text(STATS_PATINT)
     rc, out, err = run(capsys, "elasticities", str(tmp_path / "prov.csv"),
-                       "--stats", str(tmp_path / "stats.csv"), "--dependent", "A")
+                       "--stats", str(tmp_path / "stats.csv"))
     assert (rc, out, err) == (0, "variable,beta,source_column,x_mean,y_mean,elasticity,"
                                  "expected,delta,within_tol\nB,2,1,10,1,20,,,\n", "")
 
@@ -290,7 +304,7 @@ def test_game_solve_and_verify(capsys):
     assert row["foc_leader_gap"] <= 1e-6
 
 
-GAPS = ["1.1102230246251565e-12", "0", "6.4233063312713057e-12",
+GAPS = ["1.1102230246251565e-12", "0", "1.4551915228366852e-11",
         "4.7350612319974061e-09", "8.3545943496687869e-08", "0", "0"]
 VERIFY_OUT = {
     "csv": "a,c,r,q1,q2,foc_follower_gap,foc_leader_gap,foc_royalty_gap,"
@@ -303,7 +317,7 @@ VERIFY_OUT = {
             '    "q1": 6.0,\n    "q2": 1.0,\n'
             '    "foc_follower_gap": 1.1102230246251565e-12,\n'
             '    "foc_leader_gap": 0.0,\n'
-            '    "foc_royalty_gap": 6.423306331271306e-12,\n'
+            '    "foc_royalty_gap": 1.4551915228366852e-11,\n'
             '    "argmax_follower_gap": 4.735061231997406e-09,\n'
             '    "argmax_leader_gap": 8.354594349668787e-08,\n'
             '    "point_follower_gap": 0.0,\n'
@@ -316,7 +330,7 @@ VERIFY_OUT = {
     "md": "verification at a=10 c=1 r=1 (q1=6.0000, q2=1.0000)\n"
           "  foc_follower       gap 1.110e-12  [ok]\n"
           "  foc_leader         gap 0.000e+00  [ok]\n"
-          "  foc_royalty        gap 6.423e-12  [ok]\n"
+          "  foc_royalty        gap 1.455e-11  [ok]\n"
           "  argmax_follower    gap 4.735e-09  [ok]\n"
           "  argmax_leader      gap 8.355e-08  [ok]\n"
           "  point_follower     gap 0.000e+00  [ok]\n"
@@ -378,11 +392,9 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      ["elasticities", "prov.csv", "--stats", "empty.csv"], "line 1: empty input"),
     ({"empty.csv": ""}, ["synth", "--corr", "empty.csv"], "line 1: empty input"),
     ({"prov.csv": PROV, "stats.csv": STATS},
-     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "NOPE"],
-     "'NOPE'"),
-    ({"prov.csv": PROV.replace("B,", "Q,"), "stats.csv": STATS},
-     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
-     "'Q'"),
+     ["elasticities", "prov.csv", "--stats", "stats.csv"], "'PATINT'"),
+    ({"prov.csv": PROV.replace("B,", "Q,"), "stats.csv": STATS_PATINT},
+     ["elasticities", "prov.csv", "--stats", "stats.csv"], "'Q'"),
     ({"emp.csv": EMP.replace("textile,manuf,10", "textile,manuf,nan")},
      ["indices", "emp.csv"], "line 3: employment 'nan' is not finite"),
     ({"bad.csv": "region,year,A,B\nr1,2001,1,2\nr1,2002,inf,3\n"},
@@ -433,7 +445,9 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({"emp.csv": EMP}, ["indices", "emp.csv", "--scale", "inf"],
      "unrecognized arguments: --scale inf"),
     ({}, ["describe", "panel.csv", "--precision", "-3", "--format", "md"],
-     "argument --precision: '-3' is not a finite number >= 0"),
+     "unrecognized arguments: --precision -3"),
+    ({}, ["describe", "panel.csv", "--format", "md", "--precision", "3"],
+     "unrecognized arguments: --precision 3"),
     ({}, ["synth", "--format", "md"], "unrecognized arguments: --format md"),
     ({}, ["synth", "--precision", "3"], "unrecognized arguments: --precision 3"),
     ({"prov.csv": PROV.replace("y_mean\n", "y_mean,expected\n").replace("4.0\n", "4.0,5\n")
@@ -492,7 +506,7 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      ["synth", "--stats", "stats.csv", "--corr", "corr.csv"],
      "error: line 3: inconsistent stats for 'B'"),
     ({"prov.csv": PROV, "stats.csv": STATS.replace("A,40,1.0,0.5", "A,40,1.0,-0.5")},
-     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
+     ["elasticities", "prov.csv", "--stats", "stats.csv"],
      "error: line 2: inconsistent stats for 'A'"),
     ({"dup.csv": PANEL + "r1,2001,1,2\n"},
      ["describe", "dup.csv"], "error: line 6: duplicate row ('r1', 2001)"),
@@ -528,13 +542,26 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({"emp.csv": EMP}, ["indices", "emp.csv", "--industries", "food,textil"],
      "error: unknown industry 'textil'"),
     ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--dependent", "NOPE"],
-     "error: argument --dependent: only applies with --stats"),
+     "unrecognized arguments: --dependent NOPE"),
     ({}, ["elasticities", "missing.csv", "--dependent", "A"],
-     "error: argument --dependent: only applies with --stats"),
+     "unrecognized arguments: --dependent A"),
+    ({"prov.csv": PROV, "stats.csv": STATS_PATINT},
+     ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"],
+     "unrecognized arguments: --dependent A"),
     ({"prov.csv": PROV}, ["elasticities", "prov.csv", "--stats", ""],
      "argument --stats: expected a file path, got ''"),
     ({}, ["synth", "--stats", ""], "argument --stats: expected a file path, got ''"),
     ({}, ["synth", "--corr", ""], "argument --corr: expected a file path, got ''"),
+    ({}, ["game", "solve", "--a", "1e308", "--c", "1"],
+     "error: market parameter a=1e+308 is above 2**500"),
+    ({}, ["game", "verify", "--a", "10", "--c", "1e160", "--r", "0"],
+     "error: market parameter c=1e+160 is above 2**500"),
+    ({}, REGION[:5] + ["1e308", "--a-steps", "2"] + REGION[6:],
+     "error: market parameter a=1e+308 is above 2**500"),
+    ({}, ["game", "solve", "--a", "5", "--c", "1", "--r", "1e200"],
+     "error: royalty r=1e+200 is above 2**250 in magnitude"),
+    ({}, ["game", "verify", "--a", "5", "--c", "1", "--r=-1e100"],
+     "error: royalty r=-1e+100 is above 2**250 in magnitude"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -547,7 +574,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "specs-empty-object", "specs-object",
         "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
         "seed-outside-synth", "format-before-the-game-command", "elasticities-tol-nan",
-        "indices-scale-inf", "negative-precision", "format-on-synth", "precision-on-synth",
+        "indices-scale-inf", "negative-precision", "describe-precision", "format-on-synth",
+        "precision-on-synth",
         "provenance-fault-before-stats-file", "region-a-steps-negative", "region-a-steps-0",
         "region-c-steps-0", "region-a-max-inf", "region-c-min-0", "synth-years-negative",
         "synth-regions-0", "synth-regions-1", "synth-years-1", "verify-tol-negative",
@@ -566,7 +594,10 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "indices-industries-empty-entry", "indices-industries-unknown",
         "elasticities-dependent-without-stats",
         "elasticities-dependent-without-stats-before-the-provenance-file",
-        "elasticities-stats-empty", "synth-stats-empty", "synth-corr-empty"])
+        "elasticities-dependent",
+        "elasticities-stats-empty", "synth-stats-empty", "synth-corr-empty",
+        "solve-a-above-the-bound", "verify-c-above-the-bound", "region-a-max-above-the-bound",
+        "solve-r-above-the-bound", "verify-r-below-the-bound"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     files = {"panel.csv": PANEL, **files}
@@ -608,35 +639,34 @@ def test_describe_output_of_a_constant_column_reads_back(tmp_path, capsys):
     # = max and sd 0, so synth --stats and elasticities --stats take its file
     rng = np.random.default_rng(5)
     rows = [f"R{r:02d},{2001 + t},0.1,{rng.normal():.17g}" for r in range(13) for t in range(9)]
-    files = {"panel.csv": "region,year,A,B\n" + "\n".join(rows) + "\n",
-             "corr.csv": CORR, "prov.csv": PROV}
+    files = {"panel.csv": "region,year,PATINT,B\n" + "\n".join(rows) + "\n",
+             "corr.csv": CORR.replace("A", "PATINT"), "prov.csv": PROV}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     path = lambda name: str(tmp_path / name)
     rc, _, _ = run(capsys, "describe", path("panel.csv"), "--out", path("s.csv"))
     assert rc == 0
     a_row = (tmp_path / "s.csv").read_text().splitlines()[1]
-    assert a_row == "A,117,0.10000000000000001,0,0.10000000000000001,0.10000000000000001"
+    assert a_row == "PATINT,117,0.10000000000000001,0,0.10000000000000001,0.10000000000000001"
     rc, out, _ = run(capsys, "synth", "--stats", path("s.csv"), "--corr", path("corr.csv"))
-    assert rc == 0 and {float(r["A"]) for r in csv.DictReader(io.StringIO(out))} == {0.1}
-    rc, out, _ = run(capsys, "elasticities", path("prov.csv"), "--stats", path("s.csv"),
-                     "--dependent", "A")
+    assert rc == 0 and {float(r["PATINT"]) for r in csv.DictReader(io.StringIO(out))} == {0.1}
+    rc, out, _ = run(capsys, "elasticities", path("prov.csv"), "--stats", path("s.csv"))
     assert rc == 0 and float(next(csv.DictReader(io.StringIO(out)))["y_mean"]) == 0.1
 
 
 def test_describe_takes_cells_near_the_float_limit(tmp_path, capsys):
     # the sums of 1e308 cells overflow unless the cells are scaled first
     panel, stats = tmp_path / "panel.csv", tmp_path / "s.csv"
-    panel.write_text("region,year,A,B\nr1,2001,1e308,1\nr1,2002,1e308,2\n"
+    panel.write_text("region,year,PATINT,B\nr1,2001,1e308,1\nr1,2002,1e308,2\n"
                      "r2,2001,1e308,4\nr2,2002,-1e308,3\n")
     rc, _, err = run(capsys, "describe", str(panel), "--out", str(stats))
     assert rc == 0 and err == ""
-    assert stats.read_text().splitlines()[1] == "A,4,5.0000000000000001e+307,1e+308,-1e+308,1e+308"
+    assert stats.read_text().splitlines()[1] == \
+        "PATINT,4,5.0000000000000001e+307,1e+308,-1e+308,1e+308"
     # the stats reader of synth --stats and elasticities --stats takes it back
     prov = tmp_path / "prov.csv"
     prov.write_text(PROV)
-    rc, out, err = run(capsys, "elasticities", str(prov), "--stats", str(stats),
-                       "--dependent", "A")
+    rc, out, err = run(capsys, "elasticities", str(prov), "--stats", str(stats))
     assert rc == 0 and err == ""
     assert float(next(csv.DictReader(io.StringIO(out)))["y_mean"]) == 5e307
 
@@ -689,8 +719,7 @@ def test_out_uses_a_private_temp_file(tmp_path, capsys, emp_file):
 READERS = {
     "panel": ("panel.csv", PANEL, ["describe", "panel.csv"]),
     "employment": ("emp.csv", EMP, ["indices", "emp.csv"]),
-    "stats": ("stats.csv", STATS,
-              ["elasticities", "prov.csv", "--stats", "stats.csv", "--dependent", "A"]),
+    "stats": ("stats.csv", STATS_PATINT, ["elasticities", "prov.csv", "--stats", "stats.csv"]),
     "correlation": ("corr.csv", CORR, ["synth", "--stats", "stats.csv", "--corr",
                                        "corr.csv", "--regions", "3", "--years", "3"]),
     "provenance": ("prov.csv", PROV, ["elasticities", "prov.csv"]),

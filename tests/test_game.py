@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,12 @@ def test_market_params_validation():
         MarketParams(a=math.inf, c=1.0)
     p = MarketParams(a=10.0, c=1.0)
     assert p.a == 10.0 and p.c == 1.0
+    # up to 2**500 every profit, of order max(a, c)**2, stays finite
+    assert MarketParams(a=2.0 ** 500, c=2.0 ** 500).a == 2.0 ** 500
+    with pytest.raises(ValueError, match=r"market parameter a=1e\+308 is above 2\*\*500"):
+        MarketParams(a=1e308, c=1.0)
+    with pytest.raises(ValueError, match=r"market parameter c=3\.27339e\+150 is above"):
+        MarketParams(a=1.0, c=math.nextafter(2.0 ** 500, math.inf))
 
 
 def test_inverse_demand_and_follower_profit():
@@ -217,17 +224,41 @@ def test_verify_equilibrium_verifies_a_market_of_size_1e12():
     assert rep.gaps["argmax_leader"] < 1e-6 * p.a
 
 
-@pytest.mark.parametrize("a", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("a", [1.0, 1e3, 1e6, 1e16, 1e50, 1e100, 1e150])
 def test_verify_equilibrium_is_scaled_to_the_market(a):
+    # r = 1 keeps r^2 small; at r = sqrt(a) it is of the market's size
     p = MarketParams(a=a, c=1.0)
-    eq = equilibrium_at_royalty(p, 1.0)
-    rep = verify_equilibrium(p, eq)
-    scale = max(1.0, a, 1.0, abs(eq.q1), abs(eq.q2), eq.r_squared)
-    assert rep.all_ok() and rep.tolerance == 1e-6 * scale
-    for name in ("q1", "q2"):  # off the stage optimum by 1e-4 of the scale
-        for sign in (1.0, -1.0):
-            moved = dataclasses.replace(eq, **{name: getattr(eq, name) + sign * 1e-4 * scale})
-            assert not verify_equilibrium(p, moved).all_ok()
+    for r in (1.0, math.sqrt(a)):
+        eq = equilibrium_at_royalty(p, r)
+        rep = verify_equilibrium(p, eq)
+        scale = max(1.0, a, 1.0, abs(eq.q1), abs(eq.q2), eq.r_squared)
+        assert rep.all_ok() and rep.tolerance == 1e-6 * scale
+        for name in ("q1", "q2"):  # off the stage optimum by 1e-4 of the scale
+            for sign in (1.0, -1.0):
+                moved = dataclasses.replace(eq, **{name: getattr(eq, name)
+                                                   + sign * 1e-4 * scale})
+                assert not verify_equilibrium(p, moved).all_ok()
+
+
+_up_to_the_bound = st.floats(0.0, 2.0 ** 500, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_up_to_the_bound, c=_up_to_the_bound, rsq=st.floats(0.0, 2.0 ** 500),
+       negative=st.booleans())
+@example(a=5e16, c=1e16, rsq=1e16, negative=False)
+@example(a=2.0 ** 500, c=2.0 ** 500, rsq=2.0 ** 500, negative=True)
+@example(a=2.0 ** 500, c=5e-324, rsq=2.0 ** 500, negative=False)
+@example(a=5e-324, c=2.0 ** 500, rsq=0.0, negative=False)
+def test_exact_equilibria_verify_at_every_market_size_up_to_the_bound(a, c, rsq, negative):
+    # a, c and r^2 up to 2**500: every output is finite and every check passes
+    p = MarketParams(a=a, c=c)
+    r = math.sqrt(rsq) * (-1.0 if negative else 1.0)
+    for eq in (equilibrium_at_royalty(p, r), spne(p)):
+        assert all(math.isfinite(v) for v in (eq.q1, eq.q2, eq.r_squared, eq.price,
+                                              eq.leader_payoff, eq.follower_payoff))
+        rep = verify_equilibrium(p, eq)
+        assert rep.all_ok(), rep.gaps
 
 
 _near_end = 1.0 - 1e-3
@@ -305,6 +336,14 @@ def test_equilibrium_at_royalty_rejects_non_finite_r():
         equilibrium_at_royalty(p, math.nan)
 
 
+def test_equilibrium_at_royalty_refuses_a_royalty_above_2_to_the_250():
+    p = MarketParams(a=10.0, c=1.0)
+    assert equilibrium_at_royalty(p, -2.0 ** 250).r_squared == 2.0 ** 500
+    for r in (1e200, -math.nextafter(2.0 ** 250, math.inf)):
+        with pytest.raises(ValueError, match=re.escape(f"royalty r={r:g} is above 2**250")):
+            equilibrium_at_royalty(p, r)
+
+
 def test_feasibility_region_flags():
     rows = feasibility_region([1.0, 4.0], [1.0, 2.0])
     assert len(rows) == 4
@@ -377,6 +416,9 @@ def test_feasibility_region_equals_spne_at_every_point(a_values, c_values):
     ([1.0, -1.0, math.nan], [1.0], "must be positive"),
     ([1.0, math.inf], [1.0, 0.0], "must be positive"),  # (1, 0) comes before (inf, 1)
     ([math.inf, 1.0], [1.0, 0.0], "must be finite"),
+    ([1.0, 1e308, 1e200], [1.0, 0.0], "must be positive"),
+    ([1.0, 1e308, 1e200], [1.0, 2.0], r"a=1e\+308 is above 2\*\*500"),
+    ([1.0], [1.0, 2.0 ** 500, 4e150], r"c=4e\+150 is above 2\*\*500"),
 ])
 def test_feasibility_region_rejects_the_first_invalid_market(a_values, c_values, message):
     with pytest.raises(ValueError, match=message):

@@ -533,8 +533,10 @@ def test_format_decomposition_table_layout():
     for col in ("Variable", "BETWEEN-REGIONS/s2", "BETWEEN-TIME/s2",
                 "RESIDUAL/s2", "SYSTEMATIC(MODEL)/s2", "F-REGION", "F-TIME"):
         assert col in head
-    # F cells carry the p-value in parentheses
-    assert "(" in table.splitlines()[2]
+    # shares have 4 decimals; F cells carry the p-value in parentheses
+    cells = table.splitlines()[2].split(" | ")
+    assert all(len(c.split(".")[1]) == 4 for c in cells[1:5])
+    assert "(" in cells[5] and "(" in cells[6]
 
 
 def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
