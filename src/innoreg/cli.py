@@ -376,14 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=positive, required=True, help="demand intercept")
     common.add_argument("--c", type=positive, required=True, help="marginal cost")
+    r_hint = "; write --r=VALUE for a negative value with an exponent, as --r=-1e-3"
     g = gsub.add_parser("solve", parents=[shared, common],
                         help="equilibrium (omit --r for the full game)")
     g.add_argument("--r", type=_at_least(float), default=None,
-                   help="evaluate at a fixed royalty instead of solving stage 1")
+                   help="evaluate at a fixed royalty instead of solving stage 1" + r_hint)
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("verify", parents=[shared, common],
                         help="finite-difference / golden-section oracle report")
-    g.add_argument("--r", type=_at_least(float), required=True)
+    g.add_argument("--r", type=_at_least(float), required=True, help="royalty" + r_hint)
     g.set_defaults(fn=_cmd_game)
     g = gsub.add_parser("region", parents=[shared],
                         help="feasibility flags over an (a, c) grid")

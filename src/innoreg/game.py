@@ -194,9 +194,16 @@ def spne(params: MarketParams) -> Equilibrium:
 
 
 def royalty_profit_profile(params: MarketParams, r_values) -> list:
-    """Reduced leader profit along ``r`` with the quantity stage re-optimized."""
+    """Reduced leader profit along ``r`` with the quantity stage re-optimized.
+
+    The first royalty that is not finite or is above 2**250 in magnitude
+    raises the ValueError of :func:`equilibrium_at_royalty`."""
     import numpy as np
-    rsq = np.square(np.asarray(r_values, dtype=float))
+    r = np.asarray(r_values, dtype=float)
+    bad = ~(np.abs(r) <= 2.0 ** 250)  # NaN included
+    if bad.any():
+        equilibrium_at_royalty(params, float(r.flat[np.argmax(bad)]))  # raises for it
+    rsq = np.square(r)
     a, c = params.a, params.c
     return _pi1(rsq, _q1_star(rsq, a, c), a, c).tolist()
 

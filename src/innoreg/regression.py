@@ -45,8 +45,7 @@ __all__ = [
 # two-sided normal critical values at 10/5/1%
 _STAR_CUTS = ((2.5758293035489004, "***"), (1.959963984540054, "**"),
               (1.6448536269514722, "*"))
-_JSON_TYPES = {"str": "string", "int": "integer >= 0 and < 2**63", "bool": "boolean",
-               "list": "list"}
+_JSON_TYPES = {"str": "string", "int": "integer >= 0 and < 2**63", "list": "list"}
 
 
 class CollinearityError(PanelError):
@@ -91,12 +90,13 @@ class Interaction:
 
 @dataclass
 class RegressionSpec:
-    """Declarative model: dependent, regressors with lags, interactions."""
+    """Declarative model: dependent, regressors with lags, interactions. The
+    design is the intercept ``const``, then the regressors, then the
+    interactions, each column with its own label."""
 
     dependent: str
     regressors: list = field(default_factory=list)
     interactions: list = field(default_factory=list)
-    intercept: bool = True
     label: str = ""
 
     def __post_init__(self):
@@ -104,9 +104,10 @@ class RegressionSpec:
             setattr(self, key, [item if isinstance(item, kind) else
                                 _from_json(kind, item, key[:-1], self.label)
                                 for item in getattr(self, key)])
-        labels = [term.label for term in (*self.regressors, *self.interactions)]
-        if len(set(labels)) != len(labels):
-            raise PanelError(f"duplicate design columns in spec {self.label!r}")
+        labels = ["const", *(term.label for term in (*self.regressors, *self.interactions))]
+        for j, name in enumerate(labels):
+            if name in labels[:j]:
+                raise PanelError(f"spec {self.label!r}: duplicate design column {name!r}")
 
     @classmethod
     def from_dict(cls, d) -> "RegressionSpec":
@@ -282,9 +283,9 @@ def vif(X: np.ndarray, names=None):
     Each auxiliary regression includes an intercept; VIF_j = 1/(1 - R_j^2),
     the squared norm of row j of V S^-1 over the kept singular values of R,
     for the centred, unit-norm block Z = Q R = Q U S V'. Columns caught in an
-    exactly collinear set come back +inf with a warning. :func:`pooled_ols`
-    calls this only for a spec without an intercept; with one, it reads the
-    same values off the (X'X)^-1 of its own factorization.
+    exactly collinear set come back +inf with a warning. This is the public
+    VIF of a slope block and the tests' oracle for :func:`pooled_ols`, which
+    never calls it: a fit reads the same values off its own factorization.
 
     Returns (dict name -> VIF, average).
     """
@@ -341,34 +342,33 @@ def orthogonalize(x1, x2, mode: str = "mutual"):
 
 def _build_design(panel: RegionalPanel, spec: RegressionSpec):
     """([X y], names) over the rows complete in every variable the spec
-    touches: an n x (k + 1) view whose last column is y.
+    touches: an n x (k + 1) view whose column 0 is the intercept and whose
+    last column is y.
 
     One (rows x R x T) array holds X' (the intercept row, the regressors, a
     slot per interaction), then y and both inputs of each interaction, lagged
     by ``panel.lag``. One mask of complete rows and one gather give the sample;
     each interaction slot is filled from its gathered inputs.
     """
-    m, j0 = len(spec.regressors), int(spec.intercept)
-    k = j0 + m + len(spec.interactions)
+    m = len(spec.regressors)
+    k = 1 + m + len(spec.interactions)
     inputs = [v for i in spec.interactions for v in ((i.x1, i.lag1), (i.x2, i.lag2))]
     terms = [(k, spec.dependent, 0),  # (row, variable, lag), the dependent first
-             *((j0 + j, r.name, r.lag) for j, r in enumerate(spec.regressors)),
+             *((1 + j, r.name, r.lag) for j, r in enumerate(spec.regressors)),
              *((k + 1 + j, nm, lg) for j, (nm, lg) in enumerate(inputs))]
     raw = np.empty((k + 1 + len(inputs), panel.n_regions, panel.n_years))
-    raw[:j0] = 1.0
-    raw[j0 + m:k] = 0.0
+    raw[0] = 1.0
+    raw[1 + m:k] = 0.0
     for row, name, lg in terms:
         raw[row] = panel.matrix(name) if lg == 0 else lag(panel, name, lg)
     raw = raw.reshape(len(raw), -1)
     rows = raw.compress(~np.isnan(raw).any(axis=0), axis=1)
     if rows.shape[1] == 0:
         raise PanelError(f"spec {spec.label!r} has no complete observations")
-    if k == 0:
-        raise PanelError(f"spec {spec.label!r} has no design columns")
     for j, i in enumerate(spec.interactions):
         oa, ob = orthogonalize(rows[k + 1 + 2 * j], rows[k + 2 + 2 * j], mode=i.mode)
-        np.multiply(oa, ob, out=rows[j0 + m + j])
-    names = ["const"] * j0 + [t.label for t in (*spec.regressors, *spec.interactions)]
+        np.multiply(oa, ob, out=rows[1 + m + j])
+    names = ["const"] + [t.label for t in (*spec.regressors, *spec.interactions)]
     return rows[:k + 1].T, names
 
 
@@ -376,17 +376,16 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
                hc: str = "HC1") -> RegressionResult:
     """Fit one spec by pooled OLS with robust inference: one QR, one SVD of R.
 
-    The reported F statistic is a robust Wald test that all non-intercept
-    coefficients vanish; stars on coefficients come from robust t statistics
-    against the normal approximation (10/5/1%).
+    Column 0 of the design is the intercept ``const``. The reported F
+    statistic is a robust Wald test that all slopes vanish; stars on
+    coefficients come from robust t statistics against the normal
+    approximation (10/5/1%).
 
-    With an intercept, the VIFs come from the same factorization: by
+    The VIFs come from the same factorization, never from :func:`vif`: by
     Frisch-Waugh-Lovell the slope block of (X'X)^-1 is (Zc'Zc)^-1 for the
     centred slopes Zc, so VIF_j = [(X'X)^-1]_jj * sum_i (z_ij - mean_j)^2,
-    the sum read off R. Without one, the auxiliary regressions of
-    :func:`vif` add an intercept the fit does not have, so ``vif`` runs on
-    the slope block. An unknown ``hc`` raises ValueError before the design
-    is built.
+    the sum read off R. An unknown ``hc`` raises ValueError before the
+    design is built.
     """
     hc = _variant(hc)
     xy, names = _build_design(panel, spec)
@@ -405,29 +404,26 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     cov_classical = sigma2 * xtx_inv
     cov_robust = _sandwich(X, resid, rinv, xtx_inv, hc)
 
-    yc = y - y.mean() if spec.intercept else y
+    yc = y - y.mean()
     sst = float(yc @ yc)
     r2 = 1.0 - ssr / sst if sst > 0 else 1.0
 
-    j0 = int(spec.intercept)  # the intercept, when present, is column 0
-    m = k - j0
+    m = k - 1  # the slopes, every column after the intercept
     f_stat = f_p = math.nan
     if m:
-        b = beta[j0:]
+        b = beta[1:]
         try:
-            f_stat = float(b @ np.linalg.solve(cov_robust[j0:, j0:], b)) / m
+            f_stat = float(b @ np.linalg.solve(cov_robust[1:, 1:], b)) / m
             f_p = _f_sf(m, n - k, f_stat)
         except np.linalg.LinAlgError:
             pass
 
     vif_map, avg = None, None
-    if m >= 2 and spec.intercept:
+    if m >= 2:
         # X = Q R with R's first column r_00 e_0, so each slope's centred sum of
         # squares is the squared norm of its R column below row 0: k x k work
         values = np.diag(xtx_inv)[1:] * np.einsum("ij,ij->j", r[1:, 1:], r[1:, 1:])
         vif_map, avg = dict(zip(names[1:], values.tolist())), float(np.mean(values))
-    elif m >= 2:
-        vif_map, avg = vif(X, names)
 
     return RegressionResult(
         label=spec.label, names=names, beta=beta,
@@ -552,13 +548,8 @@ def format_suite_grid(entries) -> str:
     ``coef<stars> (robust se)`` to 4 decimals; summary rows for R2, F, avg
     VIF, and N at the bottom.
     """
-    order: list = []
-    for e in entries:
-        if e.ok:
-            for nm in e.result.names:
-                if nm != "const" and nm not in order:
-                    order.append(nm)
-    if any(e.ok and "const" in e.result.names for e in entries):
+    order = list(dict.fromkeys(nm for e in entries if e.ok for nm in e.result.names[1:]))
+    if any(e.ok for e in entries):
         order.append("const")
 
     def cell(e, nm):

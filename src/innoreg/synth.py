@@ -321,7 +321,8 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         Grid size, each at least 2 (checked before any draw), labelled R01..
         and 2001..; their product, the sample size, must exceed the variable count.
     corr_names : optional sequence
-        Variable order of ``corr`` when it differs from the stats order.
+        Variable order of ``corr`` when it differs from the stats order;
+        ``corr`` is then len(corr_names) square.
 
     The row order is tuned toward ``corr`` in at most 40 sweeps; each tries
     one rank step and one swap per variable, and the sweeps stop earlier
@@ -348,11 +349,10 @@ def synthesize_panel(stats: DescriptiveStats, corr: np.ndarray, seed: int,
         raise PanelError("no variables in stats")
 
     corr = np.asarray(corr, dtype=float)
-    if corr.shape != (len(names), len(names)) and corr_names is None:
-        raise PanelError(
-            f"corr shape {corr.shape} does not match {len(names)} variables")
+    order = names if corr_names is None else list(corr_names)
+    if corr.shape != (len(order), len(order)):
+        raise PanelError(f"corr shape {corr.shape} does not match {len(order)} variables")
     if corr_names is not None:
-        order = list(corr_names)
         if sorted(order) != sorted(names):
             raise PanelError("corr_names do not match the stats variables")
         idx = [order.index(nm) for nm in names]

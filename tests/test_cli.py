@@ -345,6 +345,15 @@ def test_game_flags_admit_their_bounds(capsys):
     assert rc == 0 and next(csv.DictReader(io.StringIO(out)))["r"] == "-1"
 
 
+@pytest.mark.parametrize("cmd", ["solve", "verify"])
+def test_a_negative_royalty_with_an_exponent_takes_the_equals_form(capsys, cmd):
+    # argparse reads "--r -1e-3" as two options; "--r=-1e-3" is the same royalty
+    # as "--r -0.001"
+    want = run(capsys, "game", cmd, "--a", "10", "--c", "1", "--r", "-0.001")
+    assert want[0] == 0
+    assert run(capsys, "game", cmd, "--a", "10", "--c", "1", "--r=-1e-3") == want
+
+
 @pytest.mark.parametrize("fmt", list(VERIFY_OUT))
 def test_game_verify_layout_is_pinned(capsys, fmt):
     # column order, check names and markdown lines, byte for byte
@@ -492,7 +501,7 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "error: spec '': label must be a JSON string"),
     ({"specs.json": '[{"label": "m", "dependent": "A", "intercept": "no"}]'},
      ["regress", "panel.csv", "--specs", "specs.json"],
-     "error: spec 'm': intercept must be a JSON boolean"),
+     "error: spec 'm': unknown spec key 'intercept'"),
     ({"specs.json": '[{"label": "ok", "dependent": "A", "regressors": [{"name": "B"}]}, '
                     '{"label": "m", "dependent": "A", '
                     '"interactions": [{"x1": "A", "x2": "B", "mode": "bogus"}]}]'},
@@ -562,6 +571,15 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "error: royalty r=1e+200 is above 2**250 in magnitude"),
     ({}, ["game", "verify", "--a", "5", "--c", "1", "--r=-1e100"],
      "error: royalty r=-1e+100 is above 2**250 in magnitude"),
+    ({"specs.json": '[{"label": "m", "dependent": "A", "intercept": true}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"],
+     "error: spec 'm': unknown spec key 'intercept'"),
+    ({"specs.json": '[{"label": "m", "dependent": "A", "intercept": false}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"],
+     "error: spec 'm': unknown spec key 'intercept'"),
+    ({"specs.json": '[{"label": "m", "dependent": "A", "regressors": [{"name": "const"}]}]'},
+     ["regress", "panel.csv", "--specs", "specs.json"],
+     "error: spec 'm': duplicate design column 'const'"),
 ], ids=["spec-without-dependent", "unknown-regressor-key", "empty-stats-csv",
         "empty-correlation-csv", "unknown-dependent", "unknown-stats-variable",
         "nan-employment", "inf-panel-cell", "nan-panel-cell", "minus-inf-stats-cell",
@@ -597,7 +615,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "elasticities-dependent",
         "elasticities-stats-empty", "synth-stats-empty", "synth-corr-empty",
         "solve-a-above-the-bound", "verify-c-above-the-bound", "region-a-max-above-the-bound",
-        "solve-r-above-the-bound", "verify-r-below-the-bound"])
+        "solve-r-above-the-bound", "verify-r-below-the-bound", "spec-intercept-true",
+        "spec-intercept-false", "spec-regressor-named-const"])
 def test_malformed_inputs_exit_2_without_traceback(tmp_path, capsys, files, argv,
                                                    names):
     files = {"panel.csv": PANEL, **files}

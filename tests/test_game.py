@@ -344,6 +344,21 @@ def test_equilibrium_at_royalty_refuses_a_royalty_above_2_to_the_250():
             equilibrium_at_royalty(p, r)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_royalty_profit_profile_refuses_the_first_royalty_out_of_bound():
+    p = MarketParams(a=10.0, c=1.0)
+    edge = [2.0 ** 250, -2.0 ** 250]
+    assert royalty_profit_profile(p, edge) == [equilibrium_at_royalty(p, r).leader_payoff
+                                               for r in edge]
+    above = math.nextafter(2.0 ** 250, math.inf)
+    for r_values, message in (([1.0, 1e200, math.nan], "royalty r=1e+200 is above 2**250"),
+                              ([1.0, math.nan, 1e200], "royalty must be finite"),
+                              ([-math.inf], "royalty must be finite"),
+                              ([0.5, -above], f"royalty r={-above:g} is above 2**250")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            royalty_profit_profile(p, r_values)
+
+
 def test_feasibility_region_flags():
     rows = feasibility_region([1.0, 4.0], [1.0, 2.0])
     assert len(rows) == 4

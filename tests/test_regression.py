@@ -52,6 +52,20 @@ def test_labels_and_spec_validation():
     assert spec.interactions[0].mode == "mutual"
 
 
+@pytest.mark.parametrize("regressors, column", [
+    ([{"name": "X"}, {"name": "X"}], "X"),
+    ([{"name": "X", "lag": 1}, {"name": "X_L1"}], "X_L1"),
+    ([{"name": "const"}], "const"),
+], ids=["one-name-twice", "lag-label-beside-its-name", "named-const"])
+def test_duplicate_design_columns_are_refused_by_name(regressors, column):
+    # a regressor named const would be fitted beside the intercept, its label twice
+    match = f"^spec 'm': duplicate design column '{column}'$"
+    with pytest.raises(PanelError, match=match):
+        RegressionSpec.from_dict({"label": "m", "dependent": "Y", "regressors": regressors})
+    with pytest.raises(PanelError, match=match):
+        RegressionSpec(dependent="Y", regressors=regressors, label="m")
+
+
 def test_ols_matches_lstsq():
     rng = np.random.default_rng(31)
     p = rand_panel(rng, ["Y", "X1", "X2"])
@@ -98,12 +112,6 @@ def test_collinearity_is_reported():
     with pytest.raises(CollinearityError):
         pooled_ols(p, RegressionSpec(dependent="Y",
                                      regressors=[{"name": "A"}, {"name": "B"}]))
-
-
-def test_a_spec_without_design_columns_is_a_panel_error():
-    p = rand_panel(np.random.default_rng(17), ["Y"])
-    with pytest.raises(PanelError, match="'empty' has no design columns"):
-        pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, label="empty"))
 
 
 def test_a_spec_without_complete_rows_is_a_panel_error():
@@ -576,12 +584,6 @@ def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
         dependent="Y", regressors=[{"name": "X1"}, {"name": "X2"}],
         interactions=[{"x1": "X1", "x2": "X3"}]))
     assert calls == [("qr", (48, 5)), ("svd", (4, 4))] and res.names[-1] == "X1*X3"
-    # without an intercept, vif() keeps its own factorization of the slope block
-    calls.clear()
-    res = pooled_ols(p, RegressionSpec(dependent="Y", intercept=False, regressors=[
-        {"name": "X1"}, {"name": "X2"}, {"name": "X3"}]))
-    assert calls == [("qr", (48, 4)), ("svd", (3, 3)), ("qr", (48, 3)), ("svd", (3, 3))]
-    assert res.avg_vif >= 1.0
     calls.clear()
     robust_covariance(np.column_stack([np.ones(48), p.column("X1")]),
                       rng.normal(size=48), "HC3")
@@ -679,8 +681,8 @@ def test_collinear_set_is_read_at_the_columns_scale():
     ({"label": ["x"], "dependent": "Y"}, "spec '': label must be a JSON string"),
     ({"label": "m", "dependent": 5}, "spec 'm': dependent must be a JSON string"),
     ({"label": "m", "dependent": "Y", "intercept": "no"},
-     "spec 'm': intercept must be a JSON boolean"),
-    ({"label": "m", "dependent": "Y", "intercept": 0}, "intercept must be a JSON boolean"),
+     "spec 'm': unknown spec key 'intercept'"),
+    ({"label": "m", "dependent": "Y", "intercept": 0}, "unknown spec key 'intercept'"),
     ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": "1"}]},
      r"spec 'm': regressor lag must be a JSON integer >= 0"),
     ({"label": "m", "dependent": "Y", "regressors": [{"name": "X", "lag": -1}]},
@@ -726,7 +728,7 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
                                                                  max_size=3),
     max_leaves=6)
-_VALID_SPEC = {"label": "m", "dependent": "Y", "intercept": True,
+_VALID_SPEC = {"label": "m", "dependent": "Y",
                "regressors": [{"name": "X", "lag": 1}],
                "interactions": [{"x1": "A", "x2": "B", "lag1": 0, "lag2": 2, "mode": "mutual"}]}
 

@@ -87,6 +87,13 @@ def test_corr_names_realignment():
         synthesize_panel(stats, shuffled, seed=9, corr_names=["C", "A", "X"])
 
 
+@pytest.mark.parametrize("side", [4, 2])
+def test_corr_names_and_corr_must_agree_in_size(side):
+    # a larger matrix is not cut to its top-left block, nor a smaller one indexed past its end
+    with pytest.raises(PanelError, match=rf"^corr shape \({side}, {side}\) does not match 3 "):
+        synthesize_panel(small_stats(), np.eye(side), seed=9, corr_names=["C", "A", "B"])
+
+
 def test_constant_variable_handled():
     text = SMALL_STATS + "K,40,7.0,0.0,7.0,7.0\n"
     stats = DescriptiveStats.from_csv(io.StringIO(text))
