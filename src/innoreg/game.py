@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "MarketParams",
-    "RoyaltySolution",
     "Equilibrium",
     "EquilibriumFlags",
     "VerificationReport",
-    "optimal_royalty",
     "equilibrium_at_royalty",
     "spne",
     "royalty_profit_profile",
@@ -54,21 +52,6 @@ class MarketParams:
         for name, value in (("a", self.a), ("c", self.c)):
             if value > _MAX_MARKET:
                 raise ValueError(f"market parameter {name}={value:g} is above 2**500")
-
-
-@dataclass(frozen=True)
-class RoyaltySolution:
-    """Stage-1 royalty solution.
-
-    ``radicand`` is ``(c - a) / 3``; the royalty is real only when it is
-    non-negative. For a negative radicand ``value`` is NaN and ``real`` is
-    False — callers that need the downstream quantities should work with
-    ``radicand`` directly (it equals ``r**2`` wherever that appears).
-    """
-
-    value: float
-    radicand: float
-    real: bool
 
 
 @dataclass(frozen=True)
@@ -138,35 +121,29 @@ def _radicand(a, c):
     return (c - a) / 3.0
 
 
-def optimal_royalty(params: MarketParams) -> RoyaltySolution:
-    """Royalty stationary point ``r* = sqrt((c - a) / 3)``.
-
-    Real only when ``c > a``. For ``c <= a`` this returns an infeasible
-    solution carrying the negative radicand rather than raising: the standard
-    demand regime ``a > c`` always lands there.
-    """
-    radicand = _radicand(params.a, params.c)
-    if radicand < 0:
-        return RoyaltySolution(value=math.nan, radicand=radicand, real=False)
-    return RoyaltySolution(value=math.sqrt(radicand), radicand=radicand, real=True)
-
-
-def _assemble(rsq: float, r: float, r_real: bool, params: MarketParams,
-              q1: float | None = None) -> Equilibrium:
-    a, c = params.a, params.c
-    if q1 is None:
-        q1 = _q1_star(rsq, a, c)
+def _path(rsq, q1, a, c):
+    # (r^2, q1, q2, price) once r^2 and q1 are set; negatives flagged, never clamped
     q2 = _q2_star(rsq, a, c)
-    p = a - (q1 + q2)  # inverse demand; may be negative (flagged, never clamped)
-    flags = EquilibriumFlags(
-        r_real=r_real,
-        q1_nonneg=q1 >= 0,
-        q2_nonneg=q2 >= 0,
-        price_nonneg=p >= 0,
-    )
+    return rsq, q1, q2, a - (q1 + q2)
+
+
+def _spne_path(a, c):
+    # the SPNE: r^2 at the radicand, and q1 exactly 0, since (a + 3 r^2 - c) / 2
+    # there leaves a +-1e-16 residue whose sign would decide q1_nonneg
+    return _path(_radicand(a, c), 0.0, a, c)
+
+
+def _flags(rsq, q1, q2, p):
+    # r_real, q1_nonneg, q2_nonneg, price_nonneg: r is real iff r^2 >= 0
+    return rsq >= 0, q1 >= 0, q2 >= 0, p >= 0
+
+
+def _assemble(params: MarketParams, r, rsq, q1, q2, p) -> Equilibrium:
+    a, c = params.a, params.c
     return Equilibrium(q1=q1, q2=q2, r=r, r_squared=rsq, price=p,
                        leader_payoff=_pi1(rsq, q1, a, c),
-                       follower_payoff=_pi2(rsq, q1, q2, a, c), flags=flags)
+                       follower_payoff=_pi2(rsq, q1, q2, a, c),
+                       flags=EquilibriumFlags(*_flags(rsq, q1, q2, p)))
 
 
 def equilibrium_at_royalty(params: MarketParams, r: float) -> Equilibrium:
@@ -175,22 +152,24 @@ def equilibrium_at_royalty(params: MarketParams, r: float) -> Equilibrium:
         raise ValueError("royalty must be finite")
     if r * r > _MAX_MARKET:
         raise ValueError(f"royalty r={r:g} is above 2**250 in magnitude")
-    return _assemble(r * r, r, True, params)
+    a, c, rsq = params.a, params.c, r * r
+    return _assemble(params, r, *_path(rsq, _q1_star(rsq, a, c), a, c))
 
 
 def spne(params: MarketParams) -> Equilibrium:
     """Backward-induction equilibrium of the full game.
 
-    The royalty stage forces ``3 r q1 = 0``; solving it the way the model
-    does makes ``q1*`` vanish identically and ``q2* = 2 (a - c) / 3``. Both
-    are reported as-is, with flags, even when the royalty is not real — the
-    quantities depend on ``r`` only through ``r**2``, which equals the
-    radicand in every regime. ``q1*`` is set to exactly 0: evaluating
-    ``(a + 3 r^2 - c) / 2`` at the radicand leaves a +-1e-16 residue whose
-    sign would decide the ``q1_nonneg`` flag.
+    The royalty stage's 3 r q1 = 0 holds at ``r* = sqrt((c - a) / 3)``, with
+    ``q1* = 0`` exactly and ``q2* = 2 (a - c) / 3``. That is the leader's
+    profit minimum, 0: the reduced profit ``(3 r^2 + a - c)^2 / 8`` is convex
+    in r^2. ``r*`` is real only when ``c >= a``; otherwise ``r`` is NaN and
+    the flags say so, the quantities still evaluated at the radicand. Under
+    the textbook accounting, where the licensor collects R on each unit the
+    licensee sells, ``R* = (a - c) / 2`` and ``q2 = 0``: the licensee is
+    foreclosed.
     """
-    roy = optimal_royalty(params)
-    return _assemble(roy.radicand, roy.value, roy.real, params, q1=0.0)
+    rsq, q1, q2, p = _spne_path(params.a, params.c)
+    return _assemble(params, math.sqrt(rsq) if rsq >= 0 else math.nan, rsq, q1, q2, p)
 
 
 def royalty_profit_profile(params: MarketParams, r_values) -> list:
@@ -284,7 +263,9 @@ def verify_equilibrium(params: MarketParams, eq: Equilibrium) -> VerificationRep
 
     Non-real royalties are handled by verifying in ``r**2`` space, where the
     objective is a polynomial either way: d(pi1)/dr = 3 r q1 is checked as
-    d(pi1)/d(r^2) = 3 q1 / 2, a derivative of order s like the others.
+    d(pi1)/d(r^2) = 3 q1 / 2, a derivative of order s like the others. That
+    checks the formula against the leader's profit, not that r is optimal:
+    it passes at spne()'s r*, which is the leader's profit minimum.
     """
     for v in (eq.q1, eq.q2, eq.r_squared):
         if not math.isfinite(v):
@@ -342,10 +323,7 @@ def feasibility_region(a_values, c_values) -> list:
     if not valid.all():
         bad = int(np.argmin(valid))
         MarketParams(a=float(a[bad]), c=float(c[bad]))  # raises for this point
-    rsq = _radicand(a, c)
-    q2 = _q2_star(rsq, a, c)
-    # q1* = 0 on the SPNE path, so the price a - (q1 + q2) is a - q2
-    flags = np.stack([rsq >= 0, q2 >= 0, a - q2 >= 0]).astype(int).tolist()
-    return [{"a": ai, "c": ci, "r_real": rr, "q1_nonneg": 1,
+    flags = np.stack(np.broadcast_arrays(*_flags(*_spne_path(a, c)))).astype(int)
+    return [{"a": ai, "c": ci, "r_real": rr, "q1_nonneg": q1n,
              "q2_nonneg": q2n, "p_nonneg": pn}
-            for ai, ci, rr, q2n, pn in zip(a.tolist(), c.tolist(), *flags)]
+            for ai, ci, rr, q1n, q2n, pn in zip(a.tolist(), c.tolist(), *flags.tolist())]

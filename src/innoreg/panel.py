@@ -596,10 +596,14 @@ def impute_by_apportionment(panel: RegionalPanel, target: str,
     (r, t) is predicted as ``level[t] * proxy[r, t] / S[t]``, ``level[t]``
     being ``national[t]``, else the observed year total. Missing cells take
     their prediction and observed cells are kept, so a partly missing year
-    can sum above its national total. Raises for the first year with a
-    missing target cell whose proxy is missing, whose national total is
-    absent, or whose proxy sums to zero.
+    can sum above its national total. Raises for the first panel year whose
+    national total is given but not finite, before any cell is filled, and
+    then for the first year with a missing target cell whose proxy is
+    missing, whose national total is absent, or whose proxy sums to zero.
     """
+    for year in panel.years:
+        if year in national and not math.isfinite(national[year]):
+            raise PanelError(f"national total for year {year} is not finite")
     # year-major copies, so each year's sum is the np.sum of one contiguous row
     tgt = np.ascontiguousarray(panel.matrix(target).T)
     prx = np.ascontiguousarray(panel.matrix(proxy).T)

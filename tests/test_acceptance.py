@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from innoreg.game import (MarketParams, equilibrium_at_royalty,
-                          optimal_royalty, spne, verify_equilibrium)
+from innoreg.game import MarketParams, equilibrium_at_royalty, spne, verify_equilibrium
 from innoreg.indices import ShareVector, theil_index, variety_decomposition
 from innoreg.panel import descriptive_stats, impute_by_apportionment
 from innoreg.regression import (RegressionSpec, elasticity,
@@ -125,8 +124,8 @@ def test_criterion_05_spne_degeneracy():
         eq = spne(MarketParams(a=a, c=c))
         worst_q1 = max(worst_q1, abs(eq.q1))
         worst_q2 = max(worst_q2, abs(eq.q2 - 2 * (a - c) / 3))
-    sol = optimal_royalty(MarketParams(a=4.0, c=1.5))
-    branch_ok = (not sol.real) and sol.radicand == pytest.approx(
+    sol = spne(MarketParams(a=4.0, c=1.5))
+    branch_ok = (not sol.flags.r_real) and sol.r_squared == pytest.approx(
         (1.5 - 4.0) / 3, abs=1e-15)
     ok = worst_q1 < 1e-12 and worst_q2 < 1e-12 and branch_ok
     check(5, ok, f"q1*(r*)=0 (max |q1| {worst_q1:.1e}), q2*=2(a-c)/3 "

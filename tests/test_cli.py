@@ -881,7 +881,7 @@ def test_every_public_name_resolves_through_the_lazy_package():
             "from innoreg import *\n"
             "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
     assert _python(code) == "[]\n[]\n[]\nTrue\n"
-    assert len(innoreg.__all__) == 52
+    assert len(innoreg.__all__) == 50
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         innoreg.nope
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from innoreg import game
 from innoreg.game import (Equilibrium, MarketParams, equilibrium_at_royalty,
-                          feasibility_region, optimal_royalty,
-                          royalty_profit_profile, spne, verify_equilibrium)
+                          feasibility_region, royalty_profit_profile, spne,
+                          verify_equilibrium)
 
 
 # The model's equations, written out here as the oracle for game.py's private
@@ -31,6 +32,64 @@ def leader_profit(r, q1, q2, a, c):
 
 def reaction(q1, r, a, c):
     return (a - q1 - r * r - c) / 2
+
+
+# The exact oracle: the game by backward induction from its primitives in
+# Fraction arithmetic. Linear demand p = a - (q1 + q2), the shared cost c, and
+# the royalty R = r^2 as game.py accounts it: the follower pays R on each unit
+# it sells and the leader earns R on each unit it sells. Each stage objective
+# is a quadratic, so its values at -1, 0 and 1 fix it.
+
+
+def _quadratic(f):
+    """Stationary point and second derivative of the quadratic ``f``."""
+    lo, mid, hi = f(Fraction(-1)), f(Fraction(0)), f(Fraction(1))
+    curvature = lo - 2 * mid + hi
+    return -(hi - lo) / (2 * curvature), curvature
+
+
+def _argmax(f):
+    vertex, curvature = _quadratic(f)
+    assert curvature < 0
+    return vertex
+
+
+def _exact_reaction(R, q1, a, c):
+    return _argmax(lambda q2: (a - (q1 + q2)) * q2 - R * q2 - c * q2)
+
+
+def _exact_pi1(R, q1, a, c):
+    # the leader's profit against the follower's reaction
+    return (a - (q1 + _exact_reaction(R, q1, a, c))) * q1 + R * q1 - c * q1
+
+
+def _exact_q1_star(R, a, c):
+    return _argmax(lambda q1: _exact_pi1(R, q1, a, c))
+
+
+# small dyadic rationals: every float operation of the closed forms on them is
+# exact, but for _radicand's division by 3, which IEEE rounds correctly
+_dyadic = st.integers(-2 ** 12, 2 ** 12).map(lambda k: Fraction(k, 2 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_dyadic, c=_dyadic, R=_dyadic, q1=_dyadic)
+@example(a=Fraction(1), c=Fraction(4), R=Fraction(1), q1=Fraction(0))
+def test_closed_forms_equal_the_exact_backward_induction(a, c, R, q1):
+    fa, fc, fR, fq1 = map(float, (a, c, R, q1))
+    assert game._reaction(fR, fq1, fa, fc) == float(_exact_reaction(R, q1, a, c))
+    assert game._pi1(fR, fq1, fa, fc) == float(_exact_pi1(R, q1, a, c))
+    q1_star = _exact_q1_star(R, a, c)
+    assert game._q1_star(fR, fa, fc) == float(q1_star)
+    assert game._q2_star(fR, fa, fc) == float(_exact_reaction(R, q1_star, a, c))
+    # the royalty stage: the reduced leader profit is convex in R, so its
+    # stationary point, the radicand, is the leader's profit minimum, 0
+    def reduced(x):
+        return _exact_pi1(x, _exact_q1_star(x, a, c), a, c)
+    radicand, curvature = _quadratic(reduced)
+    assert curvature == Fraction(9, 4)
+    assert game._radicand(fa, fc) == float(radicand)
+    assert reduced(radicand) == 0 and _exact_q1_star(radicand, a, c) == 0
 
 
 def test_market_params_validation():
@@ -129,20 +188,21 @@ def test_royalty_foc_form():
         assert verify_equilibrium(p, eq).gaps["foc_royalty"] < 1e-6
 
 
-def test_optimal_royalty_negative_radicand_never_throws():
-    p = MarketParams(a=10.0, c=1.0)
-    sol = optimal_royalty(p)
-    assert not sol.real
-    assert math.isnan(sol.value)
-    assert sol.radicand == pytest.approx((1.0 - 10.0) / 3)
+def test_spne_negative_radicand_never_throws():
+    # a > c: the radicand (c - a) / 3 is negative, and nothing raises
+    sol = spne(MarketParams(a=10.0, c=1.0))
+    assert not sol.flags.r_real
+    assert math.isnan(sol.r)
+    assert sol.r_squared == pytest.approx((1.0 - 10.0) / 3)
 
 
-def test_optimal_royalty_real_branch():
+def test_spne_royalty_real_branch():
     p = MarketParams(a=1.0, c=4.0)
-    sol = optimal_royalty(p)
-    assert sol.real
-    assert sol.value == pytest.approx(1.0)
-    assert sol.radicand == pytest.approx(1.0)
+    sol = spne(p)
+    assert sol.flags.r_real
+    assert sol.r == pytest.approx(1.0)
+    assert sol.r_squared == pytest.approx(1.0)
+    assert sol.leader_payoff == 0.0
 
 
 def test_spne_degenerate_leader_quantity():
@@ -175,6 +235,21 @@ def test_profit_profile_monotone_when_a_exceeds_c():
     q1_0 = (9.0 - 2.0) / 2  # (a + 3 r^2 - c) / 2 at r = 0
     assert profits[0] == pytest.approx(
         leader_profit(0.0, q1_0, reaction(q1_0, 0.0, 9.0, 2.0), 9.0, 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.01, 100.0), ratio=st.floats(1.0 + 1e-6, 10.0),
+       delta=st.floats(1e-3, 0.5))
+@example(a=1.0, ratio=4.0, delta=0.1)
+def test_spne_royalty_is_the_leader_profit_minimum(a, ratio, delta):
+    # with c > a the royalty r* is real, yet a royalty either side of it pays
+    # the leader more; verify_equilibrium passes there all the same, as its
+    # foc_royalty checks a derivative's formula, not that r is optimal
+    p = MarketParams(a=a, c=a * ratio)
+    eq = spne(p)
+    low, at, high = royalty_profit_profile(p, [eq.r * (1 - delta), eq.r, eq.r * (1 + delta)])
+    assert at < low and at < high
+    assert verify_equilibrium(p, eq).all_ok()
 
 
 @settings(max_examples=60, deadline=None)
