@@ -9,7 +9,7 @@ of its range is a usage error naming the flag.
 fixed in ``game.verify_equilibrium``.
 A process builds its parser once: ``main`` parses every call with the
 parser it built on its first call, while ``build_parser()`` returns a new
-one each time.
+one each time. Each call is parsed by the parser of the command it names.
 
 Conventions: data goes to standard output or ``--out`` (written atomically);
 diagnostics go to standard error; exit code 0 means the primary output was
@@ -65,6 +65,8 @@ def _write_files(files: dict) -> None:
              for out, text in files.items()}
     if None in files:
         sys.stdout.write(files.pop(None))
+    if not files:
+        return
     mask = os.umask(0)
     os.umask(mask)
     temps = {}
@@ -244,6 +246,7 @@ def _cmd_game(args) -> int:
         eq = game_mod.equilibrium_at_royalty(params, args.r)
         rep = game_mod.verify_equilibrium(params, eq)
         checks = rep.checks
+        all_ok = all(checks.values())
 
         def md():
             lines = [f"verification at a={args.a:g} c={args.c:g} r={args.r:g} "
@@ -251,14 +254,14 @@ def _cmd_game(args) -> int:
             for k, gap in rep.gaps.items():
                 mark = "ok" if checks[k] else "FAIL"
                 lines.append(f"  {k:<18} gap {gap:.3e}  [{mark}]")
-            lines.append(f"all checks {'passed' if rep.all_ok() else 'FAILED'} "
+            lines.append(f"all checks {'passed' if all_ok else 'FAILED'} "
                          f"at tolerance {rep.tolerance:g}")
             return "\n".join(lines)
         row = {"a": args.a, "c": args.c, "r": args.r, "q1": eq.q1, "q2": eq.q2,
                **{f"{k}_gap": gap for k, gap in rep.gaps.items()},
                "tolerance": rep.tolerance,
                **{f"check_{k}": int(ok) for k, ok in checks.items()},
-               "all_ok": int(rep.all_ok())}
+               "all_ok": int(all_ok)}
         _emit_rows([row], list(row), args, md=md)
         return 0
     import numpy as np  # game region is the one game command that uses it
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = argparse.ArgumentParser(prog="innoreg",
                                  description="regional innovation toolkit")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.subcommands = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("indices", parents=[shared],
                        help="diversity/specialization indices per region-year")
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_elasticities)
 
     p = sub.add_parser("game", help="patent-licensing duopoly solver and oracle")
-    gsub = p.add_subparsers(dest="game_cmd", required=True)
+    gsub = p.subcommands = p.add_subparsers(dest="game_cmd", required=True)
     positive, count = _at_least(float, 0, strict=True), _at_least(int, 1)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--a", type=positive, required=True, help="demand intercept")
@@ -417,8 +420,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, done by the parser of the command argv names."""
+    parser, args = _parser(), argparse.Namespace()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while (sub := getattr(parser, "subcommands", None)) and argv and argv[0] in sub.choices:
+        setattr(args, sub.dest, argv[0])  # as the subparsers action records it
+        parser, argv = sub.choices[argv[0]], argv[1:]
+    return parser.parse_args(argv, args)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -17,6 +17,7 @@ import csv
 import io
 import math
 import os
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
@@ -602,7 +603,8 @@ def impute_by_apportionment(panel: RegionalPanel, target: str,
     missing, whose national total is absent, or whose proxy sums to zero.
     """
     for year in panel.years:
-        if year in national and not math.isfinite(national[year]):
+        # NaN, ±inf and an int beyond float range all fail this test
+        if year in national and not abs(national[year]) <= sys.float_info.max:
             raise PanelError(f"national total for year {year} is not finite")
     # year-major copies, so each year's sum is the np.sum of one contiguous row
     tgt = np.ascontiguousarray(panel.matrix(target).T)

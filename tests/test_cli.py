@@ -946,6 +946,60 @@ def test_build_parser_returns_a_new_parser_each_call():
     assert cli._parser() is cli._parser()
 
 
+# a valid argv of every leaf command; parsing opens no file
+LEAF_CALLS = [["indices", "emp.csv", "--industries", "C1,C2", "--format", "json"],
+              ["describe", "panel.csv", "--out", "stats.csv"],
+              ["regress", "panel.csv", "--specs", "s.json", "--hc", "3", "--jobs", "2"],
+              ["decompose", "panel.csv", "--variables", "A,B", "--format", "md"],
+              ["elasticities", "prov.csv", "--stats", "stats.csv"],
+              ["game", "solve", "--a", "10", "--c", "1"],
+              ["game", "solve", "--c", "1", "--r=-1e-3", "--a", "10", "--format", "md"],
+              VERIFY,
+              REGION + ["--a-steps", "3"],
+              ["synth", "--regions", "4", "--years", "3", "--seed", "7"]]
+
+
+@pytest.mark.parametrize("argv", LEAF_CALLS)
+def test_dispatch_parses_each_command_as_the_tree_does(argv):
+    assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "game"], ["describe", "--help"], ["game", "-h"],
+    ["game", "verify", "--help"], ["game"], ["frobnicate"], ["game", "frobnicate"],
+    ["game", "verify", "--a", "10", "--c", "1"], ["game", "--format", "json"] + VERIFY[1:],
+    ["game", "verify", "--a", "0", "--c", "1", "--r", "1"], ["--", "describe", "p.csv"]])
+def test_dispatch_exits_as_the_tree_does(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")  # the help width
+    tree = _exit(cli.build_parser().parse_args, argv, capsys)
+    assert _exit(cli._parse_args, argv, capsys) == tree
+    assert tree[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv, usage, extra", [
+    (VERIFY + ["--tol", "1"], "game verify", "--tol 1"),
+    (["describe", "p.csv", "--variables", "A"], "describe", "--variables A"),
+    (["synth", "--format", "md"], "synth", "--format md"),
+    (REGION + ["x"], "game region", "x")])
+def test_an_unrecognized_argument_is_reported_by_its_command(argv, usage, extra, capsys):
+    code, out, err = _exit(cli._parse_args, argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: innoreg {usage} ")
+    assert err.endswith(f"\ninnoreg {usage}: error: unrecognized arguments: {extra}\n")
+
+
+def test_dispatch_reads_sys_argv_when_given_none(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["innoreg"] + VERIFY)
+    assert vars(cli._parse_args(None)) == vars(cli.build_parser().parse_args(VERIFY))
+
+
 # one CLI call, its output captured; the same text runs in-process and alone
 _CALL = ("def call(argv):\n"
          "    out, err = io.StringIO(), io.StringIO()\n"
@@ -967,12 +1021,15 @@ def test_one_parser_serves_a_sequence_as_fresh_runs_do(monkeypatch):
                 VERIFY + ["--format", "md"],
                 VERIFY,
                 REGION,
-                ["describe", "--help"]]
+                ["describe", "--help"],
+                VERIFY + ["--tol", "1"],
+                ["game", "--help"]]
     in_process = [scope["call"](argv) for argv in sequence]
     alone = [json.loads(_python("import contextlib, io, json\nfrom innoreg import cli\n"
                                 + _CALL + f"print(json.dumps(call({argv!r})))\n"))
              for argv in sequence]
     assert in_process == alone
-    assert [c for c, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 0]
+    assert [c for c, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 0, 2, 0]
     assert "the following arguments are required: --r" in in_process[2][2]
+    assert "innoreg game verify: error: unrecognized arguments: --tol 1" in in_process[7][2]
     assert cli._parser().parse_args(sequence[1]).r is None

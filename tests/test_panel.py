@@ -789,11 +789,12 @@ def test_imputation_error_cases():
         impute_by_apportionment(p3, "T", NATIONAL, "P")
 
 
-@pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, 10**400, -10**400])
 def test_imputation_refuses_a_non_finite_national_total(total):
     # 2002 has no missing cell, yet its total is refused, by year, before any
     # year is filled: a NaN total would leave cells NaN that count as filled,
-    # and an infinite one would surface as an infinite cell of the panel
+    # and an infinite one would surface as an infinite cell of the panel; an
+    # int beyond float range has no finite float value either
     for year in (2002, 2003):
         with pytest.raises(PanelError, match=f"^national total for year {year} is not finite$"):
             impute_by_apportionment(apportion_fixture(), "T", {**NATIONAL, year: total}, "P")
