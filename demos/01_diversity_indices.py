@@ -2,15 +2,15 @@
 
 Builds a toy two-region employment table, computes the Theil index with its
 related/unrelated split, and the Hoover specialization index, then shows the
-decomposition identity holding on random share vectors.
+decomposition identity holding on random employment counts.
 """
 
 import math
 
 import numpy as np
 
-from innoreg import (ShareVector, hoover_index, indices_table, load_employment,
-                     theil_index, variety_decomposition)
+from innoreg import (hoover_index, indices_table, load_employment, theil_index,
+                     variety_decomposition)
 
 EMPLOYMENT = """\
 region,year,industry,parent,employment
@@ -37,15 +37,12 @@ def main():
               f"hoover {row['hoover']:.2f}")
 
     # The south spreads employment evenly over 4 industries: theil = ln(4).
-    south = ShareVector.from_employment(table.employment("south", 2001),
-                                        table.parents)
+    south = table.employment("south", 2001)
     print(f"\nuniform 4-industry region: theil {theil_index(south):.6f} "
           f"vs ln(4) = {math.log(4):.6f}")
 
     # Decomposition identity: total diversity = between-sector + within-sector.
-    north = ShareVector.from_employment(table.employment("north", 2001),
-                                        table.parents)
-    dec = variety_decomposition(north)
+    dec = variety_decomposition(table.employment("north", 2001), table.parents)
     print(f"north:  {dec.theil:.6f} = {dec.unrelated:.6f} (unrelated) "
           f"+ {dec.related:.6f} (related)")
 
@@ -53,17 +50,14 @@ def main():
     hv = hoover_index(table.employment("north", 2001), table.national(2001))
     print(f"north hoover: {hv.value:.4f} raw, {hv.display:.1f} display")
 
-    print("\n== identity on random share vectors ==")
+    print("\n== identity on random employment counts ==")
     rng = np.random.default_rng(7)
     parents = {f"i{k}": f"sector{k % 4}" for k in range(30)}
     worst = 0.0
     for _ in range(500):
         n = int(rng.integers(2, 30))
         w = rng.gamma(0.8, size=n)
-        w /= w.sum()
-        v = ShareVector(shares={f"i{k}": float(w[k]) for k in range(n)},
-                        parents=parents)
-        d = variety_decomposition(v)
+        d = variety_decomposition({f"i{k}": float(w[k]) for k in range(n)}, parents)
         worst = max(worst, abs(d.theil - d.related - d.unrelated))
     print(f"max |theil - related - unrelated| over 500 draws: {worst:.2e}")
 

@@ -153,7 +153,10 @@ def _cmd_regress(args) -> int:
 
     panel = load_panel(args.panel)
     with open(args.specs, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("specs file nests JSON too deeply") from None
     if not isinstance(raw, list):
         raise ValueError("specs file must hold a JSON list of specs")
     specs = [RegressionSpec.from_dict(d) for d in raw]
@@ -296,10 +299,11 @@ def _at_least(kind, low=-math.inf, strict=False):
     """An argparse type: ``kind(text)``, rejected unless finite and at least
     ``low`` (above it when ``strict``); with no ``low``, any finite value."""
     bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+    top = sys.float_info.max  # finite means at most this: math.isfinite raises on a larger int
 
     def parse(text):
         value = kind(text)
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        if not (abs(value) <= top and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(f"{text!r} is not a finite number{bound}")
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="correlation CSV (default: bundled matrix)")
     p.add_argument("--regions", type=_at_least(int, 2), default=13)
     p.add_argument("--years", type=_at_least(int, 2), default=9)
-    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    p.add_argument("--seed", type=_at_least(int, 0), default=42, help="random seed (default 42)")
     p.set_defaults(fn=_cmd_synth)
 
     return ap

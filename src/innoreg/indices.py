@@ -8,19 +8,19 @@ unrelated`` only holds with a single base.
 
 Zero shares follow the standard entropy continuity convention
 ``p * log(p) -> 0`` and therefore never change any index value. One array
-kernel computes all four measures, for a whole table or one share vector.
+kernel computes all four measures, for a whole table or one region-year's
+industry -> employment mapping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 __all__ = [
-    "ShareVector",
     "VarietyResult",
     "HooverResult",
     "theil_index",
@@ -28,41 +28,6 @@ __all__ = [
     "hoover_index",
     "indices_table",
 ]
-
-_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ShareVector:
-    """Industry employment shares of one region-year plus the sector map.
-
-    shares: industry code -> share p_i (non-negative, summing to 1).
-    parents: industry code -> one-digit parent sector. Coverage is only
-    required for industries with positive share; zero-share strays are inert.
-    """
-
-    shares: Mapping[str, float]
-    parents: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.shares:
-            raise ValueError("empty share vector")
-        for code, p in self.shares.items():
-            if not p >= 0:
-                raise ValueError(f"negative or NaN share for industry {code!r}")
-        total = math.fsum(self.shares.values())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"shares sum to {total!r}, expected 1 within {_SUM_TOL}")
-
-    @classmethod
-    def from_employment(cls, counts: Mapping[str, float],
-                        parents: Mapping[str, str] | None = None) -> "ShareVector":
-        """Normalize raw employment counts into shares."""
-        total = math.fsum(counts.values())
-        if total <= 0:
-            raise ValueError("total employment must be strictly positive")
-        shares = {code: e / total for code, e in counts.items()}
-        return cls(shares=shares, parents=dict(parents or {}))
 
 
 @dataclass(frozen=True)
@@ -102,33 +67,41 @@ def _kernel(p, national, sector, n_sectors: int):
     return theil, related, unrelated, hoover
 
 
-def _one_row(shares: ShareVector, by_sector: bool) -> VarietyResult:
-    """The kernel on one vector's positive shares, in code order so that no sum
-    depends on the key order; all in one sector unless ``by_sector``."""
-    items = [(code, p) for code, p in shares.shares.items() if p > 0]
-    if not items:
-        raise ValueError("share vector has no positive entries")
-    missing = [code for code, _ in items if by_sector and code not in shares.parents]
-    if missing:
+def _shares(counts: Mapping[str, float], what: str = "employment") -> dict:
+    """code -> ``count / total`` of an industry -> employment mapping, in code
+    order, over the ``math.fsum`` total. A negative or non-finite count raises
+    ValueError naming its code, and so does a total that is not positive;
+    ``what`` names the counts in the message."""
+    codes = sorted(counts)
+    for code in codes:
+        if not (math.isfinite(counts[code]) and counts[code] >= 0):
+            raise ValueError(f"{what} {counts[code]!r} for industry {code!r} "
+                             "is negative or not finite")
+    total = math.fsum(counts.values())
+    if total <= 0:
+        raise ValueError(f"total {what} must be strictly positive")
+    return {code: counts[code] / total for code in codes}
+
+
+def theil_index(counts: Mapping[str, float]) -> float:
+    """Entropy of the employment shares, ``sum_i p_i ln(1 / p_i)``: 0 when a
+    single industry holds everything, ln(n) for n equal counts."""
+    return variety_decomposition(counts, dict.fromkeys(counts, "")).theil
+
+
+def variety_decomposition(counts: Mapping[str, float],
+                          parents: Mapping[str, str]) -> VarietyResult:
+    """Theil entropy of the employment shares with its related (within-sector)
+    and unrelated (between) parts; ``parents`` maps each industry with a
+    positive share to its one-digit sector, and zero-count codes need none.
+    The kernel sums in code order, so no value depends on the key order."""
+    codes, values = zip(*[(code, p) for code, p in _shares(counts).items() if p > 0])
+    if missing := [code for code in codes if code not in parents]:
         raise ValueError(f"industry {missing[0]!r} has no parent sector mapping")
-    codes, values = zip(*sorted(items))
-    sectors, sector = np.unique([shares.parents[c] if by_sector else "" for c in codes],
-                                return_inverse=True)
+    sectors, sector = np.unique([parents[c] for c in codes], return_inverse=True)
     row = np.array([values])
     *measures, _ = (float(v[0]) for v in _kernel(row, row, sector, len(sectors)))
     return VarietyResult(*measures)  # theil, related, unrelated
-
-
-def theil_index(shares: ShareVector) -> float:
-    """Entropy of the share vector, ``sum_i p_i ln(1 / p_i)``: 0 when a single
-    industry holds everything, ln(n) for n uniform shares. Needs no parents."""
-    return _one_row(shares, by_sector=False).theil
-
-
-def variety_decomposition(shares: ShareVector) -> VarietyResult:
-    """Theil entropy with its related (within-sector) and unrelated (between)
-    parts; every industry with a positive share needs a parent sector."""
-    return _one_row(shares, by_sector=True)
 
 
 def hoover_index(regional: Mapping[str, float],
@@ -136,22 +109,15 @@ def hoover_index(regional: Mapping[str, float],
     """Half the L1 distance between regional and national industry shares.
 
     Codes missing on one side are treated as zero employment there; a
-    negative or non-finite count raises ValueError naming its code. The raw
-    value lives in [0, 1]; ``display`` is 100 times it, in percentage points.
+    negative or non-finite count raises ValueError naming its code, and so
+    does a side whose total is not positive. The raw value lives in [0, 1];
+    ``display`` is 100 times it, in percentage points.
     """
-    for side, counts in (("regional", regional), ("national", national)):
-        for code in sorted(counts):
-            if not (math.isfinite(counts[code]) and counts[code] >= 0):
-                raise ValueError(f"{side} employment {counts[code]!r} for industry "
-                                 f"{code!r} is negative or not finite")
-    tot_r = math.fsum(regional.values())
-    tot_n = math.fsum(national.values())
-    if tot_r <= 0 or tot_n <= 0:
-        raise ValueError("total employment must be strictly positive on both sides")
-    codes = sorted(set(regional) | set(national))
-    p = np.array([[regional.get(code, 0.0) for code in codes]]) / tot_r
-    nat = np.array([[national.get(code, 0.0) for code in codes]]) / tot_n
-    value = float(_kernel(p, nat, np.zeros(len(codes), dtype=int), 1)[3][0])
+    p = _shares(regional, "regional employment")
+    nat = _shares(national, "national employment")
+    codes = sorted(set(p) | set(nat))
+    rows = np.array([[shares.get(code, 0.0) for code in codes] for shares in (p, nat)])
+    value = float(_kernel(rows[:1], rows[1:], np.zeros(len(codes), dtype=int), 1)[3][0])
     return HooverResult(value=value, display=value * 100.0)
 
 

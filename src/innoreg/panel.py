@@ -104,57 +104,71 @@ _BLOCK_ROWS = 1024
 def _read_csv(source):
     """The header list of a CSV path, ``os.PathLike`` or text stream, then
     ``_Table`` blocks of its rows, read line by line, ``_BLOCK_ROWS`` lines to
-    a block: every cell stripped, blank and whitespace-only lines skipped and
-    one leading byte-order mark dropped. Each structural fault raises
-    PanelParseError in file order: empty input, a header that ``csv.reader``
-    rejects, that has an empty cell or that names a column twice, then a
-    ragged row or a row that ``csv.reader`` rejects (a field over its size
-    limit), raised once the block of rows above it has been yielded. A caller
-    that checks each block as it arrives so reports a bad cell on an earlier
-    line first.
+    a block: every cell stripped, blank and whitespace-only lines and rows
+    whose cells are all empty (``,,``, `` , ``) skipped, and one leading
+    byte-order mark dropped. Each structural fault raises PanelParseError in
+    file order: empty input, a header that ``csv.reader`` rejects, that has an
+    empty cell or that names a column twice, then a ragged row or a row that
+    ``csv.reader`` rejects (a field over its size limit), raised once the
+    block of rows above it has been yielded. A caller that checks each block
+    as it arrives so reports a bad cell on an earlier line first. A path
+    whose bytes are not UTF-8 raises PanelParseError naming the line of the
+    first bad byte, whenever the reader meets it.
     """
     path = isinstance(source, (str, os.PathLike))
-    with (open(source, newline="", encoding="utf-8") if path
-          else contextlib.nullcontext(source)) as fh:
-        first = next(fh, "").removeprefix("\ufeff")
-        rest = chain([first] if first else [], fh)
-        if not path:  # split at any line end, as open(newline="") does
-            rest = chain.from_iterable(io.StringIO(line, newline="") for line in rest)
-        reader = csv.reader(rest)
+    try:
+        with (open(source, newline="", encoding="utf-8") if path
+              else contextlib.nullcontext(source)) as fh:
+            first = next(fh, "").removeprefix("\ufeff")
+            rest = chain([first] if first else [], fh)
+            if not path:  # split at any line end, as open(newline="") does
+                rest = chain.from_iterable(io.StringIO(line, newline="") for line in rest)
+            reader = csv.reader(rest)
+            try:
+                header = [c.strip() for c in next(reader)]
+            except csv.Error as exc:
+                raise PanelParseError(reader.line_num, str(exc)) from None
+            except StopIteration:
+                raise PanelParseError(1, "empty input") from None
+            if "" in header:
+                raise PanelParseError(1, "empty column name")
+            if repeated := [c for c in header if header.count(c) > 1]:
+                raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
+            yield header
+            done = reader.line_num
+            while chunk := list(islice(rest, _BLOCK_ROWS)):
+                # without quotes or a field over the csv size limit, every line is
+                # a record and every comma a separator
+                text = "".join(chunk)
+                if '"' in text or max(map(len, chunk)) > csv.field_size_limit():
+                    break
+                if "\r" in text:  # each line ends at its "\r\n", "\r" or "\n"
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                lines, done = list(range(done + 1, done + len(chunk) + 1)), done + len(chunk)
+                yield from _block(header, text.removesuffix("\n").split("\n"), lines, text)
+            # from the first block that needs it, if any, the rest goes through csv.reader
+            reader, body, lines, error = csv.reader(chain(chunk, rest)), [], [], None
+            try:
+                for row in reader:
+                    body.append(row)
+                    lines.append(done + reader.line_num)
+                    if len(body) == _BLOCK_ROWS:
+                        yield from _block(header, body, lines)
+                        body, lines = [], []
+            except csv.Error as exc:
+                error = PanelParseError(done + reader.line_num, str(exc))
+            yield from _block(header, body, lines, error=error)
+    except UnicodeDecodeError:
+        if not path:
+            raise
+        with open(source, "rb") as fh:
+            data = fh.read()
         try:
-            header = [c.strip() for c in next(reader)]
-        except csv.Error as exc:
-            raise PanelParseError(reader.line_num, str(exc)) from None
-        except StopIteration:
-            raise PanelParseError(1, "empty input") from None
-        if "" in header:
-            raise PanelParseError(1, "empty column name")
-        if repeated := [c for c in header if header.count(c) > 1]:
-            raise PanelParseError(1, f"duplicate column {repeated[0]!r}")
-        yield header
-        done = reader.line_num
-        while chunk := list(islice(rest, _BLOCK_ROWS)):
-            # without quotes or a field over the csv size limit, every line is
-            # a record and every comma a separator
-            text = "".join(chunk)
-            if '"' in text or max(map(len, chunk)) > csv.field_size_limit():
-                break
-            if "\r" in text:  # each line ends at its "\r\n", "\r" or "\n"
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            lines, done = list(range(done + 1, done + len(chunk) + 1)), done + len(chunk)
-            yield from _block(header, text.removesuffix("\n").split("\n"), lines, text)
-        # from the first block that needs it, if any, the rest goes through csv.reader
-        reader, body, lines, error = csv.reader(chain(chunk, rest)), [], [], None
-        try:
-            for row in reader:
-                body.append(row)
-                lines.append(done + reader.line_num)
-                if len(body) == _BLOCK_ROWS:
-                    yield from _block(header, body, lines)
-                    body, lines = [], []
-        except csv.Error as exc:
-            error = PanelParseError(done + reader.line_num, str(exc))
-        yield from _block(header, body, lines, error=error)
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data = data[:exc.start]  # the bytes before the first bad one
+        line = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
+        raise PanelParseError(line, "not UTF-8 text") from None
 
 
 def _block(header, body, lines, text=None, error=None):

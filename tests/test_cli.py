@@ -389,6 +389,7 @@ def test_unknown_command_exits_nonzero(capsys):
 PROV = "variable,beta,source_column,x_mean,y_mean\nB,2.0,1,10.0,4.0\n"
 VERIFY = ["game", "verify", "--a", "10", "--c", "1", "--r", "1"]
 REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c-max", "4"]
+HUGE = "1" + "0" * 400  # an int beyond float range
 
 
 @pytest.mark.parametrize("files, argv, names", [
@@ -443,6 +444,8 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     *(({"specs.json": text}, ["regress", "panel.csv", "--specs", "specs.json"],
        "specs file must hold a JSON list of specs")
       for text in ("5", "null", "true", "{}", '{"a": 1}')),
+    ({"specs.json": "[" * 100_000 + "]" * 100_000},
+     ["regress", "panel.csv", "--specs", "specs.json"], "error: specs file nests JSON too deeply"),
     ({}, VERIFY + ["--grid", "0"], "unrecognized arguments: --grid 0"),
     ({}, VERIFY + ["--grid", "-5"], "unrecognized arguments: --grid -5"),
     ({}, VERIFY + ["--fd-step", "0"], "unrecognized arguments: --fd-step 0"),
@@ -465,6 +468,7 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
      "line 3: 'C' expected 'x' is not numeric"),
     ({}, REGION + ["--a-steps", "-1"], "argument --a-steps: '-1' is not a finite number >= 1"),
     ({}, REGION + ["--a-steps", "0"], "argument --a-steps: '0' is not a finite number >= 1"),
+    ({}, REGION + ["--a-steps", HUGE], f"argument --a-steps: '{HUGE}' is not a finite number >= 1"),
     ({}, REGION + ["--c-steps", "0"], "argument --c-steps: '0' is not a finite number >= 1"),
     ({}, REGION[:5] + ["inf"] + REGION[6:],
      "argument --a-max: 'inf' is not a finite number > 0"),
@@ -473,7 +477,9 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
     ({}, ["synth", "--regions", "0"], "argument --regions: '0' is not a finite number >= 2"),
     ({}, ["synth", "--regions", "1", "--years", "2000"],
      "argument --regions: '1' is not a finite number >= 2"),
+    ({}, ["synth", "--regions", HUGE], f"argument --regions: '{HUGE}' is not a finite number >= 2"),
     ({}, ["synth", "--years", "1"], "argument --years: '1' is not a finite number >= 2"),
+    ({}, ["synth", "--seed", "-1"], "argument --seed: '-1' is not a finite number >= 0"),
     ({}, VERIFY + ["--tol", "-1"], "unrecognized arguments: --tol -1"),
     ({}, VERIFY + ["--fd-step", "nan"], "unrecognized arguments: --fd-step nan"),
     ({}, ["game", "solve", "--a", "-1", "--c", "1"],
@@ -589,14 +595,16 @@ REGION = ["game", "region", "--a-min", "1", "--a-max", "4", "--c-min", "1", "--c
         "nan-provenance-beta", "incomplete-provenance-row", "correlation-cell-before-ragged-row",
         "ragged-provenance-row-before-stats-file", "field-over-the-csv-size-limit",
         "header-field-over-the-csv-size-limit", "specs-number", "specs-null", "specs-true",
-        "specs-empty-object", "specs-object",
+        "specs-empty-object", "specs-object", "specs-nested-too-deeply",
         "verify-grid-0", "verify-grid-negative", "verify-fd-step-0", "verify-tol-nan",
         "seed-outside-synth", "format-before-the-game-command", "elasticities-tol-nan",
         "indices-scale-inf", "negative-precision", "describe-precision", "format-on-synth",
         "precision-on-synth",
         "provenance-fault-before-stats-file", "region-a-steps-negative", "region-a-steps-0",
+        "region-a-steps-beyond-float-range",
         "region-c-steps-0", "region-a-max-inf", "region-c-min-0", "synth-years-negative",
-        "synth-regions-0", "synth-regions-1", "synth-years-1", "verify-tol-negative",
+        "synth-regions-0", "synth-regions-1", "synth-regions-beyond-float-range",
+        "synth-years-1", "synth-seed-negative", "verify-tol-negative",
         "verify-fd-step-nan", "solve-a-negative",
         "solve-c-inf", "verify-c-0", "verify-a-nan", "solve-r-inf", "verify-r-nan",
         "describe-out-empty", "synth-out-empty", "spec-name-list", "spec-lag-string",
@@ -881,7 +889,7 @@ def test_every_public_name_resolves_through_the_lazy_package():
             "from innoreg import *\n"
             "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
     assert _python(code) == "[]\n[]\n[]\nTrue\n"
-    assert len(innoreg.__all__) == 50
+    assert len(innoreg.__all__) == 49
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         innoreg.nope
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innoreg import indices
-from innoreg.indices import (ShareVector, hoover_index, indices_table,
-                             theil_index, variety_decomposition)
+from innoreg.indices import (hoover_index, indices_table, theil_index,
+                             variety_decomposition)
 from innoreg.panel import EmploymentTable, load_employment
 
 LN2 = math.log(2.0)
@@ -19,12 +19,21 @@ LN2 = math.log(2.0)
 # independently of innoreg, with the same checks and messages
 
 
-def ref_variety(shares, parents=None):
-    """(theil, related, unrelated) of a code -> share dict; related and
+def ref_shares(counts, what="employment"):
+    """code -> share of a code -> employment dict."""
+    for code, e in sorted(counts.items()):
+        if not (math.isfinite(e) and e >= 0):
+            raise ValueError(f"{what} {e!r} for industry {code!r} is negative or not finite")
+    total = math.fsum(counts.values())
+    if total <= 0:
+        raise ValueError(f"total {what} must be strictly positive")
+    return {code: e / total for code, e in counts.items()}
+
+
+def ref_variety(counts, parents=None):
+    """(theil, related, unrelated) of a code -> employment dict; related and
     unrelated are None without ``parents``."""
-    items = [(code, p) for code, p in shares.items() if p > 0]
-    if not items:
-        raise ValueError("share vector has no positive entries")
+    items = [(code, p) for code, p in ref_shares(counts).items() if p > 0]
     theil = math.fsum(p * math.log(1.0 / p) for _, p in items)
     if parents is None:
         return theil, None, None
@@ -41,67 +50,56 @@ def ref_variety(shares, parents=None):
 
 def ref_hoover(regional, national):
     """The raw Hoover index of two code -> employment dicts."""
-    for side, counts in (("regional", regional), ("national", national)):
-        for code, e in sorted(counts.items()):
-            if not (math.isfinite(e) and e >= 0):
-                raise ValueError(f"{side} employment {e!r} for industry {code!r} "
-                                 "is negative or not finite")
-    tot_r = math.fsum(regional.values())
-    tot_n = math.fsum(national.values())
-    if tot_r <= 0 or tot_n <= 0:
-        raise ValueError("total employment must be strictly positive on both sides")
-    return 0.5 * math.fsum(
-        abs(regional.get(code, 0.0) / tot_r - national.get(code, 0.0) / tot_n)
-        for code in set(regional) | set(national))
+    p = ref_shares(regional, "regional employment")
+    nat = ref_shares(national, "national employment")
+    return 0.5 * math.fsum(abs(p.get(code, 0.0) - nat.get(code, 0.0))
+                           for code in set(p) | set(nat))
 
 
 def close(got, want):
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-def sv(values, parents=None):
-    return ShareVector(shares=values, parents=parents or {})
-
-
 def test_theil_known_values():
-    assert theil_index(sv({"a": 1.0})) == 0.0
-    assert theil_index(sv({"a": 0.5, "b": 0.25, "c": 0.25})) == pytest.approx(
+    assert theil_index({"a": 1.0}) == 0.0
+    assert theil_index({"a": 2, "b": 1, "c": 1}) == pytest.approx(
         1.5 * LN2, abs=1e-12)  # = 1.0397...
     n = 7
-    uniform = sv({f"i{k}": 1.0 / n for k in range(n)})
+    uniform = {f"i{k}": 3 for k in range(n)}
     assert theil_index(uniform) == pytest.approx(math.log(n), abs=1e-12)
 
 
 def test_zero_shares_contribute_nothing():
-    base = sv({"a": 0.5, "b": 0.5})
-    padded = sv({"a": 0.5, "b": 0.5, "c": 0.0})
+    base = {"a": 0.5, "b": 0.5}
+    padded = {"a": 0.5, "b": 0.5, "c": 0.0}
     assert theil_index(padded) == theil_index(base)
 
 
-def test_share_vector_validation():
-    with pytest.raises(ValueError):
-        ShareVector(shares={})
-    with pytest.raises(ValueError):
-        sv({"a": -0.1, "b": 1.1})
-    with pytest.raises(ValueError):
-        sv({"a": 0.6, "b": 0.6})  # sums to 1.2
-    # a NaN share makes the sum NaN, which the tolerance check lets through
-    with pytest.raises(ValueError, match="share for industry 'a'"):
-        sv({"a": math.nan, "b": 1.0}, parents={"a": "m", "b": "m"})
+def test_count_validation():
+    parents = {"a": "m", "b": "m"}
+    for fn in (theil_index, lambda counts: variety_decomposition(counts, parents)):
+        with pytest.raises(ValueError, match="^total employment must be strictly positive"):
+            fn({})
+        # a negative count can leave a positive total, and a NaN one a NaN total
+        with pytest.raises(ValueError, match="^employment -0.1 for industry 'a' is neg"):
+            fn({"a": -0.1, "b": 1.1})
+        with pytest.raises(ValueError, match="^employment nan for industry 'a' is neg"):
+            fn({"a": math.nan, "b": 1.0})
+        with pytest.raises(ValueError, match="^employment inf for industry 'b' is neg"):
+            fn({"a": 1.0, "b": math.inf})
 
 
-def test_from_employment_normalizes():
-    v = ShareVector.from_employment({"a": 30, "b": 10}, parents={"a": "m", "b": "m"})
-    assert v.shares["a"] == pytest.approx(0.75)
-    with pytest.raises(ValueError):
-        ShareVector.from_employment({"a": 0, "b": 0})
+def test_counts_are_normalized():
+    parents = {"a": "m", "b": "s"}
+    res = variety_decomposition({"a": 30, "b": 10}, parents)
+    assert res == variety_decomposition({"a": 0.75, "b": 0.25}, parents)
+    assert res.theil == pytest.approx(0.75 * math.log(1 / 0.75) + 0.25 * math.log(4))
 
 
 def test_variety_decomposition_worked_example():
     # two parents: m = {a: .4, b: .1}, s = {c: .3, d: .2}
-    v = sv({"a": 0.4, "b": 0.1, "c": 0.3, "d": 0.2},
-           parents={"a": "m", "b": "m", "c": "s", "d": "s"})
-    res = variety_decomposition(v)
+    v = {"a": 0.4, "b": 0.1, "c": 0.3, "d": 0.2}
+    res = variety_decomposition(v, {"a": "m", "b": "m", "c": "s", "d": "s"})
     assert res.unrelated == pytest.approx(LN2, abs=1e-12)  # P_m = P_s = 0.5
     # sum_g sum_i p_i ln(P_g / p_i)
     expected_rv = (0.4 * math.log(0.5 / 0.4) + 0.1 * math.log(0.5 / 0.1)
@@ -117,38 +115,30 @@ def test_decomposition_identity_random():
     for _ in range(300):
         n = rng.integers(2, 40)
         w = rng.gamma(0.6, size=int(n))
-        w /= w.sum()
-        v = ShareVector(shares={f"i{k}": float(w[k]) for k in range(int(n))},
-                        parents=parents)
-        res = variety_decomposition(v)
+        res = variety_decomposition({f"i{k}": float(w[k]) for k in range(int(n))}, parents)
         assert abs(res.theil - (res.related + res.unrelated)) < 1e-9
 
 
 def test_missing_parent_raises():
-    v = sv({"a": 0.7, "b": 0.3}, parents={"a": "m"})
+    v = {"a": 0.7, "b": 0.3}
     with pytest.raises(ValueError, match="'b'"):
-        variety_decomposition(v)
+        variety_decomposition(v, {"a": "m"})
     assert theil_index(v) > 0  # the entropy alone needs no parents
-    # zero-share industries never need a parent
-    v2 = sv({"a": 1.0, "b": 0.0}, parents={"a": "m"})
-    assert variety_decomposition(v2).unrelated == 0.0
+    # zero-count industries never need a parent
+    assert variety_decomposition({"a": 7, "b": 0}, {"a": "m"}).unrelated == 0.0
 
 
 def test_single_parent_means_no_unrelated_variety():
-    v = sv({"a": 0.6, "b": 0.4}, parents={"a": "m", "b": "m"})
-    res = variety_decomposition(v)
+    v = {"a": 0.6, "b": 0.4}
+    res = variety_decomposition(v, {"a": "m", "b": "m"})
     assert res.unrelated == pytest.approx(0.0, abs=1e-12)
     assert res.related == pytest.approx(theil_index(v), abs=1e-12)
 
 
 def test_no_positive_share_raises():
-    # ShareVector's own checks forbid this, so build one around them
-    v = object.__new__(ShareVector)
-    object.__setattr__(v, "shares", {"a": 0.0})
-    object.__setattr__(v, "parents", {"a": "m"})
-    for fn in (theil_index, variety_decomposition):
-        with pytest.raises(ValueError, match="no positive entries"):
-            fn(v)
+    for fn in (theil_index, lambda counts: variety_decomposition(counts, {"a": "m"})):
+        with pytest.raises(ValueError, match="^total employment must be strictly positive"):
+            fn({"a": 0.0, "b": -0.0})
 
 
 def test_hoover_known_value():
@@ -276,11 +266,7 @@ def scalar_indices(records, industries, scale=100.0):
             nat[ind] = nat.get(ind, 0.0) + e
     rows = []
     for (region, year), counts in sorted(regional.items()):
-        total = math.fsum(counts.values())
-        if total <= 0:
-            raise ValueError("total employment must be strictly positive")
-        theil, related, unrelated = ref_variety(
-            {code: e / total for code, e in counts.items()}, parents)
+        theil, related, unrelated = ref_variety(counts, parents)
         rows.append({"region": region, "year": year, "theil": theil,
                      "related": related, "unrelated": unrelated,
                      "hoover": ref_hoover(counts, national[year]) * scale})
@@ -372,28 +358,34 @@ CODES = [f"I{k:02d}" for k in range(12)]
 
 
 @st.composite
-def share_vectors(draw):
-    """(shares, parents) over 1-12 industries in 1-4 sectors.
+def count_maps(draw):
+    """(counts, parents) over 1-12 industries in 1-4 sectors.
 
-    Shares may be zero, and are uniform over the positive ones half the
-    time. Zero-share industries may lack a parent; now and then one
-    positive-share industry does too.
+    Counts may be zero, and are equal over the positive ones half the time.
+    Zero-count industries may lack a parent; now and then one positive-count
+    industry does too. One map in ten holds a negative or non-finite count,
+    and one in ten holds only zeros.
     """
     n = draw(st.integers(1, 12))
     codes = draw(st.permutations(CODES))[:n]
     w = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=n, max_size=n))
     if draw(st.booleans()):
         w = [float(x > 0) for x in w]
-    if not any(w):
+    fault = draw(st.integers(0, 9))
+    if fault == 1:
+        w = [0.0] * n
+    elif not any(w):
         w[0] = 1.0
-    total = math.fsum(w)
-    shares = {code: x / total for code, x in zip(codes, w)}
+    if fault == 0:
+        w[draw(st.integers(0, n - 1))] = draw(
+            st.floats(-1e3, -1e-300) | st.sampled_from([math.nan, math.inf, -math.inf]))
+    counts = dict(zip(codes, w))
     n_sectors = draw(st.integers(1, 4))
     parents = {code: f"S{draw(st.integers(0, n_sectors - 1))}" for code in codes
-               if shares[code] > 0 or draw(st.booleans())}
-    if draw(st.integers(0, 9)) == 0:
-        del parents[draw(st.sampled_from([c for c in codes if shares[c] > 0]))]
-    return shares, parents
+               if counts[code] > 0 or draw(st.booleans())}
+    if fault > 1 and draw(st.integers(0, 9)) == 0:
+        del parents[draw(st.sampled_from([c for c in codes if counts[c] > 0]))]
+    return counts, parents
 
 
 def attempt(fn, *args):
@@ -410,20 +402,20 @@ def shuffled(mapping, rnd):
 
 
 @settings(max_examples=300, deadline=None)
-@given(share_vectors(), st.randoms(use_true_random=False))
+@given(count_maps(), st.randoms(use_true_random=False))
 def test_one_row_indices_match_the_reference(vector, rnd):
-    shares, parents = vector
-    v = ShareVector(shares=shares, parents=parents)
-    v_shuffled = ShareVector(shares=shuffled(shares, rnd), parents=shuffled(parents, rnd))
-    theil = theil_index(v)
-    assert close(theil, ref_variety(shares)[0])
-    assert theil_index(v_shuffled) == theil
-    got, want = attempt(variety_decomposition, v), attempt(ref_variety, shares, parents)
-    assert attempt(variety_decomposition, v_shuffled) == got
+    counts, parents = vector
+    theil, want = attempt(theil_index, counts), attempt(ref_variety, counts)
+    assert attempt(theil_index, shuffled(counts, rnd)) == theil
+    assert theil == want if isinstance(want, str) else close(theil, want[0])
+    got, want = attempt(variety_decomposition, counts, parents), attempt(ref_variety, counts, parents)
+    assert attempt(variety_decomposition, shuffled(counts, rnd), shuffled(parents, rnd)) == got
     if isinstance(want, str):
         assert got == want
     else:
         assert all(close(g, w) for g, w in zip((got.theil, got.related, got.unrelated), want))
+    if any(not (math.isfinite(e) and e >= 0) for e in counts.values()) or not any(counts.values()):
+        assert isinstance(theil, str) and isinstance(got, str)  # a ValueError
 
 
 @st.composite

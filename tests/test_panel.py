@@ -1070,6 +1070,20 @@ def test_block_size_changes_no_result_and_no_error(tmp_path, data):
             assert _outcome(load, str(path)) == want
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name", sorted(_BLOCK_READERS))
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, name, newline):
+    load, header, rows = _BLOCK_READERS[name]
+    lines = [header.encode(), *(",".join(row).encode() for row in rows)]
+    path = tmp_path / "in.csv"
+    for i, j in ((0, 3), (len(lines) - 1, 1)):  # in the header, then on the last line
+        bad = list(lines)
+        bad[i] = bad[i][:j] + b"\xff" + bad[i][j:]
+        path.write_bytes(newline.encode().join(bad) + newline.encode())
+        with pytest.raises(PanelParseError, match=f"^line {i + 1}: not UTF-8 text$"):
+            load(str(path))
+
+
 def test_loaders_hold_one_block_of_cells_at_a_time(tmp_path):
     # a 300 regions x 30 years x 20 variables panel at 17 digits (3.6 MB): a
     # whole-file read peaked at 7.4 times the file; one block at a time, under 3
