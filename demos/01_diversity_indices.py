@@ -48,7 +48,7 @@ def main():
 
     # Hoover: how far regional shares sit from national shares (x100 display).
     hv = hoover_index(table.employment("north", 2001), table.national(2001))
-    print(f"north hoover: {hv.value:.4f} raw, {hv.display:.1f} display")
+    print(f"north hoover: {hv:.4f} raw, {100 * hv:.1f} display")
 
     print("\n== identity on random employment counts ==")
     rng = np.random.default_rng(7)

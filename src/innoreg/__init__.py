@@ -14,8 +14,8 @@ _EXPORTS = {
     "game": ("Equilibrium", "EquilibriumFlags", "MarketParams", "VerificationReport",
              "equilibrium_at_royalty", "feasibility_region", "royalty_profit_profile",
              "spne", "verify_equilibrium"),
-    "indices": ("HooverResult", "VarietyResult", "hoover_index", "indices_table",
-                "theil_index", "variety_decomposition"),
+    "indices": ("VarietyResult", "hoover_index", "indices_table", "theil_index",
+                "variety_decomposition"),
     "panel": ("DescriptiveStats", "EmploymentTable", "ImputationResult",
               "PanelError", "PanelParseError", "RegionalPanel", "VariableStats",
               "correlation_matrix", "descriptive_stats", "impute_by_apportionment",

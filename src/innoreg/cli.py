@@ -141,7 +141,7 @@ def _result_rows(entries):
                 "coef": float(r.beta[i]), "se_robust": float(r.se_robust[i]),
                 "se_classical": float(r.se_classical[i]), "stars": stars[i],
                 "r_squared": r.r_squared, "f_stat": r.f_stat,
-                "avg_vif": r.avg_vif if r.avg_vif is not None else math.nan,
+                "avg_vif": r.avg_vif,
                 "n": r.n,
             })
     return rows

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "VarietyResult",
-    "HooverResult",
     "theil_index",
     "variety_decomposition",
     "hoover_index",
@@ -37,14 +36,6 @@ class VarietyResult:
     theil: float
     related: float
     unrelated: float
-
-
-@dataclass(frozen=True)
-class HooverResult:
-    """Hoover specialization value in [0, 1] plus its display-scale variant."""
-
-    value: float
-    display: float
 
 
 def _kernel(p, national, sector, n_sectors: int):
@@ -70,14 +61,22 @@ def _kernel(p, national, sector, n_sectors: int):
 def _shares(counts: Mapping[str, float], what: str = "employment") -> dict:
     """code -> ``count / total`` of an industry -> employment mapping, in code
     order, over the ``math.fsum`` total. A negative or non-finite count raises
-    ValueError naming its code, and so does a total that is not positive;
+    ValueError naming its code, and so does an int count beyond the float
+    range; a total that overflows or is not positive raises ValueError too.
     ``what`` names the counts in the message."""
     codes = sorted(counts)
     for code in codes:
-        if not (math.isfinite(counts[code]) and counts[code] >= 0):
+        try:
+            ok = math.isfinite(counts[code]) and counts[code] >= 0
+        except OverflowError:
+            raise ValueError(f"{what} for industry {code!r} is beyond the float range") from None
+        if not ok:
             raise ValueError(f"{what} {counts[code]!r} for industry {code!r} "
                              "is negative or not finite")
-    total = math.fsum(counts.values())
+    try:
+        total = math.fsum(counts.values())
+    except OverflowError:
+        raise ValueError(f"total {what} is beyond the float range") from None
     if total <= 0:
         raise ValueError(f"total {what} must be strictly positive")
     return {code: counts[code] / total for code in codes}
@@ -105,20 +104,19 @@ def variety_decomposition(counts: Mapping[str, float],
 
 
 def hoover_index(regional: Mapping[str, float],
-                 national: Mapping[str, float]) -> HooverResult:
-    """Half the L1 distance between regional and national industry shares.
+                 national: Mapping[str, float]) -> float:
+    """Half the L1 distance between regional and national industry shares,
+    in [0, 1] (``indices_table`` renders 100 times it, in percentage points).
 
     Codes missing on one side are treated as zero employment there; a
     negative or non-finite count raises ValueError naming its code, and so
-    does a side whose total is not positive. The raw value lives in [0, 1];
-    ``display`` is 100 times it, in percentage points.
+    does a side whose total is not positive or beyond the float range.
     """
     p = _shares(regional, "regional employment")
     nat = _shares(national, "national employment")
     codes = sorted(set(p) | set(nat))
     rows = np.array([[shares.get(code, 0.0) for code in codes] for shares in (p, nat)])
-    value = float(_kernel(rows[:1], rows[1:], np.zeros(len(codes), dtype=int), 1)[3][0])
-    return HooverResult(value=value, display=value * 100.0)
+    return float(_kernel(rows[:1], rows[1:], np.zeros(len(codes), dtype=int), 1)[3][0])
 
 
 def indices_table(employment, industries=None) -> list:

@@ -324,10 +324,6 @@ class RegionalPanel:
         except KeyError:
             raise PanelError(f"unknown variable {name!r}") from None
 
-    def column(self, name: str) -> np.ndarray:
-        """Region-major flattened copy, length R*T."""
-        return self.matrix(name).ravel().copy()
-
     # -- serialization -----------------------------------------------------
     def to_csv(self) -> str:
         """The wide-schema CSV text, values at full precision (``%.17g``).
@@ -352,7 +348,8 @@ def load_panel(source) -> RegionalPanel:
     an empty cell or naming a column twice raises. The first bad line (a bad
     cell, a repeated row or a ragged row) is reported, then the missing cells.
     Each block of rows is converted as it is read, and none is read past the
-    first bad line.
+    first bad line. Bytes that are not UTF-8 raise ``line N: not UTF-8 text``
+    from a path; a text stream re-raises its UnicodeDecodeError.
     """
     with contextlib.closing(_read_csv(source)) as blocks:
         header = next(blocks)
@@ -467,8 +464,10 @@ class EmploymentTable:
                              minlength=len(keys) * m).reshape(len(keys), m)
         national = np.zeros((n_years, m))
         key_year = year_index[first]
-        np.add.at(national, key_year, counts)
-        if not (np.all(emp >= 0) and np.all(np.isfinite(national.sum(axis=1)))):
+        with np.errstate(over="ignore", invalid="ignore"):  # such totals are refused below
+            np.add.at(national, key_year, counts)
+            finite = np.isfinite(national.sum(axis=1))
+        if not (np.all(emp >= 0) and np.all(finite)):
             raise PanelError("employment must be non-negative with finite totals")
 
         derived = {"regions": regions, "years": years, "codes": inds, "employed": emp,
@@ -748,7 +747,7 @@ def descriptive_stats(panel: RegionalPanel) -> DescriptiveStats:
     """
     out = {}
     for name in panel.variables:
-        col = panel.column(name)
+        col = panel.matrix(name).ravel()
         col = col[~np.isnan(col)]
         if col.size == 0:
             warnings.warn(f"variable {name!r} is entirely missing; excluded")
@@ -773,7 +772,7 @@ def correlation_matrix(panel: RegionalPanel, variables) -> np.ndarray:
     names = list(variables)
     if len(names) < 2:
         raise PanelError("correlation matrix needs at least 2 variables")
-    cols = np.column_stack([panel.column(n) for n in names])
+    cols = np.column_stack([panel.matrix(n).ravel() for n in names])
     keep = ~np.isnan(cols).any(axis=1)
     cols = cols[keep]
     if cols.shape[0] < 2:

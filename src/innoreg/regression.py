@@ -151,8 +151,8 @@ class RegressionResult:
     f_pvalue: float
     n: int
     k: int
-    vif: dict | None
-    avg_vif: float | None
+    vif: dict
+    avg_vif: float
     hc: str = "HC1"
 
     @property
@@ -418,7 +418,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
         except np.linalg.LinAlgError:
             pass
 
-    vif_map, avg = None, None
+    vif_map, avg = {}, math.nan  # none with fewer than two slopes
     if m >= 2:
         # X = Q R with R's first column r_00 e_0, so each slope's centred sum of
         # squares is the squared norm of its R column below row 0: k x k work
@@ -564,7 +564,7 @@ def format_suite_grid(entries) -> str:
     body = [[nm] + [cell(e, nm) for e in entries] for nm in order]
     feet = (("R2", "{:.4f}", lambda r: r.r_squared),
             ("F", "{:.2f}", lambda r: r.f_stat),
-            ("Avg VIF", "{:.2f}", lambda r: math.nan if r.avg_vif is None else r.avg_vif),
+            ("Avg VIF", "{:.2f}", lambda r: r.avg_vif),
             ("N", "{:d}", lambda r: r.n))
     if entries:
         body += [[title] + [fmt.format(fn(e.result)) if e.ok else "-" for e in entries]

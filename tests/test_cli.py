@@ -826,6 +826,20 @@ def _python(code):
                           check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
 
 
+@pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default-warnings", "runtime-warnings-as-errors"])
+def test_a_year_total_beyond_the_float_range_exits_2_with_one_line(tmp_path, flags):
+    emp = tmp_path / "emp.csv"
+    emp.write_text("region,year,industry,parent,employment\n"
+                   "r1,2001,C1,S1,1e308\nr2,2001,C1,S1,1e308\n")
+    src = Path(innoreg.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, *flags, "-m", "innoreg.cli", "indices", str(emp)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: employment must be non-negative with finite totals\n"
+
+
 @pytest.mark.parametrize("argv, numpy", [
     (None, False),
     (VERIFY, False),
@@ -889,7 +903,7 @@ def test_every_public_name_resolves_through_the_lazy_package():
             "from innoreg import *\n"
             "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
     assert _python(code) == "[]\n[]\n[]\nTrue\n"
-    assert len(innoreg.__all__) == 49
+    assert len(innoreg.__all__) == 48
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         innoreg.nope
 

@@ -142,9 +142,15 @@ def test_no_positive_share_raises():
 
 
 def test_hoover_known_value():
-    res = hoover_index({"a": 70, "b": 30}, {"a": 50, "b": 50})
-    assert res.value == pytest.approx(0.2, abs=1e-12)
-    assert res.display == 100 * res.value
+    value = hoover_index({"a": 70, "b": 30}, {"a": 50, "b": 50})
+    assert type(value) is float and value == pytest.approx(0.2, abs=1e-12)
+    # indices_table renders the same value in percentage points
+    table = EmploymentTable(regions=["r", "r", "s", "s"], years=[2001] * 4,
+                            codes=["a", "b", "a", "b"], employed=[70.0, 30.0, 25.0, 75.0],
+                            parents={"a": "m", "b": "m"})
+    for row in indices_table(table):
+        hv = hoover_index(table.employment(row["region"], 2001), table.national(2001))
+        assert 100 * hv == pytest.approx(row["hoover"], rel=1e-12)
 
 
 def test_hoover_bounds_and_extremes():
@@ -152,14 +158,14 @@ def test_hoover_bounds_and_extremes():
     for _ in range(100):
         r = rng.random(6) + 1e-3
         n = rng.random(6) + 1e-3
-        res = hoover_index({f"i{k}": r[k] for k in range(6)},
-                           {f"i{k}": n[k] for k in range(6)})
-        assert 0.0 <= res.value <= 1.0 and res.display == 100 * res.value
+        value = hoover_index({f"i{k}": r[k] for k in range(6)},
+                             {f"i{k}": n[k] for k in range(6)})
+        assert 0.0 <= value <= 1.0
     same = hoover_index({"a": 2, "b": 8}, {"a": 20, "b": 80})
-    assert same.value == pytest.approx(0.0, abs=1e-12)
+    assert same == pytest.approx(0.0, abs=1e-12)
     # disjoint supports -> maximal specialization
     disjoint = hoover_index({"a": 5, "b": 0}, {"a": 0, "b": 5})
-    assert disjoint.value == pytest.approx(1.0, abs=1e-12)
+    assert disjoint == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hoover_requires_positive_totals():
@@ -172,6 +178,22 @@ def test_hoover_requires_positive_totals():
         hoover_index({"a": -1.0, "b": 3.0}, {"a": 1.0})
     with pytest.raises(ValueError, match="^national employment nan for industry 'b' is neg"):
         hoover_index({"a": 1.0}, {"a": 2.0, "b": math.nan})
+
+
+def test_counts_beyond_the_float_range_raise_value_error():
+    # a total that overflows, and an int count that no float holds
+    for fn in (theil_index, lambda counts: variety_decomposition(counts, {"a": "m", "b": "m"})):
+        with pytest.raises(ValueError, match="^total employment is beyond the float range$"):
+            fn({"a": 1e308, "b": 1e308})
+    with pytest.raises(ValueError, match="^total national employment is beyond the float"):
+        hoover_index({"a": 1.0}, {"a": 1e308, "b": 1e308})
+    with pytest.raises(ValueError,
+                       match="^regional employment for industry 'a' is beyond the float range$"):
+        hoover_index({"a": 10 ** 400}, {"a": 1})
+    with pytest.raises(ValueError, match="^employment for industry 'b' is beyond the float"):
+        theil_index({"a": 1, "b": -10 ** 400})
+    # an int inside the float range is a count like any other
+    assert hoover_index({"a": 10 ** 300, "b": 0}, {"a": 1, "b": 1}) == pytest.approx(0.5)
 
 
 def test_indices_table_from_employment_csv(tmp_path):
@@ -197,7 +219,7 @@ def test_indices_table_from_employment_csv(tmp_path):
     assert south["theil"] == pytest.approx(math.log(4), abs=1e-12)
     # equal 50/50 parent split in both regions and nationally
     assert south["unrelated"] == pytest.approx(LN2, abs=1e-9)
-    assert north["hoover"] == pytest.approx(10.0, abs=1e-9)  # display scale x100
+    assert north["hoover"] == pytest.approx(10.0, abs=1e-9)  # in percentage points
 
 
 def test_indices_table_industry_subset(tmp_path):
@@ -438,4 +460,4 @@ def test_hoover_index_matches_the_reference(regional, national, rnd):
     if isinstance(want, str):
         assert got == want
     else:
-        assert close(got.value, want) and got.display == 100 * got.value
+        assert type(got) is float and close(got, want)

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -590,7 +591,7 @@ def test_a_panel_built_on_another_panels_data_and_column():
     q = RegionalPanel(p.regions, p.years, {**p.data, "Y": np.ones((2, 3))})
     assert q.variables == ("X", "Y")
     assert p.variables == ("X",)
-    np.testing.assert_array_equal(q.column("X"), np.arange(6.0))  # region-major
+    np.testing.assert_array_equal(q.matrix("X").ravel(), np.arange(6.0))  # region-major
     with pytest.raises(PanelError):
         p.matrix("NOPE")
 
@@ -665,14 +666,14 @@ def test_descriptive_stats_csv_roundtrip(p):
     except PanelError as exc:
         name = str(exc).split("'")[1]
         assert str(exc) == f"sd of {name!r} is beyond the float range"
-        col = p.column(name)[~np.isnan(p.column(name))]
+        col = p.matrix(name)[~np.isnan(p.matrix(name))]
         sd = np.std(np.ldexp(col, -1000), ddof=1)  # scaled so that no square overflows
         assert sd >= np.ldexp(np.finfo(float).max, -1000)
         return
     again = DescriptiveStats.from_csv(io.StringIO(stats.to_csv()))
     assert again.variables == stats.variables
     for name in p.variables:
-        col = p.column(name)[~np.isnan(p.column(name))]
+        col = p.matrix(name)[~np.isnan(p.matrix(name))]
         rec = stats.get(name)
         if col.min() == col.max():  # np.ptp(col) can overflow
             assert (rec.mean, rec.sd, rec.min, rec.max) == (col[0], 0.0, col[0], col[0])
@@ -945,6 +946,12 @@ def test_load_employment_builds_the_count_matrix():
     with pytest.raises(PanelError, match="non-negative"):
         EmploymentTable(regions=["n"], years=[2001], codes=["food"], employed=[-1.0],
                         parents={"food": "m"})
+    # a year total beyond the float range, refused before numpy warns of it
+    for employed in ([1e308, 1e308], [math.inf, -math.inf]):
+        with warnings.catch_warnings(), pytest.raises(PanelError, match="finite totals"):
+            warnings.simplefilter("error")
+            EmploymentTable(regions=["n", "s"], years=[2001, 2001], codes=["food", "food"],
+                            employed=employed, parents={"food": "m"})
     with pytest.raises(PanelError, match="'food' has no parent"):
         EmploymentTable(regions=["n"], years=[2001], codes=["food"], employed=[1.0],
                         parents={})
@@ -1082,6 +1089,9 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, name, newline):
         path.write_bytes(newline.encode().join(bad) + newline.encode())
         with pytest.raises(PanelParseError, match=f"^line {i + 1}: not UTF-8 text$"):
             load(str(path))
+        # a text stream has no bytes to count lines in: its decode error goes up as it is
+        with pytest.raises(UnicodeDecodeError):
+            load(io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8"))
 
 
 def test_loaders_hold_one_block_of_cells_at_a_time(tmp_path):

@@ -71,8 +71,8 @@ def test_ols_matches_lstsq():
     p = rand_panel(rng, ["Y", "X1", "X2"])
     res = pooled_ols(p, RegressionSpec(dependent="Y",
                                        regressors=[{"name": "X1"}, {"name": "X2"}]))
-    X = np.column_stack([np.ones(48), p.column("X1"), p.column("X2")])
-    ref, *_ = np.linalg.lstsq(X, p.column("Y"), rcond=None)
+    X = np.column_stack([np.ones(48), p.matrix("X1").ravel(), p.matrix("X2").ravel()])
+    ref, *_ = np.linalg.lstsq(X, p.matrix("Y").ravel(), rcond=None)
     np.testing.assert_allclose(res.beta, ref, atol=1e-10)
     assert res.names == ["const", "X1", "X2"]
     assert res.n == 48 and res.k == 3
@@ -150,8 +150,9 @@ def test_intercept_only_fit_has_no_f_statistic():
     p = rand_panel(np.random.default_rng(29), ["Y"])
     res = pooled_ols(p, RegressionSpec(dependent="Y"))
     assert res.names == ["const"] and res.k == 1
-    assert res.coefficient("const") == pytest.approx(p.column("Y").mean(), abs=1e-12)
+    assert res.coefficient("const") == pytest.approx(p.matrix("Y").mean(), abs=1e-12)
     assert math.isnan(res.f_stat) and math.isnan(res.f_pvalue)
+    assert res.vif == {} and math.isnan(res.avg_vif)
 
 
 def test_robust_covariance_variants():
@@ -284,9 +285,9 @@ def test_residuals_orthogonal_to_design():
     p = rand_panel(rng, ["Y", "X1", "X2"])
     res = pooled_ols(p, RegressionSpec(dependent="Y",
                                        regressors=[{"name": "X1"}, {"name": "X2"}]))
-    X = np.column_stack([np.ones(48), p.column("X1"), p.column("X2")])
-    e = p.column("Y") - X @ res.beta
-    assert np.abs(X.T @ e).max() / np.abs(p.column("Y")).sum() < 1e-8
+    X = np.column_stack([np.ones(48), p.matrix("X1").ravel(), p.matrix("X2").ravel()])
+    e = p.matrix("Y").ravel() - X @ res.beta
+    assert np.abs(X.T @ e).max() / np.abs(p.matrix("Y")).sum() < 1e-8
 
 
 @st.composite
@@ -396,9 +397,9 @@ def test_interaction_spec_orthogonalizes_but_keeps_mains():
     # the one place collinearity must not explode (the raw mains stay correlated)
     assert res.vif["A*B"] < 2.0
     # mains enter unmodified: same fit as lstsq on the raw columns + product
-    ra, rb = orthogonalize(p.column("A"), p.column("B"))
-    X = np.column_stack([np.ones(48), p.column("A"), p.column("B"), ra * rb])
-    ref, *_ = np.linalg.lstsq(X, p.column("Y"), rcond=None)
+    ra, rb = orthogonalize(p.matrix("A").ravel(), p.matrix("B").ravel())
+    X = np.column_stack([np.ones(48), p.matrix("A").ravel(), p.matrix("B").ravel(), ra * rb])
+    ref, *_ = np.linalg.lstsq(X, p.matrix("Y").ravel(), rcond=None)
     np.testing.assert_allclose(res.beta, ref, atol=1e-10)
 
 
@@ -522,7 +523,8 @@ def test_format_suite_grid_layout():
                        regressors=[{"name": "X"}, {"name": "Z"}]),
         RegressionSpec(label="3", dependent="Y", regressors=[{"name": "MISS"}]),
     ]
-    grid = format_suite_grid(run_model_suite(p, specs))
+    entries = run_model_suite(p, specs)
+    grid = format_suite_grid(entries)
     lines = grid.splitlines()
     assert lines[0] == "| Variables | 1 | 2 | 3 |"
     body = "\n".join(lines)
@@ -531,6 +533,9 @@ def test_format_suite_grid_layout():
     assert "failed" in body
     for footer in ("| R2 |", "| F |", "| Avg VIF |", "| N |"):
         assert footer in body
+    # a one-slope fit has no VIF: its Avg VIF cell reads nan
+    assert entries[0].result.vif == {} and math.isnan(entries[0].result.avg_vif)
+    assert next(ln for ln in lines if ln.startswith("| Avg VIF |")).split(" | ")[1] == "nan"
 
 
 def test_format_decomposition_table_layout():
@@ -585,7 +590,7 @@ def test_one_factorization_per_fit_and_per_vif_block(monkeypatch):
         interactions=[{"x1": "X1", "x2": "X3"}]))
     assert calls == [("qr", (48, 5)), ("svd", (4, 4))] and res.names[-1] == "X1*X3"
     calls.clear()
-    robust_covariance(np.column_stack([np.ones(48), p.column("X1")]),
+    robust_covariance(np.column_stack([np.ones(48), p.matrix("X1").ravel()]),
                       rng.normal(size=48), "HC3")
     assert calls == [("qr", (48, 2)), ("svd", (2, 2))]
 
@@ -649,7 +654,7 @@ def test_collinearity_error_names_the_dependent_set():
         pooled_ols(p, spec)
     assert str(err.value) == "rank-deficient design; collinear columns ['x', 'x2']"
     # without names: plain column indices, the free column z (2) left out
-    X = np.column_stack([np.ones(40), x.ravel(), p.column("z"), 2 * x.ravel()])
+    X = np.column_stack([np.ones(40), x.ravel(), p.matrix("z").ravel(), 2 * x.ravel()])
     with pytest.raises(CollinearityError) as err:
         robust_covariance(X, rng.normal(size=40))
     assert str(err.value) == "rank-deficient design; collinear columns [1, 3]"
