@@ -19,7 +19,7 @@ def main():
     print("== fixed royalty r = 1 ==")
     eq = equilibrium_at_royalty(params, 1.0)
     print(f"  leader q1 {eq.q1:.4f}, follower q2 {eq.q2:.4f}, price {eq.price:.4f}")
-    print(f"  payoffs: leader {eq.leader_payoff:.4f}, follower {eq.follower_payoff:.4f}")
+    print(f"  payoffs: leader {eq.leader_profit:.4f}, follower {eq.follower_profit:.4f}")
 
     print("\n== independent verification ==")
     rep = verify_equilibrium(params, eq)
@@ -38,11 +38,11 @@ def main():
 
     print("\n== the stationary royalty r* = sqrt((c - a) / 3) needs c > a ==")
     eq1 = spne(params)
-    print(f"  a=10, c=1: radicand {eq1.r_squared:.4f} < 0, royalty real: {eq1.flags.r_real}")
+    print(f"  a=10, c=1: radicand {eq1.r_squared:.4f} < 0, royalty real: {bool(eq1.r_real)}")
     weak = MarketParams(a=1.0, c=4.0)
     eq2 = spne(weak)
     print(f"  a=1, c=4: r* = {eq2.r:.4f} (real), but then q1* = {eq2.q1:.4f} and "
-          f"q2* = {eq2.q2:.4f} (feasible: {eq2.flags.all_ok()})")
+          f"q2* = {eq2.q2:.4f} (feasible: {eq2.all_ok()})")
     near = royalty_profit_profile(weak, [0.9 * eq2.r, eq2.r, 1.1 * eq2.r])
     print("  leader profit at 0.9 r*, r*, 1.1 r*: " + ", ".join(f"{pi:.4f}" for pi in near))
     print(f"  -> r* is the leader's profit minimum, 0; verify all_ok: "

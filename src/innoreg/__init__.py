@@ -11,9 +11,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "game": ("Equilibrium", "EquilibriumFlags", "MarketParams", "VerificationReport",
-             "equilibrium_at_royalty", "feasibility_region", "royalty_profit_profile",
-             "spne", "verify_equilibrium"),
+    "game": ("Equilibrium", "MarketParams", "VerificationReport", "equilibrium_at_royalty",
+             "feasibility_region", "royalty_profit_profile", "spne", "verify_equilibrium"),
     "indices": ("VarietyResult", "hoover_index", "indices_table", "theil_index",
                 "variety_decomposition"),
     "panel": ("DescriptiveStats", "EmploymentTable", "ImputationResult",

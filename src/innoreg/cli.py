@@ -212,19 +212,9 @@ def _cmd_elasticities(args) -> int:
     return 0
 
 
-def _eq_rows(eq) -> list:
-    return [{
-        "q1": eq.q1, "q2": eq.q2, "r": eq.r, "r_squared": eq.r_squared,
-        "price": eq.price, "leader_profit": eq.leader_payoff,
-        "follower_profit": eq.follower_payoff,
-        "r_real": int(eq.flags.r_real), "q1_nonneg": int(eq.flags.q1_nonneg),
-        "q2_nonneg": int(eq.flags.q2_nonneg),
-        "p_nonneg": int(eq.flags.price_nonneg),
-    }]
-
-
 def _cmd_game(args) -> int:
     from . import game as game_mod
+    from dataclasses import asdict  # loaded by game; at module level cli would pull in inspect
 
     if args.game_cmd == "solve":
         params = game_mod.MarketParams(a=args.a, c=args.c)
@@ -232,11 +222,11 @@ def _cmd_game(args) -> int:
             eq = game_mod.equilibrium_at_royalty(params, args.r)
         else:
             eq = game_mod.spne(params)
-        rows = _eq_rows(eq)
+        rows = [asdict(eq)]
 
         def md():
             lines = [f"a={args.a:g} c={args.c:g}"]
-            if not eq.flags.r_real:
+            if not eq.r_real:
                 lines.append(f"royalty not real: radicand {eq.r_squared:.4f} < 0")
             for key, val in rows[0].items():
                 shown = f"{val:.4f}" if isinstance(val, float) else str(val)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 __all__ = [
     "MarketParams",
     "Equilibrium",
-    "EquilibriumFlags",
     "VerificationReport",
     "equilibrium_at_royalty",
     "spne",
@@ -55,23 +54,13 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class EquilibriumFlags:
-    r_real: bool
-    q1_nonneg: bool
-    q2_nonneg: bool
-    price_nonneg: bool
-
-    def all_ok(self) -> bool:
-        return self.r_real and self.q1_nonneg and self.q2_nonneg and self.price_nonneg
-
-
-@dataclass(frozen=True)
 class Equilibrium:
     """Outcome of the two-stage game at a (possibly infeasible) royalty.
 
     ``r_squared`` is carried separately so that the degenerate royalty stage
     (negative radicand, non-real ``r``) still yields well-defined quantities,
-    price, and profits.
+    price, and profits. The fields are the ``game solve`` columns, in order;
+    the last four are 0/1 feasibility flags, ``r_real`` being 1 iff r^2 >= 0.
     """
 
     q1: float
@@ -79,9 +68,16 @@ class Equilibrium:
     r: float
     r_squared: float
     price: float
-    leader_payoff: float
-    follower_payoff: float
-    flags: EquilibriumFlags
+    leader_profit: float
+    follower_profit: float
+    r_real: int
+    q1_nonneg: int
+    q2_nonneg: int
+    p_nonneg: int
+
+    def all_ok(self) -> bool:
+        """Whether all four feasibility flags hold."""
+        return bool(self.r_real and self.q1_nonneg and self.q2_nonneg and self.p_nonneg)
 
 
 # The closed forms in r**2 space, on scalars or numpy arrays. Taking r**2
@@ -134,16 +130,14 @@ def _spne_path(a, c):
 
 
 def _flags(rsq, q1, q2, p):
-    # r_real, q1_nonneg, q2_nonneg, price_nonneg: r is real iff r^2 >= 0
+    # r_real, q1_nonneg, q2_nonneg, p_nonneg: r is real iff r^2 >= 0
     return rsq >= 0, q1 >= 0, q2 >= 0, p >= 0
 
 
 def _assemble(params: MarketParams, r, rsq, q1, q2, p) -> Equilibrium:
     a, c = params.a, params.c
-    return Equilibrium(q1=q1, q2=q2, r=r, r_squared=rsq, price=p,
-                       leader_payoff=_pi1(rsq, q1, a, c),
-                       follower_payoff=_pi2(rsq, q1, q2, a, c),
-                       flags=EquilibriumFlags(*_flags(rsq, q1, q2, p)))
+    return Equilibrium(q1, q2, r, rsq, p, _pi1(rsq, q1, a, c), _pi2(rsq, q1, q2, a, c),
+                       *map(int, _flags(rsq, q1, q2, p)))
 
 
 def equilibrium_at_royalty(params: MarketParams, r: float) -> Equilibrium:

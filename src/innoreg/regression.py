@@ -312,6 +312,18 @@ def vif(X: np.ndarray, names=None):
 # design assembly
 
 
+def _constant(x: np.ndarray) -> bool:
+    """Whether x holds one value (or none): judged on the values, not a sum of squares."""
+    return x.size == 0 or x.min() == x.max()
+
+
+def _unit_scale(x: np.ndarray):
+    """(x / 2**e, e), e putting max |x| in [0.5, 1): exact, and it keeps sums
+    of squares of tiny or huge values inside the float range."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
+
+
 def orthogonalize(x1, x2, mode: str = "mutual"):
     """Residualize a correlated pair to tame interaction collinearity.
 
@@ -328,15 +340,16 @@ def orthogonalize(x1, x2, mode: str = "mutual"):
         raise PanelError("orthogonalize expects two equal-length series")
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise PanelError("orthogonalize inputs must be finite")
-    c1, c2 = x1 - x1.mean(), x2 - x2.mean()
-    s11, s22, s12 = c1 @ c1, c2 @ c2, c1 @ c2
-    for i, ss in enumerate((s11, s22), start=1):
-        if ss == 0:
+    for i, x in enumerate((x1, x2), start=1):
+        if _constant(x):
             raise PanelError(f"series {i} is constant; cannot orthogonalize")
+    (c1, e1), (c2, e2) = _unit_scale(x1), _unit_scale(x2)  # each residual scales back
+    c1, c2 = c1 - c1.mean(), c2 - c2.mean()
+    s11, s22, s12 = c1 @ c1, c2 @ c2, c1 @ c2
     if mode == "mutual":
-        return c1 - (s12 / s22) * c2, c2 - (s12 / s11) * c1
+        return np.ldexp(c1 - (s12 / s22) * c2, e1), np.ldexp(c2 - (s12 / s11) * c1, e2)
     if mode == "residualize-second":
-        return x1.copy(), c2 - (s12 / s11) * c1
+        return x1.copy(), np.ldexp(c2 - (s12 / s11) * c1, e2)
     raise PanelError(f"unknown orthogonalization mode {mode!r}")
 
 
@@ -385,7 +398,7 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     Frisch-Waugh-Lovell the slope block of (X'X)^-1 is (Zc'Zc)^-1 for the
     centred slopes Zc, so VIF_j = [(X'X)^-1]_jj * sum_i (z_ij - mean_j)^2,
     the sum read off R. An unknown ``hc`` raises ValueError before the
-    design is built.
+    design is built, and a constant dependent a PanelError naming it.
     """
     hc = _variant(hc)
     xy, names = _build_design(panel, spec)
@@ -393,6 +406,8 @@ def pooled_ols(panel: RegionalPanel, spec: RegressionSpec,
     n, k = X.shape
     if n <= k:
         raise PanelError(f"need N > k; got N={n}, k={k}")
+    if _constant(y):
+        raise PanelError(f"spec {spec.label!r}: dependent {spec.dependent!r} is constant")
     r, qty, rinv, xtx_inv = _factor(xy, names, k)
     # R^-1 Q'y alone loses digits in small coefficients; one refinement restores them
     beta = rinv @ qty
@@ -467,14 +482,15 @@ def variance_decomposition(panel: RegionalPanel,
     if np.isnan(m).any():
         raise PanelError(f"variable {variable!r} has missing cells; "
                          "decomposition requires balance")
+    if _constant(m):
+        raise PanelError(f"variable {variable!r} is constant")
+    m = _unit_scale(m)[0]  # shares and F are ratios, alike at every scale
     r_n, t_n = m.shape
     grand = m.mean()
     ss_total = float(np.sum((m - grand) ** 2))
     ss_region = float(t_n * np.sum((m.mean(axis=1) - grand) ** 2))
     ss_time = float(r_n * np.sum((m.mean(axis=0) - grand) ** 2))
     ss_resid = ss_total - ss_region - ss_time
-    if ss_total == 0:
-        raise PanelError(f"variable {variable!r} is constant")
     df_r, df_t = r_n - 1, t_n - 1
     df_e = df_r * df_t
     mse = ss_resid / df_e

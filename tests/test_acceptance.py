@@ -122,7 +122,7 @@ def test_criterion_05_spne_degeneracy():
         worst_q1 = max(worst_q1, abs(eq.q1))
         worst_q2 = max(worst_q2, abs(eq.q2 - 2 * (a - c) / 3))
     sol = spne(MarketParams(a=4.0, c=1.5))
-    branch_ok = (not sol.flags.r_real) and sol.r_squared == pytest.approx(
+    branch_ok = (not sol.r_real) and sol.r_squared == pytest.approx(
         (1.5 - 4.0) / 3, abs=1e-15)
     ok = worst_q1 < 1e-12 and worst_q2 < 1e-12 and branch_ok
     check(5, ok, f"q1*(r*)=0 (max |q1| {worst_q1:.1e}), q2*=2(a-c)/3 "
@@ -132,7 +132,7 @@ def test_criterion_05_spne_degeneracy():
 def test_criterion_06_worked_instance():
     eq = equilibrium_at_royalty(MarketParams(a=10.0, c=1.0), 1.0)
     gaps = (abs(eq.q1 - 6), abs(eq.q2 - 1), abs(eq.price - 3),
-            abs(eq.leader_payoff - 18), abs(eq.follower_payoff - 1))
+            abs(eq.leader_profit - 18), abs(eq.follower_profit - 1))
     ok = max(gaps) < 1e-12
     check(6, ok, f"a=10,c=1,r=1 chain (q1,q2,p,pi1,pi2)=(6,1,3,18,1); "
                  f"max gap {max(gaps):.1e}")

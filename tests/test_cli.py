@@ -1,10 +1,12 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,12 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import innoreg
-from innoreg import cli, synth
+from innoreg import cli, game, synth
 from innoreg.cli import main
 from innoreg.panel import (DescriptiveStats, PanelError, descriptive_stats,
                            load_correlation_csv, load_employment, load_panel)
+from innoreg.table import render_table
 
 EMP = ("region,year,industry,parent,employment\n"
        "north,2001,food,manuf,40\n"
@@ -253,6 +258,21 @@ def test_decompose_formats(tmp_path, capsys):
     assert shares == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_constant_variable_is_refused_by_decompose_and_regress(tmp_path, capsys):
+    # K is 0.1 in every row: its centred sum of squares is rounding noise, not 0
+    panel = tmp_path / "k.csv"
+    panel.write_text("region,year,K,A\nr1,2001,0.1,1\nr1,2002,0.1,2\nr2,2001,0.1,4\n"
+                     "r2,2002,0.1,3\nr3,2001,0.1,2\nr3,2002,0.1,5\n")
+    assert run(capsys, "decompose", str(panel)) == (2, "", "error: variable 'K' is constant\n")
+    specs = tmp_path / "specs.json"
+    specs.write_text('[{"label": "m", "dependent": "K", "regressors": [{"name": "A"}]}]')
+    rc, out, err = run(capsys, "regress", str(panel), "--specs", str(specs))
+    assert (rc, out) == (3, "label,variable,coef,se_robust,se_classical,stars,r_squared,"
+                            "f_stat,avg_vif,n,error\nm,,,,,,,,,,spec 'm': dependent 'K' "
+                            "is constant\n")
+    assert err == "spec 'm' failed: spec 'm': dependent 'K' is constant\n"
+
+
 def test_elasticities_with_and_without_stats(tmp_path, capsys):
     prov = tmp_path / "prov.csv"
     prov.write_text("variable,beta,source_column,x_mean,y_mean,expected\n"
@@ -337,6 +357,39 @@ VERIFY_OUT = {
           "  point_leader       gap 0.000e+00  [ok]\n"
           "all checks passed at tolerance 1e-05\n",
 }
+
+
+def _stdout_of(argv):
+    """(exit code, standard output) of ``main(argv)``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.01, 1e6), c=st.floats(0.01, 1e6),
+       r=st.none() | st.floats(-1e3, 1e3))
+@example(a=10.0, c=1.0, r=None)  # a > c: the SPNE royalty is not real
+@example(a=1.0, c=4.0, r=None)
+@example(a=2.5, c=2.5, r=None)
+@example(a=10.0, c=1.0, r=-0.0)
+def test_game_solve_prints_the_library_record(a, c, r):
+    # each column of game solve is the Equilibrium field of its name, in order
+    params = game.MarketParams(a=a, c=c)
+    want = dataclasses.asdict(game.spne(params) if r is None
+                              else game.equilibrium_at_royalty(params, r))
+    argv = ["game", "solve", "--a", repr(a), "--c", repr(c)]
+    if r is not None:
+        argv.append(f"--r={r!r}")
+    rc, out = _stdout_of(argv + ["--format", "json"])
+    assert rc == 0
+    [row] = json.loads(out)
+    assert list(row) == list(want)
+    assert row == {k: None if isinstance(v, float) and math.isnan(v) else v
+                   for k, v in want.items()}
+    rc, out = _stdout_of(argv)
+    assert rc == 0
+    assert out.rstrip("\n") == render_table([want], list(want), "csv").rstrip("\n")
 
 
 def test_game_flags_admit_their_bounds(capsys):
@@ -873,11 +926,12 @@ def test_numpy_only_commands_import_no_scipy(tmp_path, argv, numpy):
             f"    code = 0 if {argv!r} is None else cli.main({argv!r})\n"
             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
             "      'numpy' in sys.modules)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'innoreg'))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'innoreg'),\n"
+            "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
     result, modules = _python(code).splitlines()
     assert result == f"0 [] {numpy}"
-    if argv is None:
-        assert modules == "['innoreg', 'innoreg.cli', 'innoreg.table']"
+    if argv is None:  # game solve's asdict is imported with the game, not the CLI
+        assert modules == "['innoreg', 'innoreg.cli', 'innoreg.table'] False False"
 
 
 def test_no_module_imports_scipy():
@@ -903,7 +957,7 @@ def test_every_public_name_resolves_through_the_lazy_package():
             "from innoreg import *\n"
             "print(all(globals()[n] is getattr(innoreg, n) for n in names))\n")
     assert _python(code) == "[]\n[]\n[]\nTrue\n"
-    assert len(innoreg.__all__) == 48
+    assert len(innoreg.__all__) == 47
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         innoreg.nope
 

@@ -167,9 +167,23 @@ def test_worked_instance():
     assert eq.q1 == pytest.approx(6.0, abs=1e-12)
     assert eq.q2 == pytest.approx(1.0, abs=1e-12)
     assert eq.price == pytest.approx(3.0, abs=1e-12)
-    assert eq.leader_payoff == pytest.approx(18.0, abs=1e-12)
-    assert eq.follower_payoff == pytest.approx(1.0, abs=1e-12)
-    assert eq.flags.all_ok()
+    assert eq.leader_profit == pytest.approx(18.0, abs=1e-12)
+    assert eq.follower_profit == pytest.approx(1.0, abs=1e-12)
+    assert eq.all_ok()
+
+
+def test_equilibrium_is_one_record_of_the_game_solve_columns():
+    # the fields, in order, are the game solve header; the four flags are 0/1 ints
+    assert [f.name for f in dataclasses.fields(Equilibrium)] == [
+        "q1", "q2", "r", "r_squared", "price", "leader_profit", "follower_profit",
+        "r_real", "q1_nonneg", "q2_nonneg", "p_nonneg"]
+    for eq, flags in ((equilibrium_at_royalty(MarketParams(a=10.0, c=1.0), 1.0), [1, 1, 1, 1]),
+                      (spne(MarketParams(a=10.0, c=1.0)), [0, 1, 1, 1]),
+                      (spne(MarketParams(a=1.0, c=4.0)), [1, 1, 0, 1]),
+                      (spne(MarketParams(a=2.0, c=2.0)), [1, 1, 1, 1])):
+        got = [eq.r_real, eq.q1_nonneg, eq.q2_nonneg, eq.p_nonneg]
+        assert got == flags and all(type(f) is int for f in got)
+        assert eq.all_ok() is (flags == [1, 1, 1, 1])
 
 
 def test_royalty_foc_form():
@@ -191,7 +205,7 @@ def test_royalty_foc_form():
 def test_spne_negative_radicand_never_throws():
     # a > c: the radicand (c - a) / 3 is negative, and nothing raises
     sol = spne(MarketParams(a=10.0, c=1.0))
-    assert not sol.flags.r_real
+    assert not sol.r_real
     assert math.isnan(sol.r)
     assert sol.r_squared == pytest.approx((1.0 - 10.0) / 3)
 
@@ -199,10 +213,10 @@ def test_spne_negative_radicand_never_throws():
 def test_spne_royalty_real_branch():
     p = MarketParams(a=1.0, c=4.0)
     sol = spne(p)
-    assert sol.flags.r_real
+    assert sol.r_real
     assert sol.r == pytest.approx(1.0)
     assert sol.r_squared == pytest.approx(1.0)
-    assert sol.leader_payoff == 0.0
+    assert sol.leader_profit == 0.0
 
 
 def test_spne_degenerate_leader_quantity():
@@ -213,13 +227,13 @@ def test_spne_degenerate_leader_quantity():
         eq = spne(MarketParams(a=a, c=c))
         assert abs(eq.q1) < 1e-12
         assert eq.q2 == pytest.approx(2 * (a - c) / 3, abs=1e-12)
-        assert eq.flags.r_real
-        assert not eq.flags.q2_nonneg  # negative output is reported, not hidden
+        assert eq.r_real
+        assert not eq.q2_nonneg  # negative output is reported, not hidden
 
 
 def test_spne_flags_non_real_royalty():
     eq = spne(MarketParams(a=10.0, c=1.0))
-    assert not eq.flags.r_real
+    assert not eq.r_real
     assert math.isnan(eq.r)
     assert eq.r_squared == pytest.approx(-3.0)
     # quantities still evaluated at the stationary radicand
@@ -268,10 +282,7 @@ def test_verify_equilibrium_accepts_true_optimum(a, c, r):
 def test_verify_equilibrium_rejects_off_equilibrium_point():
     p = MarketParams(a=10.0, c=1.0)
     eq = equilibrium_at_royalty(p, 1.0)
-    bad = Equilibrium(q1=eq.q1 + 0.5, q2=eq.q2, r=eq.r, r_squared=eq.r_squared,
-                      price=eq.price, leader_payoff=eq.leader_payoff,
-                      follower_payoff=eq.follower_payoff, flags=eq.flags)
-    rep = verify_equilibrium(p, bad)
+    rep = verify_equilibrium(p, dataclasses.replace(eq, q1=eq.q1 + 0.5))
     assert not rep.all_ok()
     assert not rep.checks["point_leader"]
     assert rep.checks["argmax_leader"]  # the closed form itself is still right
@@ -280,10 +291,7 @@ def test_verify_equilibrium_rejects_off_equilibrium_point():
 def test_verify_equilibrium_rejects_off_equilibrium_follower_quantity():
     p = MarketParams(a=10.0, c=1.0)
     eq = equilibrium_at_royalty(p, 1.0)
-    bad = Equilibrium(q1=eq.q1, q2=eq.q2 + 0.5, r=eq.r, r_squared=eq.r_squared,
-                      price=eq.price, leader_payoff=eq.leader_payoff,
-                      follower_payoff=eq.follower_payoff, flags=eq.flags)
-    rep = verify_equilibrium(p, bad)
+    rep = verify_equilibrium(p, dataclasses.replace(eq, q2=eq.q2 + 0.5))
     assert [k for k, ok in rep.checks.items() if not ok] == ["point_follower"]
     assert rep.gaps["point_follower"] == pytest.approx(0.5)
 
@@ -331,7 +339,7 @@ def test_exact_equilibria_verify_at_every_market_size_up_to_the_bound(a, c, rsq,
     r = math.sqrt(rsq) * (-1.0 if negative else 1.0)
     for eq in (equilibrium_at_royalty(p, r), spne(p)):
         assert all(math.isfinite(v) for v in (eq.q1, eq.q2, eq.r_squared, eq.price,
-                                              eq.leader_payoff, eq.follower_payoff))
+                                              eq.leader_profit, eq.follower_profit))
         rep = verify_equilibrium(p, eq)
         assert rep.all_ok(), rep.gaps
 
@@ -398,11 +406,8 @@ def test_verification_report_is_one_gap_table():
 def test_verify_equilibrium_non_finite_input():
     p = MarketParams(a=10.0, c=1.0)
     eq = equilibrium_at_royalty(p, 1.0)
-    nan_eq = Equilibrium(q1=math.nan, q2=eq.q2, r=eq.r, r_squared=eq.r_squared,
-                         price=eq.price, leader_payoff=eq.leader_payoff,
-                         follower_payoff=eq.follower_payoff, flags=eq.flags)
     with pytest.raises(ValueError):
-        verify_equilibrium(p, nan_eq)
+        verify_equilibrium(p, dataclasses.replace(eq, q1=math.nan))
 
 
 def test_equilibrium_at_royalty_rejects_non_finite_r():
@@ -423,7 +428,7 @@ def test_equilibrium_at_royalty_refuses_a_royalty_above_2_to_the_250():
 def test_royalty_profit_profile_refuses_the_first_royalty_out_of_bound():
     p = MarketParams(a=10.0, c=1.0)
     edge = [2.0 ** 250, -2.0 ** 250]
-    assert royalty_profit_profile(p, edge) == [equilibrium_at_royalty(p, r).leader_payoff
+    assert royalty_profit_profile(p, edge) == [equilibrium_at_royalty(p, r).leader_profit
                                                for r in edge]
     above = math.nextafter(2.0 ** 250, math.inf)
     for r_values, message in (([1.0, 1e200, math.nan], "royalty r=1e+200 is above 2**250"),
@@ -478,8 +483,8 @@ def test_spne_leader_quantity_is_exactly_zero():
     # (a + 3 r^2 - c) / 2 rounds to +4e-16, -2e-16 and -1e-17 at the first three
     for a, c in ((2.9, 7.3), (7.3, 2.9), (0.7, 0.1), (5.0, 5.0)):
         eq = spne(MarketParams(a=a, c=c))
-        assert eq.q1 == 0.0 and eq.flags.q1_nonneg
-        assert eq.leader_payoff == 0.0
+        assert eq.q1 == 0.0 and eq.q1_nonneg
+        assert eq.leader_profit == 0.0
         assert eq.q2 == pytest.approx(2.0 * (a - c) / 3.0, rel=1e-12, abs=1e-15)
 
 
@@ -496,10 +501,10 @@ def test_feasibility_region_equals_spne_at_every_point(a_values, c_values):
     for row in rows:
         eq = spne(MarketParams(a=row["a"], c=row["c"]))
         assert eq.q1 == 0.0
-        assert row == {"a": row["a"], "c": row["c"], "r_real": int(eq.flags.r_real),
-                       "q1_nonneg": int(eq.flags.q1_nonneg),
-                       "q2_nonneg": int(eq.flags.q2_nonneg),
-                       "p_nonneg": int(eq.flags.price_nonneg)}
+        flags = list(row)[2:]  # the record's four flags, by name and 0/1 int value
+        assert flags == [f.name for f in dataclasses.fields(eq)][-4:]
+        assert {f: row[f] for f in flags} == {f: getattr(eq, f) for f in flags}
+        assert all(type(row[f]) is type(getattr(eq, f)) is int for f in flags)
 
 
 @pytest.mark.parametrize("a_values, c_values, message", [

@@ -426,6 +426,48 @@ def test_variance_decomposition_shares_and_f():
     assert d.f_region == pytest.approx(f_region, rel=1e-10)
 
 
+@pytest.mark.parametrize("value", [0.1, 0.3, 1.0])
+def test_a_constant_series_is_refused_by_its_values(value):
+    # a centred sum of squares of 0.1 everywhere is rounding noise, not zero:
+    # each function decides that a series is constant from min == max
+    rng = np.random.default_rng(5)
+    p = build_panel({"Y": np.full((13, 9), value), "X": rng.normal(size=(13, 9))})
+    spec = RegressionSpec(dependent="Y", regressors=[Regressor("X")], label="m")
+    with pytest.raises(PanelError, match="^spec 'm': dependent 'Y' is constant$"):
+        pooled_ols(p, spec)
+    [entry] = run_model_suite(p, [spec])
+    assert entry.error == "spec 'm': dependent 'Y' is constant"
+    with pytest.raises(PanelError, match="^variable 'Y' is constant$"):
+        variance_decomposition(p, "Y")
+    x, const = rng.normal(size=20), np.full(20, value)
+    for pair, i in (((const, x), 1), ((x, const), 2)):
+        for mode in ("mutual", "residualize-second"):
+            with pytest.raises(PanelError, match=f"^series {i} is constant"):
+                orthogonalize(*pair, mode=mode)
+    # the same panel with one cell moved off the constant fits and decomposes
+    moved = np.full((13, 9), value)
+    moved[4, 2] += 0.5
+    q = build_panel({"Y": moved, "X": p.matrix("X")})
+    assert 0.0 <= pooled_ols(q, spec).r_squared <= 1.0
+    assert variance_decomposition(q, "Y").share_residual > 0.0
+
+
+@pytest.mark.parametrize("exp", [-900, -600, 600, 900])
+def test_tiny_and_huge_series_give_the_results_of_unit_scale(exp):
+    # sums of squares of cells near 2**-600 underflow to 0 and near 2**600
+    # overflow; scaled by a power of two the functions give the same bits
+    rng = np.random.default_rng(8)
+    m, x1, x2 = rng.normal(size=(13, 9)), rng.normal(size=40), rng.normal(size=40)
+    got = variance_decomposition(build_panel({"X": np.ldexp(m, exp)}), "X")
+    assert got == variance_decomposition(build_panel({"X": m}), "X")
+    for mode in ("mutual", "residualize-second"):
+        r1, r2 = orthogonalize(x1, x2, mode=mode)
+        for pair, want in (((np.ldexp(x1, exp), x2), (np.ldexp(r1, exp), r2)),
+                           ((x1, np.ldexp(x2, exp)), (r1, np.ldexp(r2, exp)))):
+            got = orthogonalize(*pair, mode=mode)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_variance_decomposition_region_constant_direction():
     # pure region differences, no time structure at all
     m = np.tile(np.array([[1.0], [2.0], [5.0]]), (1, 4))
